@@ -21,21 +21,22 @@ The 10k-node scale tier.  Two families of measurements:
   scenario-free run.  Asserts the scenario machinery keeps a generous
   fraction of the plain hot-loop throughput, and that events actually
   fired.
-* **Batch (columnar) engine** — the PR-7 gate: 10k-node synchronous
-  COLORING under the aggregate tier, ``engine="batch"`` versus the
-  scalar incremental loop, asserting ≥5x at full scale (a generous
-  ≥1.5x in the ``--tiny`` smoke), plus a 1M-process sparse-topology
-  tier (batch only — the scalar loop would take minutes per step)
+* **Columnar engine, per step** — the BENCH_5 gate: 10k-node synchronous
+  COLORING under the aggregate tier, ``engine="batch-resident"``
+  stepped one :meth:`Simulator.step` at a time versus the scalar
+  incremental loop, asserting ≥5x at full scale (a generous ≥1.5x in
+  the ``--tiny`` smoke), plus a 1M-process sparse-topology tier
+  (columnar only — the scalar loop would take minutes per step)
   reporting steps/sec and process-activations/sec.
-* **Column-resident fused driver** — the PR-8 gate: the same 10k
-  synchronous COLORING pair, ``engine="batch-resident"`` stepped
-  through the fused :meth:`Simulator.run_resident` driver versus the
-  per-step batch engine, asserting ≥3x at full scale (≥1.5x at
-  ``--tiny``).  The 1M sparse tier reruns under the resident engine
-  with the build cost split out — total simulator build, the
-  ColumnStore build alone (< 10s) and fused steps/sec (≥ 5) are each
-  gated separately, so a build regression cannot hide behind a
-  stepping win or vice versa.
+* **Columnar engine, fused** — the BENCH_6 gate: the same 10k
+  synchronous COLORING run stepped in fused
+  :meth:`Simulator.run_resident` spans versus one
+  :meth:`Simulator.step` at a time, asserting ≥3x at full scale
+  (≥1.5x at ``--tiny``).  The 1M sparse tier reruns fused with the
+  build cost split out — total simulator build, the ColumnStore build
+  alone (< 10s) and fused steps/sec (≥ 5) are each gated separately,
+  so a build regression cannot hide behind a stepping win or vice
+  versa.
 
 Every run (pytest or script) appends machine-readable results to
 ``BENCH_3.json`` at the repo root — steps/sec per topology × protocol
@@ -97,8 +98,9 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_3.json"
 BENCH4_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_4.json"
 BENCH5_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_5.json"
 
-#: PR-7 acceptance floor: the columnar batch engine over the scalar
-#: incremental loop on 10k-node synchronous coloring, aggregate tier
+#: BENCH_5 acceptance floor: the columnar engine, one step at a time, over
+#: the scalar incremental loop on 10k-node synchronous coloring,
+#: aggregate tier
 MIN_BATCH_SPEEDUP = 5.0
 
 #: generous --tiny floor (and a larger-than-TINY_N size below): column
@@ -108,7 +110,7 @@ MIN_BATCH_SPEEDUP = 5.0
 MIN_BATCH_SPEEDUP_TINY = 1.5
 BATCH_TINY_N = 600
 
-#: the 1M-process sparse tier (full mode only): batch engine only —
+#: the 1M-process sparse tier (full mode only): columnar engine only —
 #: one synchronous step touches every process, so a handful of steps
 #: is enough for a stable rate
 MILLION_N = 1_000_000
@@ -116,8 +118,8 @@ MILLION_STEPS = 5
 
 BENCH6_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_6.json"
 
-#: PR-8 acceptance floor: the fused resident driver over the per-step
-#: batch engine on 10k-node synchronous coloring, aggregate tier
+#: BENCH_6 acceptance floor: the fused loop over per-step columnar
+#: stepping on 10k-node synchronous coloring, aggregate tier
 MIN_RESIDENT_SPEEDUP = 3.0
 
 #: generous --tiny floor (same rationale as MIN_BATCH_SPEEDUP_TINY:
@@ -125,10 +127,10 @@ MIN_RESIDENT_SPEEDUP = 3.0
 #: runners)
 MIN_RESIDENT_SPEEDUP_TINY = 1.5
 
-#: the pure-python column backend skips the same row decodes but has
-#: no vectorized kernels to amplify the win — resident runs ~1.1-1.4x
-#: batch at n=600 there, so the no-NumPy lane only gates against an
-#: outright regression
+#: the pure-python column backend has no vectorized kernels, so the
+#: per-step overhead the fused loop saves is a small share of a step —
+#: fused runs ~1.1-1.65x per-step at n=600 there, so the no-NumPy lane
+#: only gates against an outright regression
 MIN_RESIDENT_SPEEDUP_TINY_PYTHON = 0.9
 
 #: 1M-tier gates (full mode), asserted independently: the vectorized
@@ -333,7 +335,7 @@ def identical_prefix(protocol: str, topology: str, params: Dict,
                      steps: int = 50) -> bool:
     """Cheap determinism guard: all engines replay the same steps."""
     runs = []
-    for engine in ("incremental", "scan", "batch"):
+    for engine in ("incremental", "scan", "batch-resident"):
         sim = build_spec(protocol, topology, params, engine).build_simulator()
         runs.append([sim.step() for _ in range(steps)])
     return all(run == runs[0] for run in runs[1:])
@@ -342,7 +344,9 @@ def identical_prefix(protocol: str, topology: str, params: Dict,
 def measure_batch(n: int, budget_s: float) -> Dict[str, float]:
     """The PR-7 acceptance pair: synchronous COLORING at ``n``
     processes, aggregate tier, scalar incremental loop vs the columnar
-    batch engine.  Returns both rates plus the speedup."""
+    engine, both one ``Simulator.step`` at a time.  Returns both rates
+    (the columnar one under its historical ``batch`` key) plus the
+    speedup."""
     def build(engine):
         return ExperimentSpec(
             protocol="coloring", topology="ring", topology_params={"n": n},
@@ -351,8 +355,8 @@ def measure_batch(n: int, budget_s: float) -> Dict[str, float]:
         ).build_simulator()
 
     rates = {
-        engine: time_stepping(build(engine), budget_s)
-        for engine in ("incremental", "batch")
+        "incremental": time_stepping(build("incremental"), budget_s),
+        "batch": time_stepping(build("batch-resident"), budget_s),
     }
     rates["speedup"] = rates["batch"] / rates["incremental"]
     return rates
@@ -374,8 +378,9 @@ def time_stepping_resident(sim, budget_s: float, chunk: int = 64) -> float:
 
 def measure_resident(n: int, budget_s: float) -> Dict[str, float]:
     """The PR-8 acceptance pair: synchronous COLORING at ``n``
-    processes, aggregate tier, per-step batch engine vs the fused
-    column-resident driver.  Returns both rates plus the speedup."""
+    processes, aggregate tier, the columnar engine one
+    ``Simulator.step`` at a time (historical key ``batch``) vs its
+    fused loop.  Returns both rates plus the speedup."""
     def build(engine):
         return ExperimentSpec(
             protocol="coloring", topology="ring", topology_params={"n": n},
@@ -386,7 +391,7 @@ def measure_resident(n: int, budget_s: float) -> Dict[str, float]:
     resident_sim = build("batch-resident")
     rates = {
         "backend": resident_sim.engine.backend_name,
-        "batch": time_stepping(build("batch"), budget_s),
+        "batch": time_stepping(build("batch-resident"), budget_s),
         "resident": time_stepping_resident(resident_sim, budget_s),
     }
     rates["speedup"] = rates["resident"] / rates["batch"]
@@ -557,7 +562,8 @@ def write_bench6_obs(mode: str, obs: Dict[str, float]) -> None:
 
 def measure_million(n: int = MILLION_N,
                     steps: int = MILLION_STEPS) -> Dict[str, float]:
-    """The 1M-process sparse tier: batch-only synchronous COLORING.
+    """The 1M-process sparse tier: columnar synchronous COLORING, one
+    ``Simulator.step`` at a time.
 
     Every step activates all ``n`` processes, so the per-step rate is
     stable after very few steps; reports steps/sec and the derived
@@ -569,7 +575,7 @@ def measure_million(n: int = MILLION_N,
     sim = ExperimentSpec(
         protocol="coloring", topology="sparse",
         topology_params={"n": n, "avg_degree": 3.0, "seed": 7},
-        scheduler="synchronous", seed=1, engine="batch",
+        scheduler="synchronous", seed=1, engine="batch-resident",
         metrics="aggregate",
     ).build_simulator()
     build_s = time.perf_counter() - t0
@@ -591,7 +597,7 @@ def measure_million(n: int = MILLION_N,
 def write_bench5_json(mode: str, n: int, budget_s: float,
                       batch: Dict[str, float],
                       million: Dict[str, float] = None) -> None:
-    """Merge the batch-engine case into ``BENCH_5.json`` (repo root),
+    """Merge the per-step columnar case into ``BENCH_5.json`` (repo root),
     keyed by mode exactly like :func:`write_bench_json`."""
     payload: Dict = {}
     if BENCH5_JSON.exists():
@@ -750,18 +756,19 @@ def test_scenario_churn_recovery(tiny):
 
 
 def test_batch_engine_speedup(tiny):
-    """PR-7 gate: the columnar batch engine ≥5x the scalar incremental
-    loop on 10k-node synchronous coloring (≥1.5x at smoke sizes), with
-    the 1M-process sparse tier completing at full scale."""
+    """BENCH_5 gate: the columnar engine, stepped one step at a time, ≥5x
+    the scalar incremental loop on 10k-node synchronous coloring (≥1.5x
+    at smoke sizes), with the 1M-process sparse tier completing at full
+    scale."""
     n = BATCH_TINY_N if tiny else FULL_N
     budget = TINY_BUDGET_S if tiny else FULL_BUDGET_S
     rates = measure_batch(n, budget)
     million = None if tiny else measure_million()
     write_bench5_json("tiny" if tiny else "full", n, budget, rates, million)
     print(
-        f"\nbatch engine, n={n} (synchronous coloring, aggregate tier): "
+        f"\ncolumnar engine, n={n} (synchronous coloring, aggregate tier): "
         f"incremental {rates['incremental']:,.1f} steps/s, "
-        f"batch {rates['batch']:,.1f} steps/s "
+        f"per-step columnar {rates['batch']:,.1f} steps/s "
         f"({rates['speedup']:.2f}x)"
     )
     if million is not None:
@@ -776,8 +783,8 @@ def test_batch_engine_speedup(tiny):
 
 
 def test_resident_engine_speedup(tiny):
-    """PR-8 gate: the fused resident driver ≥3x the per-step batch
-    engine on 10k-node synchronous coloring (≥1.5x at smoke sizes); at
+    """BENCH_6 gate: the fused loop ≥3x per-step columnar stepping on
+    10k-node synchronous coloring (≥1.5x at smoke sizes); at
     full scale the 1M sparse tier must assemble its ColumnStore inside
     the 10s budget and sustain ≥5 fused steps/s — both gated
     separately."""
@@ -787,9 +794,9 @@ def test_resident_engine_speedup(tiny):
     million = None if tiny else measure_million_resident()
     write_bench6_json("tiny" if tiny else "full", n, budget, rates, million)
     print(
-        f"\nresident driver, n={n} (synchronous coloring, aggregate tier): "
-        f"batch {rates['batch']:,.1f} steps/s, "
-        f"resident {rates['resident']:,.1f} steps/s "
+        f"\nfused loop, n={n} (synchronous coloring, aggregate tier): "
+        f"per-step {rates['batch']:,.1f} steps/s, "
+        f"fused {rates['resident']:,.1f} steps/s "
         f"({rates['speedup']:.2f}x)"
     )
     if million is not None:
@@ -946,23 +953,23 @@ def main(argv=None) -> int:
           f"{scenario['scenario']:>12,.1f} steps/s "
           f"({scenario['ratio']:.2f}x, "
           f"{scenario['events_applied']:.0f} events)")
-    print(f"batch engine (synchronous coloring, n={batch_n}, aggregate):")
+    print(f"columnar engine (synchronous coloring, n={batch_n}, aggregate):")
     print(f"  scalar incremental                    "
           f"{batch['incremental']:>12,.1f} steps/s")
-    print(f"  columnar batch                        "
+    print(f"  columnar, per step                    "
           f"{batch['batch']:>12,.1f} steps/s ({batch['speedup']:.2f}x)")
     if million is not None:
-        print(f"  1M sparse tier (batch only)           "
+        print(f"  1M sparse tier (per step)             "
               f"{million['steps_per_sec']:>12,.2f} steps/s "
               f"({million['activations_per_sec']:,.0f} activations/s)")
-    print(f"resident driver (synchronous coloring, n={batch_n}, aggregate):")
-    print(f"  per-step batch                        "
+    print(f"fused loop (synchronous coloring, n={batch_n}, aggregate):")
+    print(f"  columnar, per step                    "
           f"{resident['batch']:>12,.1f} steps/s")
-    print(f"  fused resident                        "
+    print(f"  columnar, fused                       "
           f"{resident['resident']:>12,.1f} steps/s "
           f"({resident['speedup']:.2f}x)")
     if million_res is not None:
-        print(f"  1M sparse tier (resident)             "
+        print(f"  1M sparse tier (fused)                "
               f"{million_res['steps_per_sec']:>12,.2f} steps/s "
               f"(build {million_res['build_s']:.1f}s, "
               f"store build {million_res['store_build_s']:.1f}s)")
@@ -1004,10 +1011,10 @@ def main(argv=None) -> int:
         print("FAIL: churn+recovery scenario below its throughput floor")
         return 1
     if not batch_ok:
-        print("FAIL: batch engine below its speedup floor")
+        print("FAIL: per-step columnar engine below its speedup floor")
         return 1
     if not resident_ok:
-        print("FAIL: resident driver below its speedup floor or 1M gates")
+        print("FAIL: fused loop below its speedup floor or 1M gates")
         return 1
     if not obs_ok:
         print("FAIL: enabled-telemetry overhead above its ceiling")

@@ -16,8 +16,8 @@ from a ``(name, params)`` pair so that a whole campaign is plain data
   ``enabled_only=True`` as a parameter;
 * **engines** — builders ``(**params) -> EnabledSetEngine`` for the
   enabled-set maintenance strategies of :mod:`repro.core.engine`
-  (``incremental``, ``scan``, ``debug``) and the columnar batch
-  engine of :mod:`repro.core.batchengine` (``batch``,
+  (``incremental``, ``scan``, ``debug``) and the columnar engine of
+  :mod:`repro.core.batchengine` (``batch-resident``, audited as
   ``batch-debug``).
 
 Metrics tiers (``full`` | ``aggregate`` | ``off``) are deliberately
@@ -43,14 +43,10 @@ the decorators::
 from __future__ import annotations
 
 import inspect
+from functools import partial
 from typing import Callable, Dict, Iterator, List
 
-from ..core.batchengine import (
-    BatchCrossCheckEngine,
-    BatchEngine,
-    ResidentBatchEngine,
-)
-from ..core.engine import CrossCheckEngine, IncrementalEngine, ScanEngine
+from ..core.engine import ENGINE_NAMES, make_engine
 from ..core.scheduler import (
     BoundedFairScheduler,
     CentralScheduler,
@@ -282,31 +278,5 @@ def _locally_central(network, p_act: float = 0.5, enabled_only: bool = False):
 # Built-in enabled-set engines — see repro.core.engine for the design
 # and docs/performance.md for the complexity argument.
 # ----------------------------------------------------------------------
-@register_engine("incremental")
-def _incremental_engine():
-    return IncrementalEngine()
-
-
-@register_engine("scan")
-def _scan_engine():
-    return ScanEngine()
-
-
-@register_engine("debug")
-def _debug_engine():
-    return CrossCheckEngine()
-
-
-@register_engine("batch")
-def _batch_engine():
-    return BatchEngine()
-
-
-@register_engine("batch-debug")
-def _batch_debug_engine():
-    return BatchCrossCheckEngine()
-
-
-@register_engine("batch-resident")
-def _batch_resident_engine():
-    return ResidentBatchEngine()
+for _name in ENGINE_NAMES:
+    register_engine(_name, partial(make_engine, _name))

@@ -50,10 +50,10 @@ class ExperimentSpec:
     seed: int = 0
     max_rounds: int = 50_000
     #: enabled-set maintenance strategy ("incremental" | "scan" |
-    #: "debug" | "batch" | "batch-debug" | "batch-resident"); every
-    #: engine produces identical executions — "batch-resident" keeps
-    #: state columnar across fused synchronous steps and decodes rows
-    #: only at observation boundaries.
+    #: "debug" | "batch-resident" | "batch-debug"); every engine
+    #: produces identical executions — "batch-resident" keeps state
+    #: columnar across fused synchronous steps and decodes rows only
+    #: at observation boundaries.
     engine: str = "incremental"
     #: metrics tier ("full" | "aggregate" | "off"): "aggregate" streams
     #: the paper's measures without per-step records (identical final

@@ -12,7 +12,6 @@ from .batchengine import (
     BatchCrossCheckEngine,
     BatchEngine,
     BatchKernel,
-    ResidentBatchEngine,
     register_batch_kernel,
 )
 from .columns import ColumnStore
@@ -101,7 +100,6 @@ __all__ = [
     "Protocol",
     "QuiescenceWitness",
     "RandomSubsetScheduler",
-    "ResidentBatchEngine",
     "ReproError",
     "RngStreams",
     "RoundRobinScheduler",

@@ -1,24 +1,32 @@
-"""The vectorized batch engine: whole-column guard evaluation.
+"""The columnar engine: whole-column guard evaluation.
 
-:class:`BatchEngine` is an :class:`~repro.core.engine.EnabledSetEngine`
-that additionally executes *entire steps* over columnar state — the
-synchronous and maximal daemons activate most of the network every
-step, so evaluating guards one pooled context at a time leaves an order
-of magnitude on the table.  The simulator detects a batch-capable
-engine (:attr:`BatchEngine.batch_active`) and routes the hot step loop
-through :meth:`execute_step`, which
+:class:`BatchEngine` (``engine="batch-resident"``) is an
+:class:`~repro.core.engine.EnabledSetEngine` that additionally executes
+*entire steps* over columnar state — the synchronous and maximal
+daemons activate most of the network every step, so evaluating guards
+one pooled context at a time leaves an order of magnitude on the
+table.  The simulator detects an active engine
+(:attr:`BatchEngine.batch_active`) and routes the hot step loop through
+:meth:`execute_step`, which
 
 1. gathers the step's reads from a :class:`~repro.core.columns.ColumnStore`
    (γi — all gathers happen before any write),
 2. classifies every selected process through the protocol's registered
    :class:`BatchKernel` (action code, port read, bits charged — the
    exact short-circuit semantics of the scalar guards),
-3. writes the chosen actions back through the live configuration rows,
-   so traces, silence detection, predicates and fault injectors see
-   identical state, and
+3. writes the chosen actions into the columns, which *are* the live
+   state: rows are decoded only at observation boundaries, through the
+   sync hook the engine installs on the
+   :class:`~repro.core.state.Configuration`, so traces, silence
+   detection, predicates and fault injectors see identical state, and
 4. hands the simulator everything needed to reproduce the scalar
    engine's metrics byte for byte under both the ``full`` and
    ``aggregate`` tiers.
+
+On eligible runs the fused :meth:`BatchEngine.run_steps` loop goes
+further and executes whole synchronous/maximal-daemon step sequences —
+selection, classification, writes, round tracking, silence checks,
+aggregate metrics folds — without returning to Python rows in between.
 
 Kernels are registered per *protocol class* with
 :func:`register_batch_kernel` next to the scalar implementations
@@ -26,24 +34,15 @@ Kernels are registered per *protocol class* with
 without a kernel — or state the column store cannot mirror (legacy
 backend, mixed layouts, exotic domains) — degrades transparently: the
 engine runs an internal :class:`~repro.core.engine.IncrementalEngine`
-and the simulator keeps the scalar step loop, so ``engine="batch"`` is
-always safe to request.
+and the simulator keeps the scalar step loop, so
+``engine="batch-resident"`` is always safe to request.
 
 :class:`BatchCrossCheckEngine` (``engine="batch-debug"``) is the audit
-mode: every batch step re-evaluates each selected process through the
-scalar guard probes and raises
+mode: every columnar step, per-step or fused, re-evaluates each
+selected process through the scalar guard probes and raises
 :class:`~repro.core.exceptions.ModelError` on any divergence in action
-choice, ports read, or bits charged — the batch analogue of
+choice, ports read, or bits charged — the columnar analogue of
 :class:`~repro.core.engine.CrossCheckEngine`.
-
-:class:`ResidentBatchEngine` (``engine="batch-resident"``) goes one
-step further: the columns *are* the live state.  Writes stay columnar
-(:attr:`ColumnStore.resident`), rows are decoded only at observation
-boundaries via the :class:`~repro.core.state.Configuration` sync hook,
-and the fused :meth:`BatchEngine.run_steps` driver executes whole
-synchronous/maximal-daemon step sequences — selection, classification,
-writes, round tracking, silence checks, aggregate metrics folds —
-without returning to Python rows in between.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ class BatchKernel:
         """
         raise NotImplementedError
 
-    # -- optional resident-mode extensions ------------------------------
+    # -- optional fused-loop extensions ---------------------------------
     #: Kernels may additionally provide
     #:
     #: ``plan_writes_resident(codes, aux, rng)`` — apply a whole-network
@@ -166,16 +165,28 @@ class BatchOutcome:
 
 
 class BatchEngine(EnabledSetEngine):
-    """Columnar enabled-set engine with whole-step batch execution."""
+    """Columnar enabled-set engine with whole-step batch execution.
 
-    name = "batch"
-    #: resident engines keep writes columnar; rows decode lazily
-    resident = False
+    ``engine="batch-resident"``: the columns are the live state.  Step
+    writes stay columnar and the touched rows go stale-by-design until
+    :meth:`materialize_rows` decodes them (``ColumnStore.generation``
+    stamps which slots moved); the bound
+    :class:`~repro.core.state.Configuration` gets a sync hook, so *any*
+    row observation — traces, predicates, silence walks, fault
+    injectors, direct ``config.get``/``state_of`` reads — transparently
+    materializes first and can never see stale rows.  The simulator's
+    ``run_steps``/``run_until_silent`` delegate to the fused
+    :meth:`run_steps` loop under synchronous and maximal daemons.
+    The scalar engines remain the oracles.
+    """
+
+    name = "batch-resident"
 
     def bind(self, protocol, network, config, specs_of) -> None:
         super().bind(protocol, network, config, specs_of)
         self._agg_dirty = False
         self._agg_collector = None
+        self._hooked_config = None
         self._activate()
 
     # ------------------------------------------------------------------
@@ -186,9 +197,15 @@ class BatchEngine(EnabledSetEngine):
 
         Falls back to a fresh internal incremental engine when the
         protocol has no registered kernel or the state cannot be
-        mirrored into columns.
+        mirrored into columns.  The outgoing configuration gets its
+        pending column writes decoded before its sync hook is removed:
+        a caller may still hold and read it.
         """
         self.flush_pending_metrics()
+        if self._hooked_config is not None:
+            self._store.materialize()
+            self._hooked_config.install_sync(None)
+            self._hooked_config = None
         self._store: Optional[ColumnStore] = None
         self._kernel: Optional[BatchKernel] = None
         self._fallback: Optional[IncrementalEngine] = None
@@ -210,6 +227,8 @@ class BatchEngine(EnabledSetEngine):
         if store is not None:
             self._store = store
             self._kernel = kernel_cls(self.protocol, store)
+            self.config.install_sync(self.materialize_rows)
+            self._hooked_config = self.config
         else:
             fallback = IncrementalEngine()
             fallback.bind(
@@ -232,11 +251,17 @@ class BatchEngine(EnabledSetEngine):
     # Column freshness
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
+        # Decode the columns' own pending writes before re-reading rows:
+        # an invalidation no row write preceded (a bare
+        # ``Simulator.invalidate_enabled()``) then re-reads what the
+        # columns hold instead of tripping the store's dirty guard.
         if self._stale_all:
+            self._store.materialize()
             self._store.pull_all()
             self._stale_all = False
             self._pull_pending.clear()
         elif self._pull_pending:
+            self._store.materialize()
             self._store.pull(sorted(self._pull_pending))
             self._pull_pending.clear()
 
@@ -325,7 +350,7 @@ class BatchEngine(EnabledSetEngine):
         t0 = perf_counter() if obs_on else 0.0
         codes, ports, bits, aux = self._kernel.classify(idx)
         t1 = perf_counter() if obs_on else 0.0
-        self._audit_step(selected, sel_idx, codes, ports, bits)
+        self._audit_step(idx, codes, ports, bits)
         writes, _comm_idx = self._kernel.plan_writes(idx, codes, aux, rng)
         for slot, w_idx, w_vals in writes:
             if w_idx:
@@ -336,20 +361,20 @@ class BatchEngine(EnabledSetEngine):
             TELEMETRY.histogram("engine.plan_s").observe(perf_counter() - t1)
         return BatchOutcome(selected, sel_idx, idx, codes, ports, bits)
 
-    def _audit_step(self, selected, sel_idx, codes, ports, bits) -> None:
-        """Hook for :class:`BatchCrossCheckEngine` (no-op here)."""
+    def _audit_step(self, idx, codes, ports, bits) -> None:
+        """Hook for :class:`BatchCrossCheckEngine`, called with every
+        classification a step acts on (no-op here)."""
 
     # ------------------------------------------------------------------
     # Column-resident execution
     # ------------------------------------------------------------------
     def materialize_rows(self) -> None:
-        """Decode pending resident column writes into the live rows.
+        """Decode pending column writes into the live rows.
 
-        The observation boundary of resident mode: installed as the
-        configuration's sync hook and called explicitly before any
-        scalar code path that bypasses it (pooled step contexts cache
-        raw row references).  No-op for non-resident stores and on the
-        scalar fallback.
+        The observation boundary: installed as the configuration's sync
+        hook and called explicitly before any scalar code path that
+        bypasses it (pooled step contexts cache raw row references).
+        No-op on the scalar fallback.
         """
         store = self._store
         if store is not None:
@@ -383,11 +408,9 @@ class BatchEngine(EnabledSetEngine):
         collector = sim._metrics if sim.metrics_tier == "aggregate" else None
         tracker = sim.round_tracker
         silent_cols = getattr(kernel, "silent_cols", None)
-        resident_plan = (
-            getattr(kernel, "plan_writes_resident", None)
-            if self.resident else None
-        )
+        resident_plan = getattr(kernel, "plan_writes_resident", None)
         plan = kernel.plan_writes
+        audit = self._audit_step
 
         def silent_now() -> bool:
             if silent_cols is not None:
@@ -415,6 +438,7 @@ class BatchEngine(EnabledSetEngine):
                 if round_budget is not None and closed_rounds >= round_budget:
                     break
                 codes, ports, bits, aux = kernel.classify(all_idx)
+                audit(all_idx, codes, ports, bits)
                 if resident_plan is not None:
                     resident_plan(codes, aux, rng)
                 else:
@@ -463,6 +487,7 @@ class BatchEngine(EnabledSetEngine):
                     all_sel = sel
                     idx = all_idx
                 codes, ports, bits, aux = kernel.classify(idx)
+                audit(idx, codes, ports, bits)
                 writes, _comm = plan(idx, codes, aux, rng)
                 for slot, w_idx, w_vals in writes:
                     if w_idx:
@@ -503,8 +528,7 @@ class BatchEngine(EnabledSetEngine):
             ).observe(steps)
             TELEMETRY.record_span(
                 "engine.run_steps", perf_counter() - span_t0,
-                n=n, steps=steps, activations=activations,
-                resident=self.resident, silent=silent,
+                n=n, steps=steps, activations=activations, silent=silent,
             )
         return steps, silent
 
@@ -723,22 +747,28 @@ class BatchCrossCheckEngine(BatchEngine):
     each selected process is re-evaluated through a pooled scalar probe
     context and any disagreement on the fired action, the ports read,
     or the bits charged raises
-    :class:`~repro.core.exceptions.ModelError`.  Enabled-set queries are
-    audited against a full scalar scan as well.  Strictly a debugging
-    mode — every batch step pays the full scalar cost on top.
+    :class:`~repro.core.exceptions.ModelError` — on the per-step path
+    and inside fused spans alike.  Enabled-set queries are audited
+    against a full scalar scan as well.  Strictly a debugging mode —
+    every batch step pays the full scalar cost on top.
     """
 
     name = "batch-debug"
 
-    def _audit_step(self, selected, sel_idx, codes, ports, bits) -> None:
-        ops = self._store.ops
+    def _audit_step(self, idx, codes, ports, bits) -> None:
+        # Probe contexts cache raw rows, bypassing the sync hook.
+        self.materialize_rows()
+        store = self._store
+        ops = store.ops
+        pids = store.pids
         names = self._kernel.rule_names
         actions = self._actions
         pool = self._probe_pool
         code_l = ops.tolist(codes)
         port_l = ops.tolist(ports)
         bits_l = ops.tolist(bits)
-        for p, code, port, b in zip(selected, code_l, port_l, bits_l):
+        for i, code, port, b in zip(ops.tolist(idx), code_l, port_l, bits_l):
+            p = pids[i]
             ctx = pool.acquire(p, rng=None)
             action = first_enabled(actions, ctx)
             expect_name = action.name if action is not None else None
@@ -759,6 +789,7 @@ class BatchCrossCheckEngine(BatchEngine):
 
     def _compute_enabled(self):
         enabled_set, enabled_list = super()._compute_enabled()
+        self.materialize_rows()  # the scan's probe contexts read raw rows
         fresh = self._scan()
         if fresh != enabled_set:
             missing = sorted(map(repr, fresh - enabled_set))
@@ -768,41 +799,3 @@ class BatchCrossCheckEngine(BatchEngine):
                 f"(missing: {missing}, stale: {extra})"
             )
         return enabled_set, enabled_list
-
-
-class ResidentBatchEngine(BatchEngine):
-    """Column-resident batch engine: the columns are the live state.
-
-    ``engine="batch-resident"``.  Differences from :class:`BatchEngine`:
-
-    * the store runs in resident mode — step writes stay columnar and
-      the touched rows go stale-by-design until :meth:`materialize_rows`
-      decodes them (``ColumnStore.generation`` stamps which slots moved);
-    * the bound :class:`~repro.core.state.Configuration` gets a sync
-      hook, so *any* row observation — traces, predicates, silence
-      walks, fault injectors, direct ``config.get``/``state_of`` reads —
-      transparently materializes first and can never see stale rows;
-    * the simulator's ``run_steps``/``run_until_silent`` delegate to the
-      fused :meth:`BatchEngine.run_steps` driver under synchronous and
-      maximal daemons, skipping the per-step Python round-trip entirely.
-
-    Everything else — fallback ladder, metrics folds, equivalence
-    guarantees — is inherited; the scalar engines remain the oracles.
-    """
-
-    name = "batch-resident"
-    resident = True
-
-    def _activate(self) -> None:
-        hooked = getattr(self, "_hooked_config", None)
-        if hooked is not None:
-            hooked.install_sync(None)
-            self._hooked_config = None
-        super()._activate()
-        store = self._store
-        if store is not None:
-            store.resident = True
-            install = getattr(self.config, "install_sync", None)
-            if install is not None:
-                install(self.materialize_rows)
-                self._hooked_config = self.config

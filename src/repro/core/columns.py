@@ -26,22 +26,18 @@ fallback), stdlib ``array('q')``/list columns otherwise.  Both expose
 one tiny primitive set (:class:`_NumpyOps` / :class:`_PythonOps`) so
 kernels are written once against ``store.ops``.
 
-Writes flow *through* the configuration: :meth:`ColumnStore.write`
-updates the column and immediately decodes the new value back into the
-process's live row, so every consumer of the configuration — traces,
-silence checks, predicates, fault injectors — observes exactly the
-state a scalar step would have produced.
-
-**Column-resident mode** (``store.resident = True``, set by the
-``batch-resident`` engine) inverts that contract: writes stay in the
-columns, the touched slots are recorded in ``_dirty_slots``, and the
-per-slot ``generation`` stamp advances; rows are only refreshed by an
-explicit :meth:`materialize` call at observation boundaries (traces,
-scenario hooks, silence predicates, direct configuration reads — the
-``Configuration`` sync hook routes all of those here).  The two
-staleness directions are mutually exclusive by construction: while
-columns are dirty, :meth:`pull`/:meth:`pull_all` refuse to run, so a
-row-ahead and a column-ahead view can never silently merge.
+The columns are the live state: :meth:`ColumnStore.write` and
+:meth:`ColumnStore.write_col` land in the columns only, record the
+touched slots in ``_dirty_slots``, and advance the per-slot
+``generation`` stamp.  Rows are refreshed only by an explicit
+:meth:`materialize` call at observation boundaries (traces, scenario
+hooks, silence predicates, direct configuration reads — the
+``Configuration`` sync hook routes all of those here), so every
+consumer of the configuration still observes exactly the state a
+scalar step would have produced.  The two staleness directions are
+mutually exclusive by construction: while columns are dirty,
+:meth:`pull`/:meth:`pull_all` refuse to run, so a row-ahead and a
+column-ahead view can never silently merge.
 
 A store is only *supported* for flat configurations whose processes
 share one interned layout and whose domains are all integer ranges or
@@ -279,7 +275,6 @@ class ColumnStore:
         "deg",
         "max_degree",
         "all_idx",
-        "resident",
         "generation",
         "_dirty_slots",
         "_bits_raw",
@@ -302,10 +297,9 @@ class ColumnStore:
         self.deg = deg
         self.max_degree = max_degree
         self.all_idx = ops.arange(self.n)
-        self.resident = False
-        #: per-slot column generation stamp; advances on every resident
-        #: write, so observers can tell whether a slot moved since they
-        #: last materialized.
+        #: per-slot column generation stamp; advances on every write,
+        #: so observers can tell whether a slot moved since they last
+        #: materialized.
         self.generation: List[int] = [0] * len(layout.names)
         self._dirty_slots: set = set()
         self.cols: List[Any] = [None] * len(layout.names)
@@ -501,35 +495,20 @@ class ColumnStore:
                     col[i] = enc[rows[i][k]]
 
     def write(self, slot: int, indices: list, codes: list) -> None:
-        """Apply one slot's batch of writes to the column and — unless
-        the store is resident — decode them into the live rows, keeping
-        the configuration the source of truth.  Resident stores defer
-        the decode to :meth:`materialize`."""
+        """Apply one slot's batch of writes to the column; the rows stay
+        stale until :meth:`materialize` decodes them."""
         col = self.cols[slot]
         if self.backend == "numpy":
             col[indices] = codes
         else:
             for i, v in zip(indices, codes):
                 col[i] = v
-        if self.resident:
-            self.generation[slot] += 1
-            self._dirty_slots.add(slot)
-            return
-        codec = self.codecs[slot]
-        rows = self.rows
-        if codec.values is None:
-            for i, v in zip(indices, codes):
-                rows[i][slot] = v
-        else:
-            values = codec.values
-            for i, v in zip(indices, codes):
-                rows[i][slot] = values[v]
+        self.generation[slot] += 1
+        self._dirty_slots.add(slot)
 
     def write_col(self, slot: int, codes) -> None:
-        """Replace one slot's whole column (resident fused driver only:
-        the rows are left stale-by-design until :meth:`materialize`)."""
-        if not self.resident:
-            raise ModelError("write_col() requires a resident store")
+        """Replace one slot's whole column (the rows stay stale until
+        :meth:`materialize` decodes them)."""
         if self.backend == "python" and not isinstance(codes, array):
             codes = array("q", codes)
         self.cols[slot] = codes
@@ -538,17 +517,17 @@ class ColumnStore:
 
     @property
     def dirty(self) -> bool:
-        """True while resident columns hold writes not yet decoded."""
+        """True while the columns hold writes not yet decoded."""
         return bool(self._dirty_slots)
 
     def materialize(self) -> None:
         """Decode every dirty column back into the live rows (the
-        observation boundary of resident mode).  Idempotent and cheap
-        when nothing is dirty."""
+        observation boundary).  Idempotent and cheap when nothing is
+        dirty."""
         if not self._dirty_slots:
             return
         if TELEMETRY.enabled:
-            # Decode events are the resident engine's cost center: the
+            # Decode events are the columnar engine's cost center: the
             # whole point of column residency is keeping this count low.
             TELEMETRY.counter("columns.materializations").inc()
             TELEMETRY.counter("columns.materialized_slots").inc(

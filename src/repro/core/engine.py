@@ -22,8 +22,8 @@ variables of ``c ⊆ s`` can only change the enabled-status of
 
 Three engines implement one contract (:class:`EnabledSetEngine`):
 
-* :class:`ScanEngine` — the ``full_scan=True`` fallback: rescans every
-  process on demand.  ``O(n·Δ)`` per post-step query, trivially correct.
+* :class:`ScanEngine` — the full-scan fallback: rescans every process
+  on demand.  ``O(n·Δ)`` per post-step query, trivially correct.
 * :class:`IncrementalEngine` — the default: accumulates a dirty-set per
   step and re-evaluates only dirty guards on demand.  ``O(Δ·|s|)``
   amortized per step.
@@ -52,13 +52,11 @@ ProcessId = Hashable
 
 #: Engine names accepted by :func:`make_engine` (and the registry /
 #: CLI / :class:`~repro.api.ExperimentSpec` layers built on top of it).
-#: ``batch`` / ``batch-debug`` / ``batch-resident`` live in
+#: ``batch-resident`` / ``batch-debug`` live in
 #: :mod:`repro.core.batchengine` (columnar whole-step execution with a
-#: scalar fallback; the resident variant keeps state columnar between
-#: steps) and are resolved lazily to keep this module import-light.
-ENGINE_NAMES = (
-    "incremental", "scan", "debug", "batch", "batch-debug", "batch-resident"
-)
+#: scalar fallback, and its self-auditing form) and are resolved lazily
+#: to keep this module import-light.
+ENGINE_NAMES = ("incremental", "scan", "debug", "batch-resident", "batch-debug")
 
 
 class EnabledSetEngine(ABC):
@@ -420,18 +418,12 @@ def make_engine(engine: "str | EnabledSetEngine" = "incremental") -> EnabledSetE
     """
     if isinstance(engine, EnabledSetEngine):
         return engine
-    if (engine in ("batch", "batch-debug", "batch-resident")
-            and engine not in _ENGINES):
+    if engine in ENGINE_NAMES and engine not in _ENGINES:
         # Deferred: batchengine imports this module for the ABC.
-        from .batchengine import (
-            BatchCrossCheckEngine,
-            BatchEngine,
-            ResidentBatchEngine,
-        )
+        from .batchengine import BatchCrossCheckEngine, BatchEngine
 
         _ENGINES[BatchEngine.name] = BatchEngine
         _ENGINES[BatchCrossCheckEngine.name] = BatchCrossCheckEngine
-        _ENGINES[ResidentBatchEngine.name] = ResidentBatchEngine
     try:
         cls = _ENGINES[engine]
     except (KeyError, TypeError):

@@ -93,14 +93,12 @@ class Simulator:
         self-stabilization starting point.  A private copy is taken in
         the requested ``state`` backend either way.
     engine:
-        Enabled-set maintenance strategy: ``"incremental"`` (default),
-        ``"scan"``, ``"debug"``, or a ready
-        :class:`~repro.core.engine.EnabledSetEngine` instance.  Every
-        engine yields step-for-step identical executions; they differ
-        only in how much work keeping the enabled set current costs.
-    full_scan:
-        Convenience fallback: ``full_scan=True`` forces the ``"scan"``
-        engine regardless of ``engine``.
+        Enabled-set maintenance strategy: a name from
+        :data:`~repro.core.engine.ENGINE_NAMES` (``"incremental"`` by
+        default; ``"batch-resident"`` runs whole steps over columns) or
+        a ready :class:`~repro.core.engine.EnabledSetEngine` instance.
+        Every engine yields step-for-step identical executions; they
+        differ only in how much work a step costs.
     metrics:
         Metrics tier (:data:`~repro.core.metrics.METRICS_TIERS`):
         ``"full"`` (default) returns one
@@ -144,7 +142,6 @@ class Simulator:
         seed: Optional[int] = None,
         config: Optional[Configuration] = None,
         engine: Union[str, EnabledSetEngine] = "incremental",
-        full_scan: bool = False,
         metrics: str = "full",
         state: str = "flat",
         keep_records: int = 0,
@@ -195,7 +192,7 @@ class Simulator:
             self._processes, keep_records=keep_records
         )
         self.step_index = 0
-        self.engine = make_engine("scan" if full_scan else engine)
+        self.engine = make_engine(engine)
         self.engine.bind(protocol, network, self.config, self.specs_of)
         # Batch-capable engines accumulate aggregate counts in vectors;
         # the ``metrics`` property drains them before any external read.
@@ -427,120 +424,83 @@ class Simulator:
         step boundary *before* the selection (events mutate γ, the
         topology, or the daemon, and the engine is invalidated before
         the pool is drawn) and again after the step's accounting.
+
+        Execution takes one of two forms — whole columns on an active
+        columnar engine, pooled per-process contexts otherwise — that
+        produce the same γi+1 bit for bit; round accounting, metrics
+        and the after-step hook are shared.
         """
         runtime = self.scenario_runtime
         if runtime is not None:
             runtime.before_step(self)
+        engine = self.engine
         if self._enabled_pool:
-            pool = self.engine.enabled_list() or self._processes
+            pool = engine.enabled_list() or self._processes
         else:
             pool = self._processes
         selected = self.scheduler.select(pool, self.rngs.scheduler)
         if not selected:
             raise ConvergenceError("scheduler selected an empty set")
+        action_rng = self.rngs.protocol if self.protocol.randomized else None
 
         batch = self._batch
-        if batch is not None:
-            if self._sched_distinct or len(set(selected)) == len(selected):
-                return self._batch_step(batch, selected, runtime)
-            # Scalar divert (duplicate pids): pooled contexts cache raw
-            # row references, bypassing the resident config hook — the
-            # columns must be decoded before any context reads them.
+        if batch is not None and not (
+            self._sched_distinct or len(set(selected)) == len(selected)
+        ):
+            # A scripted daemon repeated a pid, which the columnar step
+            # cannot fold: this step runs the scalar loop.  Its pooled
+            # contexts cache raw row references that bypass the config
+            # sync hook, so the columns are decoded first.
             batch.materialize_rows()
-
-        executions = []
-        append = executions.append
-        actions = self._actions
-        action_rng = self.rngs.protocol if self.protocol.randomized else None
-        ctx_pool = self._ctx_pool
-        if ctx_pool is not None:
-            # Inlined StepContextPool.acquire / StepContext.reset: two
-            # function calls per activation are measurable at 10k
-            # activations per synchronous step.
-            ctxs = ctx_pool._ctxs
-            acquire = ctx_pool.acquire
-            for p in selected:
-                ctx = ctxs.get(p)
-                if ctx is None:
-                    ctx = acquire(p, action_rng)
-                else:
-                    ctx._rng = action_rng
-                    ctx._stamp += 1
-                    ctx.ports_read.clear()
-                    ctx.bits_read = 0.0
-                    ctx.writes.clear()
-                    ctx.used_randomness = False
-                action = first_enabled(actions, ctx)
-                if action is not None:
-                    action.effect(ctx)
-                append((p, ctx, action))
+            batch = None
+        if batch is not None:
+            outcome = batch.execute_step(selected, action_rng)
         else:
-            network, config, specs_of = self.network, self.config, self.specs_of
-            for p in selected:
-                ctx = StepContext(p, network, config, specs_of, rng=action_rng)
-                action = first_enabled(actions, ctx)
-                if action is not None:
-                    action.effect(ctx)
-                append((p, ctx, action))
+            executions = []
+            append = executions.append
+            actions = self._actions
+            ctx_pool = self._ctx_pool
+            if ctx_pool is not None:
+                # Inlined StepContextPool.acquire / StepContext.reset: two
+                # function calls per activation are measurable at 10k
+                # activations per synchronous step.
+                ctxs = ctx_pool._ctxs
+                acquire = ctx_pool.acquire
+                for p in selected:
+                    ctx = ctxs.get(p)
+                    if ctx is None:
+                        ctx = acquire(p, action_rng)
+                    else:
+                        ctx._rng = action_rng
+                        ctx._stamp += 1
+                        ctx.ports_read.clear()
+                        ctx.bits_read = 0.0
+                        ctx.writes.clear()
+                        ctx.used_randomness = False
+                    action = first_enabled(actions, ctx)
+                    if action is not None:
+                        action.effect(ctx)
+                    append((p, ctx, action))
+            else:
+                network, config, specs_of = (
+                    self.network, self.config, self.specs_of)
+                for p in selected:
+                    ctx = StepContext(p, network, config, specs_of,
+                                      rng=action_rng)
+                    action = first_enabled(actions, ctx)
+                    if action is not None:
+                        action.effect(ctx)
+                    append((p, ctx, action))
 
-        # Simultaneous writes: γi+1 is built only after every activated
-        # process has computed its action against γi.  Processes whose
-        # communication variables take a *new* value are collected for
-        # the engine — only they can flip a neighbor's enabled-status.
-        comm_changed = []
-        for p, ctx, _action in executions:
-            if ctx.flush_writes():
-                comm_changed.append(p)
-        self.engine.note_step(selected, comm_changed)
-
-        if self._enabled_pool:
-            closed = self.round_tracker.record_step(
-                selected, still_enabled=self.engine.enabled_view()
-            )
-        else:
-            closed = self.round_tracker.record_step(selected)
-
-        index = self.step_index
-        self.step_index = index + 1
-        if self._obs.enabled:
-            self._obs_steps.inc()
-            self._obs_activations.inc(len(selected))
-        tier = self.metrics_tier
-        if tier == "full":
-            record = StepRecord(
-                index=index,
-                activated=frozenset(selected),
-                executed={
-                    p: (action.name if action else None)
-                    for p, _ctx, action in executions
-                },
-                ports_read={
-                    p: frozenset(ctx.ports_read) for p, ctx, _ in executions
-                },
-                bits_read={p: ctx.bits_read for p, ctx, _ in executions},
-                closed_round=closed,
-            )
-            self._metrics.record(record)
-            if runtime is not None:
-                runtime.after_step(self, closed)
-            return record
-        if tier == "aggregate":
-            self._metrics.record_lean(executions, closed)
-        if runtime is not None:
-            runtime.after_step(self, closed)
-        return LeanStepRecord(index, len(selected), closed)
-
-    def _batch_step(self, engine, selected, runtime):
-        """One whole step evaluated over columns.
-
-        Reached only when the bound engine reports ``batch_active`` and
-        the selection is duplicate-free (scripted daemons may repeat a
-        pid; such steps take the scalar loop instead).  Produces the
-        same γi+1, the same records, and the same metrics folds as the
-        scalar path — bit for bit — just without per-process contexts.
-        """
-        action_rng = self.rngs.protocol if self.protocol.randomized else None
-        outcome = engine.execute_step(selected, action_rng)
+            # Simultaneous writes: γi+1 is built only after every activated
+            # process has computed its action against γi.  Processes whose
+            # communication variables take a *new* value are collected for
+            # the engine — only they can flip a neighbor's enabled-status.
+            comm_changed = []
+            for p, ctx, _action in executions:
+                if ctx.flush_writes():
+                    comm_changed.append(p)
+            engine.note_step(selected, comm_changed)
 
         if self._enabled_pool:
             closed = self.round_tracker.record_step(
@@ -556,30 +516,47 @@ class Simulator:
             self._obs_activations.inc(len(selected))
         tier = self.metrics_tier
         if tier == "full":
-            record = engine.make_step_record(index, outcome, closed)
+            if batch is not None:
+                record = batch.make_step_record(index, outcome, closed)
+            else:
+                record = StepRecord(
+                    index=index,
+                    activated=frozenset(selected),
+                    executed={
+                        p: (action.name if action else None)
+                        for p, _ctx, action in executions
+                    },
+                    ports_read={
+                        p: frozenset(ctx.ports_read)
+                        for p, ctx, _ in executions
+                    },
+                    bits_read={p: ctx.bits_read for p, ctx, _ in executions},
+                    closed_round=closed,
+                )
             self._metrics.record(record)
-            if runtime is not None:
-                runtime.after_step(self, closed)
-            return record
-        if tier == "aggregate":
-            engine.fold_aggregate(outcome, self._metrics, closed)
+        else:
+            record = LeanStepRecord(index, len(selected), closed)
+            if tier == "aggregate":
+                if batch is not None:
+                    batch.fold_aggregate(outcome, self._metrics, closed)
+                else:
+                    self._metrics.record_lean(executions, closed)
         if runtime is not None:
             runtime.after_step(self, closed)
-        return LeanStepRecord(index, len(selected), closed)
+        return record
 
     def _fused_resident(self):
         """The engine to hand a fused columnar run to, or None.
 
         The fused driver covers scenario-free synchronous-daemon runs
         (plain or ``enabled_only``) below the ``full`` metrics tier on
-        a column-resident engine; anything else — per-step records,
+        an active columnar engine; anything else — per-step records,
         scenario hooks, exotic daemons — keeps the per-step loop, which
-        handles resident stores via the materialization hook.
+        handles the columns via the materialization hook.
         """
         batch = self._batch
         if (
             batch is not None
-            and batch.resident
             and self.scenario_runtime is None
             and self.metrics_tier != "full"
             and type(self.scheduler) is SynchronousScheduler

@@ -17,9 +17,11 @@ coordinator needs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -95,13 +97,20 @@ def write_heartbeat(path: Union[str, os.PathLike],
 
     ``os.replace`` is atomic on POSIX and Windows, so a coordinator
     polling mid-write reads the previous complete heartbeat, never a
-    truncated one.
+    truncated one.  Every call writes its own temp file in the target's
+    directory, so concurrent writers (a worker's timer thread and its
+    main thread) never rename each other's file away.
     """
     path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(heartbeat.to_dict(), fh)
-    os.replace(tmp, path)
+    tmp = f"{path}.tmp.{uuid.uuid4().hex}"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump(heartbeat.to_dict(), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def read_heartbeat(path: Union[str, os.PathLike]) -> Optional[Heartbeat]:

@@ -64,15 +64,18 @@ def run_shard(task: ShardTask, progress=None) -> Dict[str, int]:
         t_start = time.perf_counter()
         rates: Dict[str, Optional[float]] = {"trials_per_s": None,
                                              "commit_s": None}
+        # The timer thread and the main thread both beat; one at a time.
+        beat_lock = threading.Lock()
 
         def beat(status: str, error: Optional[str] = None) -> None:
-            write_heartbeat(task.heartbeat_path, Heartbeat(
-                shard=task.index, pid=os.getpid(),
-                completed=counts["completed"], total=total,
-                status=status, updated_at=time.time(), error=error,
-                trials_per_s=rates["trials_per_s"],
-                commit_s=rates["commit_s"],
-            ))
+            with beat_lock:
+                write_heartbeat(task.heartbeat_path, Heartbeat(
+                    shard=task.index, pid=os.getpid(),
+                    completed=counts["completed"], total=total,
+                    status=status, updated_at=time.time(), error=error,
+                    trials_per_s=rates["trials_per_s"],
+                    commit_s=rates["commit_s"],
+                ))
 
         # A timer thread keeps the heartbeat fresh through trials that
         # run longer than the heartbeat timeout — a slow trial must not
@@ -82,6 +85,12 @@ def run_shard(task: ShardTask, progress=None) -> Dict[str, int]:
         def pulse() -> None:
             while not stop.wait(task.heartbeat_interval_s):
                 beat("running")
+
+        def final_beat(status: str, error: Optional[str] = None) -> None:
+            # A pulse landing after the final beat would overwrite it.
+            stop.set()
+            pulser.join()
+            beat(status, error=error)
 
         beat("running")
         pulser = threading.Thread(target=pulse, daemon=True)
@@ -118,11 +127,9 @@ def run_shard(task: ShardTask, progress=None) -> Dict[str, int]:
                     # sink close, no "done" beat, no exception path.
                     os._exit(CHAOS_EXIT_CODE)
         except Exception as exc:
-            stop.set()
-            beat("failed", error=f"{type(exc).__name__}: {exc}")
+            final_beat("failed", error=f"{type(exc).__name__}: {exc}")
             raise
-        stop.set()
-        beat("done")
+        final_beat("done")
         return {"completed": counts["completed"],
                 "written": counts["written"], "total": total}
     finally:

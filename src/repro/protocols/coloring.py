@@ -102,7 +102,7 @@ class ColoringProtocol(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Vectorized kernel (engine="batch")
+# Vectorized kernel (engine="batch-resident")
 # ----------------------------------------------------------------------
 from ..core.batchengine import BatchKernel, register_batch_kernel  # noqa: E402
 
@@ -155,7 +155,7 @@ class ColoringBatchKernel(BatchKernel):
             writes.append((self._c, rec_idx, new_c))
         return writes, comm
 
-    # -- resident-mode extensions ---------------------------------------
+    # -- fused-loop extensions ------------------------------------------
     def plan_writes_resident(self, codes, aux, rng):
         """Whole-network resident step: ``cur`` rotates as one column
         replacement; only clashing processes pay a sparse write (palette

@@ -191,7 +191,7 @@ class MatchingProtocol(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Vectorized kernel (engine="batch")
+# Vectorized kernel (engine="batch-resident")
 # ----------------------------------------------------------------------
 from ..core.batchengine import BatchKernel, register_batch_kernel  # noqa: E402
 

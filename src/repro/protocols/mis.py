@@ -126,7 +126,7 @@ class MISProtocol(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Vectorized kernel (engine="batch")
+# Vectorized kernel (engine="batch-resident")
 # ----------------------------------------------------------------------
 from ..core.batchengine import BatchKernel, register_batch_kernel  # noqa: E402
 

@@ -125,6 +125,15 @@ class TestRegistryCompleteness:
             assert isinstance(engine, EnabledSetEngine)
             assert engine.name == name
 
+    def test_engine_family_has_one_columnar_engine(self):
+        # Three scalar engines, the columnar engine and its audited
+        # form; the retired write-through "batch" name is rejected.
+        assert engine_registry.names() == [
+            "batch-debug", "batch-resident", "debug", "incremental", "scan",
+        ]
+        with pytest.raises(ValueError, match="unknown"):
+            engine_registry.build("batch")
+
     def test_enabled_only_daemons_build_from_params(self):
         net = ring(5)
         for name in ("synchronous", "central", "random-subset",

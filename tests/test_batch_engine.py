@@ -1,13 +1,18 @@
-"""Batch (columnar) engine: byte-identity with the scalar step loop.
+"""The columnar engine: byte-identity with the scalar step loop.
 
-The batch engine evaluates guards over whole columns and writes γi+1
-back through the shared :class:`~repro.core.state.Configuration`, so it
-must be *observationally invisible*: byte-identical JSONL traces, equal
-final configurations, equal metrics (both tiers), and equal per-step
-enabled sets — including under scenario churn that rebuilds the column
-store mid-run.  The suite also pins the fallback ladder (kernel-less
-protocols, legacy state, duplicate-pid selections, NumPy absent) and
-the self-auditing ``batch-debug`` engine.
+``engine="batch-resident"`` evaluates guards over whole columns and
+keeps its writes there — rows decode only when something observes them
+(a trace record, a direct configuration read, a metrics flush, a
+scenario effect, a silence witness).  Observational invisibility is
+therefore the whole contract: every suite here compares the engine
+against the scalar oracles byte for byte *through* those observation
+boundaries — traces, final configurations, metrics (both tiers),
+per-step enabled sets, mid-run reads forcing materialization, scenario
+corruption, churn store rebuilds, and the NumPy-free backend.  It also
+pins the fallback ladder (kernel-less protocols, legacy state,
+duplicate-pid selections), the fused loop's eligibility rules, and
+the self-auditing ``batch-debug`` engine on both the per-step and the
+fused path.
 """
 
 import sys
@@ -22,19 +27,22 @@ from repro.api import (
 from repro.core import (
     BatchCrossCheckEngine,
     BatchEngine,
+    Configuration,
     ModelError,
     Simulator,
     TraceRecorder,
 )
 from repro.core.actions import GuardedAction
+from repro.core.exceptions import ConvergenceError
 from repro.core.protocol import Protocol
 from repro.core.scheduler import FixedSequenceScheduler
 from repro.core.variables import BOOL, comm
 from repro.scenarios import build_scenario
 
 PROTOCOLS = ("coloring", "mis", "matching")
-#: synchronous daemon and maximal (greedy) daemon — the two the batch
-#: path is designed for; the equivalence must hold for any daemon.
+#: synchronous daemon and maximal (greedy) daemon — the two the columnar
+#: path (and its fused loop) is designed for; the equivalence must
+#: hold for any daemon.
 SCHEDULERS = (
     ("synchronous", {}),
     ("synchronous", {"enabled_only": True}),
@@ -68,54 +76,97 @@ def run_recorded(protocol, scheduler, seed, engine, steps=40, **kwargs):
     return recorder.trace.to_jsonl(), sim
 
 
+def aggregate_state(sim):
+    """Everything the aggregate tier observes, plus the configuration."""
+    return (
+        sim.metrics.summary(),
+        dict(sim.metrics.activations),
+        {p: frozenset(s) for p, s in sim.metrics.read_sets.items()},
+        sim.config.as_dict(),
+        sim.step_index,
+        sim.round_tracker.completed_rounds,
+    )
+
+
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Run a test once per column backend (NumPy blocked for python)."""
+    if request.param == "numpy":
+        pytest.importorskip("numpy")
+    else:
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    return request.param
+
+
+# ----------------------------------------------------------------------
+# Per-step path: full-tier traces stay byte-identical
+# ----------------------------------------------------------------------
 class TestTraceByteIdentity:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
-    def test_batch_and_scalar_traces_are_byte_identical(
-        self, protocol, scheduler, sched_params
+    def test_columnar_and_scalar_traces_are_byte_identical(
+        self, protocol, scheduler, sched_params, backend
     ):
         for seed in SEEDS:
             scalar, scalar_sim = run_recorded(
                 protocol, (scheduler, sched_params), seed, "incremental"
             )
-            batch, batch_sim = run_recorded(
-                protocol, (scheduler, sched_params), seed, "batch"
+            columnar, columnar_sim = run_recorded(
+                protocol, (scheduler, sched_params), seed, "batch-resident"
             )
             label = (protocol, scheduler, sched_params, seed)
-            assert batch_sim.engine.batch_active, label
-            assert scalar == batch, label
-            assert scalar_sim.config == batch_sim.config, label
+            assert isinstance(columnar_sim.engine, BatchEngine)
+            assert columnar_sim.engine.batch_active, label
+            assert columnar_sim.engine.backend_name == backend, label
+            assert scalar == columnar, label
+            assert scalar_sim.config == columnar_sim.config, label
             assert (scalar_sim.metrics.summary()
-                    == batch_sim.metrics.summary()), label
+                    == columnar_sim.metrics.summary()), label
             assert (scalar_sim.metrics.activations
-                    == batch_sim.metrics.activations), label
+                    == columnar_sim.metrics.activations), label
             assert (scalar_sim.metrics.read_sets
-                    == batch_sim.metrics.read_sets), label
+                    == columnar_sim.metrics.read_sets), label
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_aggregate_tier_folds_agree(self, protocol):
+    def test_matches_batch_debug_audit(self, protocol):
+        """The self-auditing cross-check engine is the strictest scalar
+        oracle; the plain columnar engine must match it too."""
+        audited, audited_sim = run_recorded(
+            protocol, ("synchronous", {"enabled_only": True}), 5,
+            "batch-debug",
+        )
+        columnar, _ = run_recorded(
+            protocol, ("synchronous", {"enabled_only": True}), 5,
+            "batch-resident",
+        )
+        assert audited_sim.engine.batch_active
+        assert audited == columnar
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_per_step_aggregate_folds_agree(self, protocol, backend):
+        """``Simulator.step`` on the aggregate tier folds columnar
+        outcomes exactly like the scalar contexts (``run_steps`` would
+        fuse; stepping one at a time pins the per-step fold)."""
         for scheduler in SCHEDULERS:
-            summaries = []
-            for engine in ("incremental", "batch"):
+            states = []
+            for engine in ("incremental", "batch-resident"):
                 sim = build_sim(protocol, scheduler, seed=5, engine=engine,
                                 metrics="aggregate")
-                sim.run_steps(60)
-                summaries.append(
-                    (sim.metrics.summary(), dict(sim.metrics.activations),
-                     {p: frozenset(s)
-                      for p, s in sim.metrics.read_sets.items()})
-                )
-            assert summaries[0] == summaries[1], (protocol, scheduler)
+                for _ in range(60):
+                    sim.step()
+                states.append(aggregate_state(sim))
+            assert sim.engine.backend_name == backend
+            assert states[0] == states[1], (protocol, scheduler)
 
     def test_duplicate_pid_selection_takes_the_scalar_path(self):
         """Scripted daemons may activate a pid twice in one step; the
-        batch step folds each process once, so such steps must divert
-        to the scalar loop — and stay trace-identical doing so."""
+        columnar step folds each process once, so such steps must
+        divert to the scalar loop — and stay trace-identical doing so."""
         net = topology_registry.build("ring", n=8)
         p0, p1 = net.processes[0], net.processes[1]
         script = [[p0, p0, p1], [p1, p1]]
         traces = []
-        for engine in ("incremental", "batch"):
+        for engine in ("incremental", "batch-resident"):
             net = topology_registry.build("ring", n=8)
             sim = Simulator(
                 protocol_registry.build("coloring", net), net,
@@ -126,6 +177,250 @@ class TestTraceByteIdentity:
             recorder.run_steps(10)
             traces.append(recorder.trace.to_jsonl())
         assert traces[0] == traces[1]
+
+
+# ----------------------------------------------------------------------
+# Fused loop: aggregate folds, silence, round budgets
+# ----------------------------------------------------------------------
+class TestFusedDriver:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
+    def test_fused_steps_match_scalar_aggregates(self, protocol, scheduler,
+                                                 sched_params, backend):
+        for seed in SEEDS:
+            scalar = build_sim(protocol, (scheduler, sched_params),
+                               seed=seed, metrics="aggregate")
+            scalar.run_steps(60)
+            fused = build_sim(protocol, (scheduler, sched_params),
+                              seed=seed, engine="batch-resident",
+                              metrics="aggregate")
+            assert fused._fused_resident() is fused.engine
+            assert fused.engine.backend_name == backend
+            fused.run_steps(60)
+            label = (protocol, scheduler, sched_params, seed)
+            assert aggregate_state(scalar) == aggregate_state(fused), label
+
+    def test_run_steps_actually_fuses(self, monkeypatch):
+        calls = []
+        fused = BatchEngine.run_steps
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("max_steps"))
+            return fused(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchEngine, "run_steps", spy)
+        sim = build_sim("coloring", engine="batch-resident",
+                        metrics="aggregate")
+        sim.run_steps(25)
+        assert calls == [25]
+        assert sim.step_index == 25
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
+    def test_run_until_silent_reports_match(self, protocol, scheduler,
+                                            sched_params):
+        for seed in SEEDS:
+            reports = []
+            sims = []
+            for engine in ("incremental", "batch-resident"):
+                sim = build_sim(protocol, (scheduler, sched_params),
+                                seed=seed, engine=engine,
+                                metrics="aggregate")
+                reports.append(sim.run_until_silent(max_rounds=500))
+                sims.append(sim)
+            label = (protocol, scheduler, sched_params, seed)
+            assert reports[0] == reports[1], label
+            assert sims[0].config == sims[1].config, label
+            assert (sims[0].metrics.summary()
+                    == sims[1].metrics.summary()), label
+
+    def test_round_budget_is_respected(self):
+        scalar = build_sim("coloring", seed=2, metrics="aggregate")
+        fused = build_sim("coloring", seed=2, engine="batch-resident",
+                          metrics="aggregate")
+        with pytest.raises(ConvergenceError):
+            scalar.run_until_silent(max_rounds=1)
+        with pytest.raises(ConvergenceError):
+            fused.run_until_silent(max_rounds=1)
+        assert scalar.round_tracker.completed_rounds == 1
+        assert fused.round_tracker.completed_rounds == 1
+        assert scalar.config == fused.config
+
+
+# ----------------------------------------------------------------------
+# Observation boundaries: every decode point is byte-faithful
+# ----------------------------------------------------------------------
+class TestObservationBoundaries:
+    def oracle_after(self, protocol, seed, steps):
+        sim = build_sim(protocol, seed=seed, metrics="aggregate")
+        sim.run_steps(steps)
+        return sim
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_direct_config_read_materializes_mid_run(self, protocol):
+        """``simulator.config[...]`` between fused spans is an
+        observation boundary: the store is dirty going in, the read
+        decodes through the hook, and every decoded value matches the
+        scalar oracle."""
+        resident = build_sim(protocol, seed=7, engine="batch-resident",
+                             metrics="aggregate")
+        resident.run_resident(steps=9)
+        store = resident.engine._store
+        assert store.dirty, "fused steps should leave columns ahead of rows"
+        oracle = self.oracle_after(protocol, 7, 9)
+        for p in resident.network.processes:
+            for name in ("cur",):
+                assert (resident.config.get(p, name)
+                        == oracle.config.get(p, name)), (protocol, p)
+        assert not store.dirty
+        # the run continues correctly after the boundary
+        resident.run_resident(steps=6)
+        oracle.run_steps(6)
+        assert resident.config.as_dict() == oracle.config.as_dict()
+
+    def test_stale_read_regression_without_the_hook(self):
+        """If materialization were skipped, direct reads would serve
+        stale rows — this pins that the sync hook is what keeps the
+        columnar engine observationally invisible."""
+        resident = build_sim("coloring", seed=7, engine="batch-resident",
+                             metrics="aggregate")
+        resident.run_resident(steps=9)
+        assert resident.engine._store.dirty
+        oracle = self.oracle_after("coloring", 7, 9)
+        # Deliberately disconnect the hook: reads now bypass decoding.
+        resident.config.install_sync(None)
+        stale = [resident.config.get(p, "cur")
+                 for p in resident.network.processes]
+        fresh = [oracle.config.get(p, "cur")
+                 for p in oracle.network.processes]
+        assert stale != fresh, "stale rows should be observable bare"
+        # Reconnected, the same reads decode to the oracle's values.
+        resident.config.install_sync(resident.engine.materialize_rows)
+        healed = [resident.config.get(p, "cur")
+                  for p in resident.network.processes]
+        assert healed == fresh
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_replaced_config_keeps_its_final_state(self, protocol):
+        """Assigning ``Simulator.config`` rebuilds the store; the
+        outgoing configuration is decoded before it is unhooked, so a
+        caller still holding it reads the state the run reached."""
+        kwargs = {"topology": ("ring", {"n": 12}), "seed": 3,
+                  "metrics": "aggregate"}
+        resident = build_sim(protocol, engine="batch-resident", **kwargs)
+        oracle = build_sim(protocol, **kwargs)
+        resident.run_steps(7)
+        oracle.run_steps(7)
+        old = resident.config
+        resident.config = Configuration(oracle.config.as_dict())
+        assert old.as_dict() == oracle.config.as_dict()
+        resident.run_steps(5)
+        oracle.run_steps(5)
+        assert resident.config == oracle.config
+
+    @pytest.mark.parametrize("invalidated", [None, 3])
+    def test_bare_invalidate_with_pending_writes(self, invalidated):
+        """Distrusting processes without writing them (no sync-hook
+        decode in between) must not trip the store's dirty guard."""
+        sims = [build_sim("mis", seed=4, engine=engine)
+                for engine in ("incremental", "batch-resident")]
+        for sim in sims:
+            sim.run_steps(6)
+        assert sims[1].engine._store.dirty
+        touched = (None if invalidated is None
+                   else list(sims[1].network.processes)[:invalidated])
+        sims[1].invalidate_enabled(touched)
+        assert sims[0].enabled_processes() == sims[1].enabled_processes()
+        records = [sim.step() for sim in sims]
+        assert records[0] == records[1]
+        assert sims[0].config == sims[1].config
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_metrics_full_tier_mid_run(self, protocol):
+        """Raising the observation level to per-step records keeps the
+        columnar engine on the per-step path — and byte-identical."""
+        scalar, scalar_sim = run_recorded(
+            protocol, ("synchronous", {}), 11, "incremental", steps=25,
+            metrics="full",
+        )
+        resident, resident_sim = run_recorded(
+            protocol, ("synchronous", {}), 11, "batch-resident", steps=25,
+            metrics="full",
+        )
+        assert resident_sim._fused_resident() is None
+        assert scalar == resident
+        assert (scalar_sim.metrics.summary()
+                == resident_sim.metrics.summary())
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_corruption_scenario_is_byte_identical(self, protocol):
+        """A transient fault at a fixed round rewrites state through
+        the Configuration mid-run; the store must materialize before
+        the corruption reads and re-mirror after it writes."""
+        scenario = {"fraction": 0.4, "at_round": 3}
+        traces = []
+        sims = []
+        for engine in ("incremental", "batch-resident"):
+            trace, sim = run_recorded(
+                protocol, ("synchronous", {}), 13, engine, steps=45,
+                scenario=build_scenario("single-fault", scenario),
+            )
+            traces.append(trace)
+            sims.append(sim)
+        assert traces[0] == traces[1], protocol
+        assert sims[0].config == sims[1].config
+        assert sims[0].metrics.faults_injected >= 1
+        assert (sims[0].metrics.faults_injected
+                == sims[1].metrics.faults_injected)
+
+    def test_copy_is_a_detached_materialized_snapshot(self):
+        resident = build_sim("coloring", seed=3, engine="batch-resident",
+                             metrics="aggregate")
+        resident.run_resident(steps=5)
+        snapshot = resident.config.copy()
+        oracle = self.oracle_after("coloring", 3, 5)
+        assert snapshot.as_dict() == oracle.config.as_dict()
+        # the snapshot is detached: later fused steps don't leak into it
+        resident.run_resident(steps=5)
+        assert snapshot.as_dict() == oracle.config.as_dict()
+
+
+# ----------------------------------------------------------------------
+# Store-level dirty/epoch protocol
+# ----------------------------------------------------------------------
+class TestDirtyEpochProtocol:
+    def fused_store(self, steps=5):
+        sim = build_sim("coloring", seed=1, engine="batch-resident",
+                        metrics="aggregate")
+        sim.run_resident(steps=steps)
+        return sim, sim.engine._store
+
+    def test_generation_stamps_advance_per_write(self):
+        sim, store = self.fused_store(steps=5)
+        cur_slot = store.slot("cur")
+        # 'cur' rotates as one whole-column write per fused step
+        assert store.generation[cur_slot] >= 5
+        gen = list(store.generation)
+        sim.run_resident(steps=1)
+        assert store.generation[cur_slot] == gen[cur_slot] + 1
+
+    def test_pull_refuses_while_dirty(self):
+        _sim, store = self.fused_store()
+        assert store.dirty
+        with pytest.raises(ModelError, match="materialize"):
+            store.pull_all()
+        with pytest.raises(ModelError, match="materialize"):
+            store.pull([0])
+        store.materialize()
+        assert not store.dirty
+        store.pull_all()  # clean store pulls freely again
+
+    def test_materialize_is_idempotent(self):
+        _sim, store = self.fused_store()
+        store.materialize()
+        rows = [list(r) for r in store.rows]
+        store.materialize()
+        assert [list(r) for r in store.rows] == rows
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +440,7 @@ class TestScenarioChurnEquivalence:
                           engine=engine,
                           topology=("gnp", {"n": 10, "p": 0.35, "seed": 4}),
                           scenario=build_scenario("churn", CHURN_PARAMS))
-                for engine in ("incremental", "batch")
+                for engine in ("incremental", "batch-resident")
             ]
             step = 0
             while sims[0].round_tracker.completed_rounds < 7 and step < 400:
@@ -165,7 +460,7 @@ class TestScenarioChurnEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Fallback ladder: the batch engine must degrade, never diverge
+# Fallback and eligibility: the engine degrades or refuses, never diverges
 # ----------------------------------------------------------------------
 class OneShot(Protocol):
     """Toy protocol with no registered batch kernel."""
@@ -191,9 +486,14 @@ class OneShot(Protocol):
 class TestFallback:
     def test_kernel_less_protocol_falls_back_transparently(self):
         net = topology_registry.build("ring", n=6)
-        sim = Simulator(OneShot(), net, seed=0, engine="batch")
+        sim = Simulator(OneShot(), net, seed=0, engine="batch-resident",
+                        metrics="aggregate")
         assert isinstance(sim.engine, BatchEngine)
         assert not sim.engine.batch_active
+        with pytest.raises(ConvergenceError):
+            sim.run_resident(steps=1)
+        with pytest.raises(ModelError, match="active batch kernel"):
+            sim.engine.classify_all()
         report = sim.run_until_silent(max_rounds=50)
         assert report.stabilized
 
@@ -201,50 +501,85 @@ class TestFallback:
         scalar, _ = run_recorded(
             "mis", ("synchronous", {}), 3, "incremental", state="legacy"
         )
-        batch, batch_sim = run_recorded(
-            "mis", ("synchronous", {}), 3, "batch", state="legacy"
+        columnar, columnar_sim = run_recorded(
+            "mis", ("synchronous", {}), 3, "batch-resident", state="legacy"
         )
-        assert not batch_sim.engine.batch_active
-        assert scalar == batch
-
-    def test_fallback_classify_all_refuses(self):
-        net = topology_registry.build("ring", n=6)
-        sim = Simulator(OneShot(), net, seed=0, engine="batch")
-        with pytest.raises(ModelError, match="active batch kernel"):
-            sim.engine.classify_all()
-
-
-class TestNoNumpy:
-    """The ``array``-module backend must be trace-identical: the CI
-    lanes without NumPy exercise it organically, this pins it."""
-
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_python_backend_traces_identical(self, protocol, no_numpy):
-        for scheduler in SCHEDULERS:
-            scalar, _ = run_recorded(protocol, scheduler, 11, "incremental")
-            batch, batch_sim = run_recorded(protocol, scheduler, 11, "batch")
-            assert batch_sim.engine.batch_active
-            assert batch_sim.engine.backend_name == "python"
-            assert scalar == batch, (protocol, scheduler)
+        assert not columnar_sim.engine.batch_active
+        assert scalar == columnar
 
     def test_numpy_backend_used_when_importable(self):
         pytest.importorskip("numpy")
-        sim = build_sim("coloring", engine="batch")
+        sim = build_sim("coloring", engine="batch-resident")
         assert sim.engine.backend_name == "numpy"
 
 
+class TestEligibility:
+    def test_run_resident_requires_resident_engine(self):
+        sim = build_sim("coloring", metrics="aggregate")
+        with pytest.raises(ConvergenceError, match="batch-resident"):
+            sim.run_resident(steps=1)
+
+    def test_run_resident_refuses_full_tier(self):
+        sim = build_sim("coloring", engine="batch-resident", metrics="full")
+        with pytest.raises(ConvergenceError, match="metrics tier"):
+            sim.run_resident(steps=1)
+
+    def test_run_resident_refuses_exotic_daemons(self):
+        sim = build_sim("coloring", ("central", {"enabled_only": True}),
+                        engine="batch-resident", metrics="aggregate")
+        with pytest.raises(ConvergenceError, match="synchronous"):
+            sim.run_resident(steps=1)
+
+    def test_scenario_runs_take_the_per_step_path(self):
+        sim = build_sim("coloring", engine="batch-resident",
+                        metrics="aggregate",
+                        scenario=build_scenario("noop", {}))
+        assert sim._fused_resident() is None
+        with pytest.raises(ConvergenceError, match="scenario-free"):
+            sim.run_resident(steps=1)
+
+
+# ----------------------------------------------------------------------
+# The audited engine
+# ----------------------------------------------------------------------
 class TestBatchCrossCheck:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_clean_run_passes_audit(self, protocol):
-        sim = build_sim(protocol, ("synchronous", {"enabled_only": True}),
-                        seed=5, engine="batch-debug")
-        assert isinstance(sim.engine, BatchCrossCheckEngine)
-        sim.run_steps(40)
-        sim.enabled_processes()  # the audited enabled-set query
+    @pytest.mark.parametrize("metrics", ["full", "aggregate"])
+    def test_clean_run_passes_audit(self, protocol, metrics):
+        for scheduler in SCHEDULERS:
+            sim = build_sim(protocol, scheduler, seed=5,
+                            engine="batch-debug", metrics=metrics)
+            assert isinstance(sim.engine, BatchCrossCheckEngine)
+            sim.run_steps(40)
+            sim.enabled_processes()  # the audited enabled-set query
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_fused_span_is_audited(self, protocol, monkeypatch):
+        """The audit covers the fused loop, not just per-step calls:
+        a kernel that misclassifies one process trips it mid-span."""
+        from repro.protocols.coloring import ColoringBatchKernel
+        from repro.protocols.matching import MatchingBatchKernel
+        from repro.protocols.mis import MISBatchKernel
+
+        kernel_cls = {"coloring": ColoringBatchKernel,
+                      "mis": MISBatchKernel,
+                      "matching": MatchingBatchKernel}[protocol]
+        classify = kernel_cls.classify
+
+        def flip_first(self, idx):
+            # Swap the first process's verdict for another rule (a
+            # disabled process is made to fire rule 0).
+            codes, ports, bits, aux = classify(self, idx)
+            codes[0] = (int(codes[0]) + 1) % len(self.rule_names)
+            return codes, ports, bits, aux
+
+        monkeypatch.setattr(kernel_cls, "classify", flip_first)
+        sim = build_sim(protocol, seed=5, engine="batch-debug",
+                        metrics="aggregate")
+        assert sim._fused_resident() is sim.engine
+        assert not sim.is_silent()
+        with pytest.raises(ModelError, match="diverged"):
+            sim.run_until_silent(max_rounds=50)
 
     def test_out_of_band_mutation_is_caught(self):
         from repro.predicates.mis import DOMINATED, DOMINATOR

@@ -109,12 +109,6 @@ class TestTraceEquivalence:
                 assert finals[i] == finals[0], label
                 assert metrics[i] == metrics[0], label
 
-    def test_full_scan_flag_forces_scan_engine(self):
-        net = ring(6)
-        sim = Simulator(ColoringProtocol.for_network(net), net, seed=0,
-                        full_scan=True)
-        assert isinstance(sim.engine, ScanEngine)
-
     def test_default_engine_is_incremental(self):
         net = ring(6)
         sim = Simulator(ColoringProtocol.for_network(net), net, seed=0)

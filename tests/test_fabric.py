@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -158,6 +159,39 @@ class TestHeartbeat:
         assert beat.age_s(now=130.0) == pytest.approx(30.0)
         assert beat.done
 
+    def test_concurrent_writers_never_collide(self, tmp_path):
+        # A worker's timer thread and main thread share one process and
+        # one heartbeat path; a per-process temp name let one thread's
+        # os.replace move the other's temp file away mid-write.
+        path = tmp_path / "hb.json"
+        errors = []
+
+        def hammer(shard):
+            beat = Heartbeat(shard=shard, pid=os.getpid(), completed=0,
+                             total=1, status="running",
+                             updated_at=time.time())
+            try:
+                for _ in range(300):
+                    write_heartbeat(path, beat)
+            except OSError as exc:
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert read_heartbeat(path).shard in range(4)
+        assert [p.name for p in tmp_path.iterdir()] == ["hb.json"]
+
 
 # ----------------------------------------------------------------------
 # Worker
@@ -171,6 +205,31 @@ class TestWorker:
         assert beat is not None and beat.done and beat.completed == 3
         with ResultStore(task.store_path, create=False) as store:
             assert store.trial_count("r") == 3
+
+    def test_final_beat_survives_a_racing_pulse(self, tmp_path):
+        # The timer thread beats "running" as fast as it can; none of
+        # those beats may land after (and overwrite) the final "done".
+        [task] = build_plan(small_grid(seeds=3).specs, 1, tmp_path, "r",
+                            heartbeat_interval_s=1e-4)
+        for _ in range(5):
+            run_shard(task)
+            assert read_heartbeat(task.heartbeat_path).done
+
+    def test_failed_shard_final_beat_reads_failed(self, tmp_path):
+        # The exception path joins the racing pulse too: the last
+        # heartbeat a failed shard leaves is "failed", with its error.
+        [task] = build_plan(small_grid(seeds=3).specs, 1, tmp_path, "r",
+                            heartbeat_interval_s=1e-4)
+
+        def boom(spec, result):
+            raise RuntimeError("sink exploded")
+
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="sink exploded"):
+                run_shard(task, progress=boom)
+            beat = read_heartbeat(task.heartbeat_path)
+            assert beat.status == "failed"
+            assert beat.error == "RuntimeError: sink exploded"
 
     def test_run_shard_resumes_by_key(self, tmp_path):
         [task] = build_plan(small_grid(seeds=4).specs, 1, tmp_path, "r")

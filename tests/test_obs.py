@@ -205,8 +205,7 @@ class TestByteIdentity:
         on = trace_jsonl()
         assert on == off, "telemetry must never perturb an execution"
 
-    @pytest.mark.parametrize("engine", ["incremental", "batch",
-                                        "batch-resident"])
+    @pytest.mark.parametrize("engine", ["incremental", "batch-resident"])
     def test_trial_results_identical_on_or_off(self, engine):
         spec = ExperimentSpec(protocol="coloring", topology="ring",
                               topology_params={"n": 16}, seed=3,

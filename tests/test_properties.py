@@ -236,7 +236,7 @@ class TestBatchKernelProperties:
         sim = Simulator(
             proto, net,
             scheduler=SynchronousScheduler(enabled_only=True),
-            seed=seed, engine="batch",
+            seed=seed, engine="batch-resident",
         )
         assert sim.engine.batch_active
         report = sim.run_until_silent(max_rounds=50_000)
