@@ -30,7 +30,7 @@ The 10k-node scale tier.  Two families of measurements:
   reporting steps/sec and process-activations/sec.
 * **Columnar engine, fused** — the BENCH_6 gate: the same 10k
   synchronous COLORING run stepped in fused
-  :meth:`Simulator.run_resident` spans versus one
+  :meth:`Simulator.run_steps` spans versus one
   :meth:`Simulator.step` at a time, asserting ≥3x at full scale
   (≥1.5x at ``--tiny``).  The 1M sparse tier reruns fused with the
   build cost split out — total simulator build, the ColumnStore build
@@ -364,12 +364,13 @@ def measure_batch(n: int, budget_s: float) -> Dict[str, float]:
 
 def time_stepping_resident(sim, budget_s: float, chunk: int = 64) -> float:
     """Fused-driver analogue of :func:`time_stepping`: run the resident
-    engine in ``chunk``-step fused spans for ~budget_s; steps/sec."""
-    sim.run_resident(steps=1)  # warm caches outside the timed window
+    engine in ``chunk``-step fused spans for ~budget_s; steps/sec (the
+    speedup floors catch a run that stops fusing)."""
+    sim.run_steps(1)  # warm caches outside the timed window
     steps = 0
     t0 = time.perf_counter()
     while True:
-        sim.run_resident(steps=chunk)
+        sim.run_steps(chunk)
         steps += chunk
         elapsed = time.perf_counter() - t0
         if elapsed >= budget_s:
@@ -477,9 +478,9 @@ def measure_million_resident(n: int = MILLION_N,
     assert store is not None, "1M store build fell back"
     del store
     gc.collect()
-    sim.run_resident(steps=1)  # warm outside the timed window
+    sim.run_steps(1)  # warm outside the timed window
     t0 = time.perf_counter()
-    sim.run_resident(steps=steps)
+    sim.run_steps(steps)
     elapsed = time.perf_counter() - t0
     rate = steps / elapsed
     return {

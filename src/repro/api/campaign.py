@@ -45,6 +45,7 @@ from typing import (
     Union,
 )
 
+from ..experiments.runner import TrialResult
 from ..obs.registry import TELEMETRY
 from .spec import ExperimentSpec
 
@@ -344,8 +345,6 @@ class Campaign:
 
     @staticmethod
     def _run_pool(pending: Sequence[ExperimentSpec], workers: int):
-        from ..experiments.runner import TrialResult
-
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_run_spec_payload, spec.to_dict()): spec
@@ -408,8 +407,6 @@ def iter_campaign_results(path) -> Iterator[Tuple[ExperimentSpec, Any]]:
     :class:`~repro.results.ResultStore`) without ever materializing the
     whole campaign in memory.
     """
-    from ..experiments.runner import TrialResult
-
     for record in _iter_sink_records(path):
         try:
             yield (

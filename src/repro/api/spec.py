@@ -20,6 +20,7 @@ from typing import Any, Dict, Mapping, Optional
 from ..core.metrics import METRICS_TIERS
 from ..obs.registry import TELEMETRY
 from ..core.simulator import Simulator
+from ..experiments.runner import TrialResult
 from .registry import (
     engine_registry,
     protocol_registry,
@@ -252,10 +253,10 @@ def execute_trial(protocol, network, scheduler, seed: int = 0,
                   protocol_factory=None):
     """Run one protocol instance to silence and collect its metrics.
 
-    The single execution path shared by :meth:`ExperimentSpec.run`, the
-    campaign workers, and the legacy ``run_trial`` wrapper.  ``engine``
-    selects the enabled-set maintenance strategy (name or instance);
-    results are engine-independent by the equivalence contract.
+    The single execution path shared by :meth:`ExperimentSpec.run` and
+    the campaign workers.  ``engine`` selects the enabled-set
+    maintenance strategy (name or instance); results are
+    engine-independent by the equivalence contract.
     ``metrics`` selects the collection tier — ``full`` and
     ``aggregate`` produce identical :class:`TrialResult` rows (the
     aggregate tier skips per-step record construction); ``off`` zeroes
@@ -265,8 +266,6 @@ def execute_trial(protocol, network, scheduler, seed: int = 0,
     for the run policy — with ``protocol_factory`` supplying the
     protocol rebuild hook topology churn needs.
     """
-    from ..experiments.runner import TrialResult
-
     sim = Simulator(protocol, network, scheduler=scheduler, seed=seed,
                     engine=engine, metrics=metrics, scenario=scenario,
                     protocol_factory=protocol_factory)

@@ -2,8 +2,8 @@
 
 :class:`BatchEngine` (``engine="batch-resident"``) is an
 :class:`~repro.core.engine.EnabledSetEngine` that additionally executes
-*entire steps* over columnar state — the synchronous and maximal
-daemons activate most of the network every step, so evaluating guards
+*entire steps* over columnar state — the synchronous daemons
+activate most of the network every step, so evaluating guards
 one pooled context at a time leaves an order of magnitude on the
 table.  The simulator detects an active engine
 (:attr:`BatchEngine.batch_active`) and routes the hot step loop through
@@ -24,38 +24,45 @@ table.  The simulator detects an active engine
    ``aggregate`` tiers.
 
 On eligible runs the fused :meth:`BatchEngine.run_steps` loop goes
-further and executes whole synchronous/maximal-daemon step sequences —
-selection, classification, writes, round tracking, silence checks,
-aggregate metrics folds — without returning to Python rows in between.
+further and executes whole plain-synchronous-daemon step sequences —
+classification, writes, round tracking, aggregate metrics folds —
+without returning to Python rows in between.  Silence is decided in
+one place, :meth:`Simulator.is_silent
+<repro.core.simulator.Simulator.is_silent>`, which takes the kernel's
+columnar verdict through :meth:`BatchEngine.silent` when there is one.
 
 Kernels are registered per *protocol class* with
 :func:`register_batch_kernel` next to the scalar implementations
 (:mod:`repro.protocols.coloring` / ``mis`` / ``matching``).  A protocol
 without a kernel — or state the column store cannot mirror (legacy
 backend, mixed layouts, exotic domains) — degrades transparently: the
-engine runs an internal :class:`~repro.core.engine.IncrementalEngine`
-and the simulator keeps the scalar step loop, so
+engine runs an internal :attr:`BatchEngine.fallback_cls` engine and
+the simulator keeps the scalar step loop, so
 ``engine="batch-resident"`` is always safe to request.
 
 :class:`BatchCrossCheckEngine` (``engine="batch-debug"``) is the audit
-mode: every columnar step, per-step or fused, re-evaluates each
-selected process through the scalar guard probes and raises
+mode, the columnar analogue of
+:class:`~repro.core.engine.CrossCheckEngine`: every columnar step,
+per-step or fused, re-evaluates each selected process through the
+scalar guard probes and raises
 :class:`~repro.core.exceptions.ModelError` on any divergence in action
-choice, ports read, or bits charged — the columnar analogue of
-:class:`~repro.core.engine.CrossCheckEngine`.
+choice, ports read, or bits charged; every columnar silence verdict is
+checked against the exact scalar checker; and without a kernel it
+falls back to :class:`~repro.core.engine.CrossCheckEngine` itself.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Type
+from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple, Type
 
 from ..obs.registry import TELEMETRY
 from .actions import first_enabled
 from .columns import ColumnStore
-from .engine import EnabledSetEngine, IncrementalEngine
+from .engine import CrossCheckEngine, EnabledSetEngine, IncrementalEngine
 from .exceptions import ModelError
 from .metrics import StepRecord
+from .silence import is_silent
 
 #: fused-span length buckets (steps per ``run_steps`` invocation).
 _SPAN_BUCKETS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
@@ -97,10 +104,9 @@ class BatchKernel:
     * ``aux`` — intermediate columns :meth:`plan_writes` reuses.
 
     :meth:`plan_writes` turns the classification into per-slot write
-    batches plus the canonical indices whose *communication* variables
-    took a new value.  Any randomness must draw from ``rng`` once per
-    affected process in selection order — identical to the scalar
-    effects' draw sequence.
+    batches.  Any randomness must draw from ``rng`` once per affected
+    process in selection order — identical to the scalar effects' draw
+    sequence.
     """
 
     #: action names in protocol priority order (code -> name)
@@ -125,12 +131,9 @@ class BatchKernel:
     def plan_writes(self, idx, codes, aux, rng):
         """Plan γi+1 for the classified processes in ``idx``.
 
-        Returns ``(writes, comm_idx)``: a list of
-        ``(slot, positions, encoded_values)`` column writes and the
-        positions whose *communication* registers take a genuinely new
-        value (the scalar ``flush_writes`` contract).  Randomized rules
-        must draw from ``rng`` in selection order so the stream matches
-        the scalar loop draw for draw.
+        Returns the list of ``(slot, positions, encoded_values)`` column
+        writes.  Randomized rules must draw from ``rng`` in selection
+        order so the stream matches the scalar loop draw for draw.
         """
         raise NotImplementedError
 
@@ -145,9 +148,9 @@ class BatchKernel:
     #:
     #: ``silent_cols()`` — the silence verdict straight from the
     #: columns (must agree with the exact scalar
-    #: :func:`~repro.core.silence.is_silent` on every configuration);
-    #: the fused driver falls back to materialize + scalar check when
-    #: absent.
+    #: :func:`~repro.core.silence.is_silent` on every configuration),
+    #: served through :meth:`BatchEngine.silent`; without it the
+    #: simulator walks the rows.
 
 
 class BatchOutcome:
@@ -176,11 +179,13 @@ class BatchEngine(EnabledSetEngine):
     injectors, direct ``config.get``/``state_of`` reads — transparently
     materializes first and can never see stale rows.  The simulator's
     ``run_steps``/``run_until_silent`` delegate to the fused
-    :meth:`run_steps` loop under synchronous and maximal daemons.
-    The scalar engines remain the oracles.
+    :meth:`run_steps` loop under the plain synchronous daemon.  The
+    scalar engines remain the oracles.
     """
 
     name = "batch-resident"
+    #: the scalar engine run when no kernel or column store applies
+    fallback_cls: Type[EnabledSetEngine] = IncrementalEngine
 
     def bind(self, protocol, network, config, specs_of) -> None:
         super().bind(protocol, network, config, specs_of)
@@ -195,8 +200,8 @@ class BatchEngine(EnabledSetEngine):
     def _activate(self) -> None:
         """(Re)derive the columnar machinery for the current run objects.
 
-        Falls back to a fresh internal incremental engine when the
-        protocol has no registered kernel or the state cannot be
+        Falls back to a fresh internal :attr:`fallback_cls` engine when
+        the protocol has no registered kernel or the state cannot be
         mirrored into columns.  The outgoing configuration gets its
         pending column writes decoded before its sync hook is removed:
         a caller may still hold and read it.
@@ -208,7 +213,7 @@ class BatchEngine(EnabledSetEngine):
             self._hooked_config = None
         self._store: Optional[ColumnStore] = None
         self._kernel: Optional[BatchKernel] = None
-        self._fallback: Optional[IncrementalEngine] = None
+        self._fallback: Optional[EnabledSetEngine] = None
         self._enabled_cache: Optional[frozenset] = None
         self._enabled_list_cache: Optional[Tuple[ProcessId, ...]] = None
         self._pull_pending: set = set()
@@ -230,7 +235,7 @@ class BatchEngine(EnabledSetEngine):
             self.config.install_sync(self.materialize_rows)
             self._hooked_config = self.config
         else:
-            fallback = IncrementalEngine()
+            fallback = self.fallback_cls()
             fallback.bind(
                 self.protocol, self.network, self.config, self.specs_of
             )
@@ -328,6 +333,15 @@ class BatchEngine(EnabledSetEngine):
             )
         self._drop_enabled_cache()
 
+    def silent(self) -> Optional[bool]:
+        """The kernel's columnar silence verdict (``silent_cols``), or
+        None on the scalar fallback and for kernels without one."""
+        silent_cols = getattr(self._kernel, "silent_cols", None)
+        if silent_cols is None:
+            return None
+        self._refresh()
+        return silent_cols()
+
     def rebind_config(self, config) -> None:
         super().rebind_config(config)
         self._activate()
@@ -351,8 +365,8 @@ class BatchEngine(EnabledSetEngine):
         codes, ports, bits, aux = self._kernel.classify(idx)
         t1 = perf_counter() if obs_on else 0.0
         self._audit_step(idx, codes, ports, bits)
-        writes, _comm_idx = self._kernel.plan_writes(idx, codes, aux, rng)
-        for slot, w_idx, w_vals in writes:
+        for slot, w_idx, w_vals in self._kernel.plan_writes(
+                idx, codes, aux, rng):
             if w_idx:
                 store.write(slot, w_idx, w_vals)
         self._drop_enabled_cache()
@@ -380,16 +394,16 @@ class BatchEngine(EnabledSetEngine):
         if store is not None:
             store.materialize()
 
-    def run_steps(self, sim, max_steps=None, stop_on_silence=False,
-                  round_budget=None):
-        """Fused resident driver: run whole step sequences in columns.
+    def run_steps(self, sim, max_steps=None, stop_on_silence=False):
+        """Fused resident driver: run whole synchronous steps in columns.
 
-        Executes synchronous-daemon steps (the full network, or the
-        enabled pool under ``enabled_only``) entirely in columnar space
-        — classification, writes, round accounting, aggregate metrics
-        folds and silence checks — returning to Python rows only at the
-        horizon (``max_steps``), at silence (``stop_on_silence``), or
-        when the round budget runs out.  Byte-identical to driving
+        Executes plain synchronous-daemon steps — every step activates
+        the whole network and closes exactly one round — entirely in
+        columnar space: classification, writes, round accounting and
+        aggregate metrics folds, returning to Python rows only at the
+        horizon (``max_steps``, which is also the round budget) or at
+        silence (``stop_on_silence``, asked of :meth:`Simulator.is_silent`
+        after every step).  Byte-identical to driving
         :meth:`Simulator.step` in a loop: same RNG draw sequence, same
         float fold order, same round closures, same silence boundaries.
 
@@ -399,128 +413,47 @@ class BatchEngine(EnabledSetEngine):
         """
         store = self._store
         kernel = self._kernel
-        ops = store.ops
         self._refresh()
         all_idx = store.all_idx
         n = store.n
-        numpy = store.backend == "numpy"
+        all_sel = None if store.backend == "numpy" else list(range(n))
         rng = sim.rngs.protocol if sim.protocol.randomized else None
         collector = sim._metrics if sim.metrics_tier == "aggregate" else None
-        tracker = sim.round_tracker
-        silent_cols = getattr(kernel, "silent_cols", None)
         resident_plan = getattr(kernel, "plan_writes_resident", None)
-        plan = kernel.plan_writes
         audit = self._audit_step
-
-        def silent_now() -> bool:
-            if silent_cols is not None:
-                return silent_cols()
-            # No vectorized silence for this kernel: an observation
-            # boundary — the config sync hook materializes the rows.
-            return sim.is_silent()
-
-        steps = 0
-        silent = None
-        all_sel = None if numpy else list(range(n))
         # Telemetry is sampled at the span boundary, never inside the
         # fused loop: one enabled-check + one clock read per
         # ``run_steps`` call keeps the disabled path inside the ≤2%
         # resident-throughput floor.
         obs_on = TELEMETRY.enabled
         span_t0 = perf_counter() if obs_on else 0.0
-        activations = 0
 
-        if not sim._enabled_pool:
-            # Synchronous daemon: every step activates every process,
-            # so every step closes exactly one round.
-            closed_rounds = 0
-            while max_steps is None or steps < max_steps:
-                if round_budget is not None and closed_rounds >= round_budget:
-                    break
-                codes, ports, bits, aux = kernel.classify(all_idx)
-                audit(all_idx, codes, ports, bits)
-                if resident_plan is not None:
-                    resident_plan(codes, aux, rng)
-                else:
-                    writes, _comm = plan(all_idx, codes, aux, rng)
-                    for slot, w_idx, w_vals in writes:
-                        if w_idx:
-                            store.write(slot, w_idx, w_vals)
-                steps += 1
-                closed_rounds += 1
-                if collector is not None:
-                    self.fold_aggregate(
-                        BatchOutcome(None, all_sel, all_idx,
-                                     codes, ports, bits),
-                        collector, True,
-                    )
-                if stop_on_silence and silent_now():
-                    silent = True
-                    break
-            if stop_on_silence and silent is None:
-                silent = False
-            tracker.advance_rounds(closed_rounds)
-            activations = steps * n  # full-network activation per step
-        else:
-            # Maximal daemon (``enabled_only``): the pool is the
-            # enabled set (all processes when it is empty — no-op
-            # steps still close rounds).  One classify over the whole
-            # network per step doubles as the previous step's
-            # ``still_enabled`` view and the next step's selection.
-            pids = store.pids
-            pindex = store.pindex
-            pending = {pindex[p] for p in tracker.pending}
-            completed = tracker.completed_rounds
-            start_completed = completed
-            en_list = ops.nonzero_list(
-                ops.ne(kernel.classify(all_idx)[0], -1)
-            )
-            while max_steps is None or steps < max_steps:
-                if (round_budget is not None
-                        and completed - start_completed >= round_budget):
-                    break
-                if en_list:
-                    sel = en_list
-                    idx = ops.int_col(sel)
-                else:
-                    sel = all_sel if all_sel is not None else list(range(n))
-                    all_sel = sel
-                    idx = all_idx
-                codes, ports, bits, aux = kernel.classify(idx)
-                audit(idx, codes, ports, bits)
-                writes, _comm = plan(idx, codes, aux, rng)
-                for slot, w_idx, w_vals in writes:
+        steps = 0
+        silent = False if stop_on_silence else None
+        while max_steps is None or steps < max_steps:
+            codes, ports, bits, aux = kernel.classify(all_idx)
+            audit(all_idx, codes, ports, bits)
+            if resident_plan is not None:
+                resident_plan(codes, aux, rng)
+            else:
+                for slot, w_idx, w_vals in kernel.plan_writes(
+                        all_idx, codes, aux, rng):
                     if w_idx:
                         store.write(slot, w_idx, w_vals)
-                en_list = ops.nonzero_list(
-                    ops.ne(kernel.classify(all_idx)[0], -1)
+            steps += 1
+            if collector is not None:
+                self.fold_aggregate(
+                    BatchOutcome(None, all_sel, all_idx, codes, ports, bits),
+                    collector, True,
                 )
-                # RoundTracker.record_step over indices: activations
-                # serve first, then the Dolev-Israeli-Moran refinement
-                # drops processes observed disabled after the step.
-                pending.difference_update(sel)
-                if pending:
-                    pending.intersection_update(en_list)
-                closed = not pending
-                if closed:
-                    completed += 1
-                    pending = set(range(n))
-                steps += 1
-                activations += len(sel)
-                if collector is not None:
-                    self.fold_aggregate(
-                        BatchOutcome(None, sel, idx, codes, ports, bits),
-                        collector, closed,
-                    )
-                if stop_on_silence and closed and silent_now():
-                    silent = True
-                    break
-            if stop_on_silence and silent is None:
-                silent = False
-            tracker.set_state({pids[i] for i in pending}, completed)
+            if stop_on_silence and sim.is_silent():
+                silent = True
+                break
+        sim.round_tracker.advance_rounds(steps)
         self._drop_enabled_cache()
         sim.step_index += steps
         if obs_on:
+            activations = steps * n  # full-network activation per step
             TELEMETRY.counter("sim.steps").inc(steps)
             TELEMETRY.counter("sim.activations").inc(activations)
             TELEMETRY.histogram(
@@ -749,11 +682,15 @@ class BatchCrossCheckEngine(BatchEngine):
     or the bits charged raises
     :class:`~repro.core.exceptions.ModelError` — on the per-step path
     and inside fused spans alike.  Enabled-set queries are audited
-    against a full scalar scan as well.  Strictly a debugging mode —
-    every batch step pays the full scalar cost on top.
+    against a full scalar scan, and columnar silence verdicts against
+    the exact scalar checker.  Without a kernel the scalar fallback is
+    the self-auditing :class:`~repro.core.engine.CrossCheckEngine`.
+    Strictly a debugging mode — every batch step pays the full scalar
+    cost on top.
     """
 
     name = "batch-debug"
+    fallback_cls = CrossCheckEngine
 
     def _audit_step(self, idx, codes, ports, bits) -> None:
         # Probe contexts cache raw rows, bypassing the sync hook.
@@ -786,6 +723,18 @@ class BatchCrossCheckEngine(BatchEngine):
                     f"{sorted(got_ports)} vs {sorted(expect_ports)}, bits "
                     f"{b!r} vs {ctx.bits_read!r}"
                 )
+
+    def silent(self) -> Optional[bool]:
+        verdict = super().silent()
+        if verdict is not None:
+            # The scalar walk reads the rows through the sync hook.
+            expect = is_silent(self.protocol, self.network, self.config)
+            if verdict != expect:
+                raise ModelError(
+                    f"batch kernel silence verdict {verdict} diverged "
+                    f"from the scalar checker ({expect})"
+                )
+        return verdict
 
     def _compute_enabled(self):
         enabled_set, enabled_list = super()._compute_enabled()

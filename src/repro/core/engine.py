@@ -134,6 +134,14 @@ class EnabledSetEngine(ABC):
         """
         return self.enabled_set()
 
+    def silent(self) -> Optional[bool]:
+        """The engine's own silence verdict for the current γ, or None
+        when it has none.  :meth:`Simulator.is_silent
+        <repro.core.simulator.Simulator.is_silent>` falls back to the
+        exact scalar checker on None; the scalar engines always answer
+        None."""
+        return None
+
     # ------------------------------------------------------------------
     # Change notifications
     # ------------------------------------------------------------------

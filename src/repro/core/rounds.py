@@ -77,18 +77,6 @@ class RoundTracker:
         if len(self._remaining) != len(self._all):
             self._remaining = set(self._all)
 
-    def set_state(self, remaining: Iterable[ProcessId], completed: int) -> None:
-        """Restore externally-advanced accounting (fused maximal-daemon
-        driver: the round remainder is tracked as an index mask in
-        columnar space and written back at the observation boundary)."""
-        remaining = set(remaining)
-        if not remaining.issubset(self._all):
-            raise ValueError("remainder contains unknown processes")
-        if completed < self._completed:
-            raise ValueError("completed rounds cannot move backwards")
-        self._remaining = remaining if remaining else set(self._all)
-        self._completed = completed
-
     def rebind(self, processes: Sequence[ProcessId]) -> None:
         """Re-point the tracker at a mutated process set (topology churn).
 

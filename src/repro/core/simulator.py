@@ -548,11 +548,11 @@ class Simulator:
     def _fused_resident(self):
         """The engine to hand a fused columnar run to, or None.
 
-        The fused driver covers scenario-free synchronous-daemon runs
-        (plain or ``enabled_only``) below the ``full`` metrics tier on
-        an active columnar engine; anything else — per-step records,
-        scenario hooks, exotic daemons — keeps the per-step loop, which
-        handles the columns via the materialization hook.
+        The fused driver covers scenario-free runs under the plain
+        synchronous daemon below the ``full`` metrics tier on an active
+        columnar engine; anything else — per-step records, scenario
+        hooks, ``enabled_only`` and other daemons — keeps the per-step
+        loop, which handles the columns via the materialization hook.
         """
         batch = self._batch
         if (
@@ -560,35 +560,10 @@ class Simulator:
             and self.scenario_runtime is None
             and self.metrics_tier != "full"
             and type(self.scheduler) is SynchronousScheduler
+            and not self._enabled_pool
         ):
             return batch
         return None
-
-    def run_resident(
-        self,
-        steps: Optional[int] = None,
-        stop_on_silence: bool = False,
-        max_rounds: Optional[int] = None,
-    ):
-        """Drive the fused column-resident loop explicitly.
-
-        Requires an eligible run (see :meth:`run_steps` for the
-        delegation rules); returns ``(steps_executed, silent)`` from
-        :meth:`BatchEngine.run_steps <repro.core.batchengine.BatchEngine.run_steps>`.
-        """
-        engine = self._fused_resident()
-        if engine is None:
-            raise ConvergenceError(
-                "run_resident() requires an active batch-resident engine "
-                "on a scenario-free synchronous-daemon run below the "
-                "'full' metrics tier"
-            )
-        return engine.run_steps(
-            self,
-            max_steps=steps,
-            stop_on_silence=stop_on_silence,
-            round_budget=max_rounds,
-        )
 
     def run_steps(self, count: int) -> None:
         """Execute exactly ``count`` steps."""
@@ -621,6 +596,12 @@ class Simulator:
         Sound for any daemon: silence (Def. 3) quantifies over every
         fair scheduling of the future, not the one this simulator uses.
 
+        The one place a run decides silence: the engine's own verdict
+        (:meth:`EnabledSetEngine.silent
+        <repro.core.engine.EnabledSetEngine.silent>` — a columnar check
+        on kernels that have one) when it gives one, else the exact
+        scalar walk over the rows.
+
         On scenario runs the verdict is cached per (step, fault-count)
         boundary — the run loop, the recovery tracker and pending
         ``after_silence`` triggers all ask at the same boundary, and
@@ -631,14 +612,16 @@ class Simulator:
         must not be mixed with installed scenarios.
         """
         runtime = self.scenario_runtime
-        if runtime is None:
-            return is_silent(self.protocol, self.network, self.config)
-        key = (self.step_index, len(self.fault_log))
-        cached = runtime.silence_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        verdict = is_silent(self.protocol, self.network, self.config)
-        runtime.silence_cache = (key, verdict)
+        if runtime is not None:
+            key = (self.step_index, len(self.fault_log))
+            cached = runtime.silence_cache
+            if cached is not None and cached[0] == key:
+                return cached[1]
+        verdict = self.engine.silent()
+        if verdict is None:
+            verdict = is_silent(self.protocol, self.network, self.config)
+        if runtime is not None:
+            runtime.silence_cache = (key, verdict)
         return verdict
 
     def silence_witness(self):
@@ -689,8 +672,9 @@ class Simulator:
             return self._report(silent=True)
         engine = self._fused_resident()
         if engine is not None:
+            # Every plain synchronous step closes exactly one round.
             _steps, silent = engine.run_steps(
-                self, stop_on_silence=True, round_budget=max_rounds
+                self, max_steps=max_rounds, stop_on_silence=True
             )
             if silent:
                 return self._report(silent=True)

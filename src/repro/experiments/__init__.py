@@ -1,20 +1,12 @@
-"""Experiment harness: seeded trials, sweeps, table rendering."""
+"""Experiment harness: the trial result row and table rendering."""
 
-from .runner import (
-    SweepPoint,
-    TrialResult,
-    run_sweep,
-    run_trial,
-)
+from .runner import TrialResult
 from .tables import format_csv, format_markdown_table, format_table, save_csv
 
 __all__ = [
-    "SweepPoint",
     "TrialResult",
     "format_csv",
     "format_markdown_table",
     "format_table",
     "save_csv",
-    "run_sweep",
-    "run_trial",
 ]

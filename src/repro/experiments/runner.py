@@ -1,30 +1,17 @@
-"""Seeded trial running and aggregation for benches and examples.
+"""The trial result row.
 
 One *trial* = one protocol on one network under one scheduler from one
-corrupted start, run to silence with full metric collection.  Sweeps
-aggregate many trials (means, maxima) so benches can print one table row
-per parameter point, paper-formula next to measured value.
-
-Since the declarative API landed, :func:`run_trial` and
-:func:`run_sweep` are thin back-compat wrappers: the canonical
-execution path is :func:`repro.api.execute_trial`, and new code should
-describe experiments with :class:`repro.api.ExperimentSpec` /
-:class:`repro.api.Campaign` instead of object factories.
+corrupted start, run to silence with full metric collection.
+:func:`repro.api.execute_trial` runs one and returns its
+:class:`TrialResult`; :class:`repro.api.ExperimentSpec` and
+:class:`repro.api.Campaign` describe trials and grids of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
-
-from ..core.protocol import Protocol
-from ..core.scheduler import Scheduler, SynchronousScheduler
-from ..graphs.topology import Network
-
-ProtocolFactory = Callable[[Network], Protocol]
-SchedulerFactory = Callable[[], Scheduler]
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping
 
 
 @dataclass(frozen=True)
@@ -68,84 +55,3 @@ class TrialResult:
                 raise KeyError(f.name)
             # else: a pre-scenario row — keep the field's default
         return cls(**values)
-
-
-def run_trial(
-    protocol: Protocol,
-    network: Network,
-    scheduler: Optional[Scheduler] = None,
-    seed: int = 0,
-    max_rounds: int = 50_000,
-    engine: str = "incremental",
-    metrics: str = "full",
-) -> TrialResult:
-    """Run one protocol instance to silence and collect its metrics.
-
-    Back-compat wrapper over :func:`repro.api.execute_trial`; ``engine``
-    picks the enabled-set maintenance strategy (results are identical
-    across engines) and ``metrics`` the collection tier (``full`` and
-    ``aggregate`` rows are identical; ``aggregate`` skips per-step
-    record construction).
-    """
-    from ..api.spec import execute_trial
-
-    return execute_trial(
-        protocol,
-        network,
-        scheduler or SynchronousScheduler(),
-        seed=seed,
-        max_rounds=max_rounds,
-        engine=engine,
-        metrics=metrics,
-    )
-
-
-@dataclass
-class SweepPoint:
-    """Aggregated trials at one parameter point."""
-
-    label: str
-    trials: List[TrialResult] = field(default_factory=list)
-
-    def _values(self, attr: str) -> List[float]:
-        return [getattr(t, attr) for t in self.trials]
-
-    def mean(self, attr: str) -> float:
-        return statistics.fmean(self._values(attr))
-
-    def max(self, attr: str) -> float:
-        return max(self._values(attr))
-
-    def min(self, attr: str) -> float:
-        return min(self._values(attr))
-
-    def stdev(self, attr: str) -> float:
-        values = self._values(attr)
-        return statistics.pstdev(values) if len(values) > 1 else 0.0
-
-    @property
-    def all_stabilized(self) -> bool:
-        return all(t.legitimate and t.silent for t in self.trials)
-
-
-def run_sweep(
-    label: str,
-    protocol_factory: ProtocolFactory,
-    network: Network,
-    seeds: Sequence[int],
-    scheduler_factory: Optional[SchedulerFactory] = None,
-    max_rounds: int = 50_000,
-) -> SweepPoint:
-    """Run one trial per seed at a fixed parameter point.
-
-    Back-compat wrapper; prefer ``Campaign.grid(..., seeds=seeds)``.
-    """
-    point = SweepPoint(label=label)
-    for seed in seeds:
-        protocol = protocol_factory(network)
-        scheduler = scheduler_factory() if scheduler_factory else None
-        point.trials.append(
-            run_trial(protocol, network, scheduler=scheduler, seed=seed,
-                      max_rounds=max_rounds)
-        )
-    return point

@@ -134,26 +134,19 @@ class ColoringBatchKernel(BatchKernel):
         clash = o.eq(c, o.take(store.col(self._c), q))
         codes = o.where(clash, 0, 1)
         bits = o.take(self._cbits, q)
-        return codes, cur, bits, (cur, c, clash)
+        return codes, cur, bits, (cur, clash)
 
     def plan_writes(self, idx, codes, aux, rng):
-        cur, c, clash = aux
+        cur, clash = aux
         store = self.store
         o = store.ops
         new_cur = o.add(o.mod(cur, o.take(store.deg, idx)), 1)
         writes = [(self._cur, o.tolist(idx), o.tolist(new_cur))]
-        comm = []
         rec_idx = o.compress_list(idx, clash)
         if rec_idx:
             sample = self.protocol.palette.sample
-            new_c = []
-            for i, old in zip(rec_idx, o.compress_list(c, clash)):
-                color = sample(rng)
-                new_c.append(color)
-                if color != old:
-                    comm.append(i)
-            writes.append((self._c, rec_idx, new_c))
-        return writes, comm
+            writes.append((self._c, rec_idx, [sample(rng) for _ in rec_idx]))
+        return writes
 
     # -- fused-loop extensions ------------------------------------------
     def plan_writes_resident(self, codes, aux, rng):
@@ -161,7 +154,7 @@ class ColoringBatchKernel(BatchKernel):
         replacement; only clashing processes pay a sparse write (palette
         draws in selection order, the same sequence ``plan_writes``
         produces for the full network)."""
-        cur, _c, clash = aux
+        cur, clash = aux
         store = self.store
         o = store.ops
         store.write_col(self._cur, o.add(o.mod(cur, store.deg), 1))

@@ -306,5 +306,4 @@ class MatchingBatchKernel(BatchKernel):
         if seek_idx:
             new_cur = o.add(o.mod(cur, o.take(store.deg, idx)), 1)
             writes.append((self._cur, seek_idx, o.compress_list(new_cur, is_seek)))
-        # Every fired PR/M write lands a changed communication value.
-        return writes, pr_idx + pub_idx
+        return writes

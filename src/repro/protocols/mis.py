@@ -190,4 +190,4 @@ class MISBatchKernel(BatchKernel):
         if m_idx:
             new_cur = o.add(o.mod(cur, o.take(store.deg, idx)), 1)
             writes.append((self._cur, m_idx, o.compress_list(new_cur, moves)))
-        return writes, y_idx + c_idx
+        return writes

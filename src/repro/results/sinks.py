@@ -28,6 +28,8 @@ import os
 import time
 from typing import Any, Dict, Mapping, Optional, Union
 
+from ..experiments.runner import TrialResult
+
 #: Sink kinds resolvable by name in ``Campaign.run(sink=...)`` / the CLI.
 SINK_KINDS = ("jsonl", "sqlite")
 
@@ -79,7 +81,6 @@ class JsonlSink(Sink):
     def completed(self) -> Dict[str, Any]:
         """Stream the existing file into a key -> result map."""
         from ..api.campaign import _read_sink
-        from ..experiments.runner import TrialResult
 
         if not self._append or not os.path.exists(self.path):
             return {}

@@ -53,6 +53,7 @@ from typing import (
     Union,
 )
 
+from ..experiments.runner import TrialResult
 from .stats import Aggregate, summarize
 
 #: Experiment-axis columns usable in ``where=`` and ``group_by=``.
@@ -206,7 +207,7 @@ class ResultStore:
             # workers stream while `repro query` reads); NORMAL sync
             # matches the JSONL sink's durability (an OS crash may lose
             # the tail, a process crash loses nothing).
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(timeout)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
@@ -218,6 +219,24 @@ class ResultStore:
             raise ValueError(
                 f"{self.path!r} is not a results store: {exc}"
             ) from exc
+
+    def _enable_wal(self, timeout: float) -> None:
+        """Switch the journal to WAL, retrying while the file is locked.
+
+        While another process is creating the same store, SQLite can
+        answer this pragma with "database is locked" at once instead of
+        waiting out the busy timeout; retry within ``timeout`` so the
+        race never surfaces as a false "is not a results store".
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -449,8 +468,6 @@ class ResultStore:
         Exactly what re-reading a JSONL sink yields, so campaigns
         resume identically off either sink.
         """
-        from ..experiments.runner import TrialResult
-
         return {
             key: TrialResult.from_dict(json.loads(blob))
             for key, blob in self._conn.execute(
@@ -501,7 +518,6 @@ class ResultStore:
         :func:`repro.api.iter_campaign_results`.
         """
         from ..api.spec import ExperimentSpec
-        from ..experiments.runner import TrialResult
 
         run_id = self._resolve_run(run_id)
         cursor = self._conn.execute(

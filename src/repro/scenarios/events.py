@@ -55,30 +55,22 @@ class TriggerContext:
     """What a trigger may inspect at one step boundary.
 
     Carries the simulator, the scenario RNG, whether the previous step
-    closed a round (step boundary 0 counts as a round boundary), and a
-    lazily evaluated, per-boundary-cached silence check — silence is an
-    exact, full-network property and must not be recomputed per trigger.
+    closed a round (step boundary 0 counts as a round boundary), and
+    the silence check.
     """
 
-    __slots__ = ("sim", "rng", "closed_round", "_silent")
+    __slots__ = ("sim", "rng", "closed_round")
 
     def __init__(self, sim, rng, closed_round: bool):
         self.sim = sim
         self.rng = rng
         self.closed_round = closed_round
-        self._silent: Optional[bool] = None
 
     def silent(self) -> bool:
-        """Whether the configuration is silent (cached per boundary;
-        ``Simulator.is_silent`` additionally shares one verdict per
-        boundary across the run loop and the recovery tracker)."""
-        if self._silent is None:
-            self._silent = self.sim.is_silent()
-        return self._silent
-
-    def invalidate_silence(self) -> None:
-        """Drop the cached silence answer (an effect just mutated γ)."""
-        self._silent = None
+        """Whether the configuration is silent (``Simulator.is_silent``
+        caches one verdict per boundary across triggers, the run loop
+        and the recovery tracker)."""
+        return self.sim.is_silent()
 
 
 class Trigger:

@@ -218,7 +218,6 @@ class ScenarioRuntime:
             # own; a Callback may have mutated anything, so drop the
             # shared verdict unconditionally.
             self.silence_cache = None
-            ctx.invalidate_silence()
             self.applied.append(AppliedEvent(
                 step=sim.step_index,
                 round=sim.round_tracker.completed_rounds,

@@ -11,6 +11,7 @@ from repro.api import (
     ExperimentSpec,
     Registry,
     engine_registry,
+    execute_trial,
     load_campaign_results,
     protocol_registry,
     scheduler_registry,
@@ -21,10 +22,11 @@ from repro.core import (
     EnabledSetEngine,
     Scheduler,
     Simulator,
+    SynchronousScheduler,
     make_scheduler,
 )
 from repro.core.scheduler import DEFAULT_SCHEDULERS, RoundRobinScheduler
-from repro.experiments import TrialResult, run_trial
+from repro.experiments import TrialResult
 from repro.graphs import ring
 from repro.protocols import ColoringProtocol
 
@@ -184,14 +186,15 @@ class TestExperimentSpec:
         assert spec.scheduler_params == {"sequence": [[0, 1], [2]]}
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
-    def test_run_matches_legacy_run_trial(self):
+    def test_run_matches_execute_trial(self):
         net = ring(8)
-        legacy = run_trial(ColoringProtocol.for_network(net), net, seed=5)
+        imperative = execute_trial(ColoringProtocol.for_network(net), net,
+                                   SynchronousScheduler(), seed=5)
         declarative = ExperimentSpec(
             protocol="coloring", topology="ring",
             topology_params={"n": 8}, seed=5,
         ).run()
-        assert declarative == legacy
+        assert declarative == imperative
 
     def test_build_simulator_uses_spec_scheduler(self):
         sim = ExperimentSpec(
@@ -395,8 +398,8 @@ class TestSchedulerStateIsolation:
         scheduler = RoundRobinScheduler()
         net = ring(6)
         proto = ColoringProtocol.for_network(net)
-        a = run_trial(proto, net, scheduler=scheduler, seed=3)
-        b = run_trial(proto, net, scheduler=scheduler, seed=3)
+        a = execute_trial(proto, net, scheduler, seed=3)
+        b = execute_trial(proto, net, scheduler, seed=3)
         assert a == b
 
 

@@ -12,7 +12,7 @@ corruption, churn store rebuilds, and the NumPy-free backend.  It also
 pins the fallback ladder (kernel-less protocols, legacy state,
 duplicate-pid selections), the fused loop's eligibility rules, and
 the self-auditing ``batch-debug`` engine on both the per-step and the
-fused path.
+fused path, on its silence verdicts, and on its scalar fallback.
 """
 
 import sys
@@ -27,6 +27,7 @@ from repro.api import (
 from repro.core import (
     BatchCrossCheckEngine,
     BatchEngine,
+    CentralScheduler,
     Configuration,
     ModelError,
     Simulator,
@@ -194,7 +195,10 @@ class TestFusedDriver:
             fused = build_sim(protocol, (scheduler, sched_params),
                               seed=seed, engine="batch-resident",
                               metrics="aggregate")
-            assert fused._fused_resident() is fused.engine
+            # Only the plain synchronous daemon fuses; enabled_only
+            # steps one Simulator.step at a time.
+            expected = None if sched_params else fused.engine
+            assert fused._fused_resident() is expected
             assert fused.engine.backend_name == backend
             fused.run_steps(60)
             label = (protocol, scheduler, sched_params, seed)
@@ -264,7 +268,7 @@ class TestObservationBoundaries:
         scalar oracle."""
         resident = build_sim(protocol, seed=7, engine="batch-resident",
                              metrics="aggregate")
-        resident.run_resident(steps=9)
+        resident.run_steps(9)
         store = resident.engine._store
         assert store.dirty, "fused steps should leave columns ahead of rows"
         oracle = self.oracle_after(protocol, 7, 9)
@@ -274,7 +278,7 @@ class TestObservationBoundaries:
                         == oracle.config.get(p, name)), (protocol, p)
         assert not store.dirty
         # the run continues correctly after the boundary
-        resident.run_resident(steps=6)
+        resident.run_steps(6)
         oracle.run_steps(6)
         assert resident.config.as_dict() == oracle.config.as_dict()
 
@@ -284,7 +288,7 @@ class TestObservationBoundaries:
         columnar engine observationally invisible."""
         resident = build_sim("coloring", seed=7, engine="batch-resident",
                              metrics="aggregate")
-        resident.run_resident(steps=9)
+        resident.run_steps(9)
         assert resident.engine._store.dirty
         oracle = self.oracle_after("coloring", 7, 9)
         # Deliberately disconnect the hook: reads now bypass decoding.
@@ -376,12 +380,12 @@ class TestObservationBoundaries:
     def test_copy_is_a_detached_materialized_snapshot(self):
         resident = build_sim("coloring", seed=3, engine="batch-resident",
                              metrics="aggregate")
-        resident.run_resident(steps=5)
+        resident.run_steps(5)
         snapshot = resident.config.copy()
         oracle = self.oracle_after("coloring", 3, 5)
         assert snapshot.as_dict() == oracle.config.as_dict()
         # the snapshot is detached: later fused steps don't leak into it
-        resident.run_resident(steps=5)
+        resident.run_steps(5)
         assert snapshot.as_dict() == oracle.config.as_dict()
 
 
@@ -392,7 +396,7 @@ class TestDirtyEpochProtocol:
     def fused_store(self, steps=5):
         sim = build_sim("coloring", seed=1, engine="batch-resident",
                         metrics="aggregate")
-        sim.run_resident(steps=steps)
+        sim.run_steps(steps)
         return sim, sim.engine._store
 
     def test_generation_stamps_advance_per_write(self):
@@ -401,7 +405,7 @@ class TestDirtyEpochProtocol:
         # 'cur' rotates as one whole-column write per fused step
         assert store.generation[cur_slot] >= 5
         gen = list(store.generation)
-        sim.run_resident(steps=1)
+        sim.run_steps(1)
         assert store.generation[cur_slot] == gen[cur_slot] + 1
 
     def test_pull_refuses_while_dirty(self):
@@ -483,6 +487,31 @@ class OneShot(Protocol):
         return all(not config.get(p, "x") for p in network.processes)
 
 
+class NarrowReads(Protocol):
+    """Kernel-less protocol whose guard reads port 1 while ``reads()``
+    declares no neighbor: incremental maintenance misses its updates."""
+
+    name = "narrow-reads"
+
+    def variables(self, network, p):
+        return (comm("x", BOOL),)
+
+    def actions(self):
+        return (
+            GuardedAction(
+                "copy",
+                lambda ctx: not ctx.get("x") and ctx.read(1, "x"),
+                lambda ctx: ctx.set("x", True),
+            ),
+        )
+
+    def reads(self, network, p):
+        return ()
+
+    def is_legitimate(self, network, config):
+        return all(config.get(p, "x") for p in network.processes)
+
+
 class TestFallback:
     def test_kernel_less_protocol_falls_back_transparently(self):
         net = topology_registry.build("ring", n=6)
@@ -490,8 +519,8 @@ class TestFallback:
                         metrics="aggregate")
         assert isinstance(sim.engine, BatchEngine)
         assert not sim.engine.batch_active
-        with pytest.raises(ConvergenceError):
-            sim.run_resident(steps=1)
+        assert sim._fused_resident() is None
+        assert sim.engine.silent() is None
         with pytest.raises(ModelError, match="active batch kernel"):
             sim.engine.classify_all()
         report = sim.run_until_silent(max_rounds=50)
@@ -514,29 +543,25 @@ class TestFallback:
 
 
 class TestEligibility:
-    def test_run_resident_requires_resident_engine(self):
-        sim = build_sim("coloring", metrics="aggregate")
-        with pytest.raises(ConvergenceError, match="batch-resident"):
-            sim.run_resident(steps=1)
-
-    def test_run_resident_refuses_full_tier(self):
-        sim = build_sim("coloring", engine="batch-resident", metrics="full")
-        with pytest.raises(ConvergenceError, match="metrics tier"):
-            sim.run_resident(steps=1)
-
-    def test_run_resident_refuses_exotic_daemons(self):
-        sim = build_sim("coloring", ("central", {"enabled_only": True}),
-                        engine="batch-resident", metrics="aggregate")
-        with pytest.raises(ConvergenceError, match="synchronous"):
-            sim.run_resident(steps=1)
-
-    def test_scenario_runs_take_the_per_step_path(self):
+    def test_plain_synchronous_aggregate_run_fuses(self):
         sim = build_sim("coloring", engine="batch-resident",
-                        metrics="aggregate",
-                        scenario=build_scenario("noop", {}))
+                        metrics="aggregate")
+        assert sim._fused_resident() is sim.engine
+
+    @pytest.mark.parametrize("kwargs", [
+        {"metrics": "aggregate"},
+        {"engine": "batch-resident", "metrics": "full"},
+        {"scheduler": ("synchronous", {"enabled_only": True}),
+         "engine": "batch-resident", "metrics": "aggregate"},
+        {"scheduler": ("central", {"enabled_only": True}),
+         "engine": "batch-resident", "metrics": "aggregate"},
+        {"scenario": build_scenario("noop", {}),
+         "engine": "batch-resident", "metrics": "aggregate"},
+    ], ids=["scalar-engine", "full-tier", "enabled-only", "central",
+            "scenario"])
+    def test_other_runs_take_the_per_step_path(self, kwargs):
+        sim = build_sim("coloring", **kwargs)
         assert sim._fused_resident() is None
-        with pytest.raises(ConvergenceError, match="scenario-free"):
-            sim.run_resident(steps=1)
 
 
 # ----------------------------------------------------------------------
@@ -552,6 +577,7 @@ class TestBatchCrossCheck:
             assert isinstance(sim.engine, BatchCrossCheckEngine)
             sim.run_steps(40)
             sim.enabled_processes()  # the audited enabled-set query
+            sim.is_silent()  # the audited silence verdict
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_fused_span_is_audited(self, protocol, monkeypatch):
@@ -579,6 +605,35 @@ class TestBatchCrossCheck:
         assert sim._fused_resident() is sim.engine
         assert not sim.is_silent()
         with pytest.raises(ModelError, match="diverged"):
+            sim.run_until_silent(max_rounds=50)
+
+    @pytest.mark.parametrize("engine", ["debug", "batch-debug"])
+    def test_scalar_fallback_is_audited(self, engine):
+        """Without a kernel, batch-debug falls back to the audited
+        scalar engine: a too-narrow reads() declaration is caught."""
+        net = topology_registry.build("ring", n=8)
+        first = net.processes[0]
+        config = Configuration(
+            {p: {"x": p == first} for p in net.processes})
+        sim = Simulator(NarrowReads(), net,
+                        scheduler=CentralScheduler(enabled_only=True),
+                        seed=0, config=config, engine=engine)
+        assert not getattr(sim.engine, "batch_active", False)
+        with pytest.raises(ModelError, match="diverged from full scan"):
+            for _ in range(20):
+                sim.step()
+
+    def test_silence_verdict_is_audited(self, monkeypatch):
+        """A columnar silence verdict that disagrees with the exact
+        scalar checker raises instead of ending the run early."""
+        from repro.protocols.coloring import ColoringBatchKernel
+
+        silent_cols = ColoringBatchKernel.silent_cols
+        monkeypatch.setattr(ColoringBatchKernel, "silent_cols",
+                            lambda self: not silent_cols(self))
+        sim = build_sim("coloring", seed=5, engine="batch-debug",
+                        topology=("ring", {"n": 12}), metrics="aggregate")
+        with pytest.raises(ModelError, match="silence verdict"):
             sim.run_until_silent(max_rounds=50)
 
     def test_out_of_band_mutation_is_caught(self):

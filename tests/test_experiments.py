@@ -1,22 +1,17 @@
-"""Tests for the experiment harness (runner + tables)."""
+"""Tests for the experiment harness (trial execution + tables)."""
 
-import pytest
-
-from repro.core import CentralScheduler
-from repro.experiments import (
-    format_markdown_table,
-    format_table,
-    run_sweep,
-    run_trial,
-)
-from repro.graphs import greedy_coloring, ring
-from repro.protocols import ColoringProtocol, MISProtocol
+from repro.api import execute_trial
+from repro.core import CentralScheduler, SynchronousScheduler
+from repro.experiments import format_markdown_table, format_table
+from repro.graphs import ring
+from repro.protocols import ColoringProtocol
 
 
 class TestRunTrial:
     def test_trial_fields(self):
         net = ring(6)
-        t = run_trial(ColoringProtocol.for_network(net), net, seed=1)
+        t = execute_trial(ColoringProtocol.for_network(net), net,
+                          SynchronousScheduler(), seed=1)
         assert t.protocol == "COLORING"
         assert t.scheduler == "synchronous"
         assert (t.n, t.m, t.delta) == (6, 6, 2)
@@ -25,42 +20,19 @@ class TestRunTrial:
 
     def test_trial_with_explicit_scheduler(self):
         net = ring(6)
-        t = run_trial(
-            ColoringProtocol.for_network(net), net,
-            scheduler=CentralScheduler(), seed=2,
-        )
+        t = execute_trial(ColoringProtocol.for_network(net), net,
+                          CentralScheduler(), seed=2)
         assert t.scheduler == "central"
         # Central daemon: rounds cost about n steps each.
         assert t.steps >= t.rounds
 
     def test_trial_deterministic(self):
         net = ring(6)
-        a = run_trial(ColoringProtocol.for_network(net), net, seed=7)
-        b = run_trial(ColoringProtocol.for_network(net), net, seed=7)
+        a = execute_trial(ColoringProtocol.for_network(net), net,
+                          SynchronousScheduler(), seed=7)
+        b = execute_trial(ColoringProtocol.for_network(net), net,
+                          SynchronousScheduler(), seed=7)
         assert a == b
-
-
-class TestSweep:
-    def test_sweep_aggregates(self):
-        net = ring(6)
-        point = run_sweep(
-            "ring6",
-            lambda n: ColoringProtocol.for_network(n),
-            net,
-            seeds=range(4),
-        )
-        assert len(point.trials) == 4
-        assert point.all_stabilized
-        assert point.min("rounds") <= point.mean("rounds") <= point.max("rounds")
-        assert point.stdev("rounds") >= 0
-
-    def test_sweep_with_deterministic_protocol(self):
-        net = ring(6)
-        colors = greedy_coloring(net)
-        point = run_sweep(
-            "mis", lambda n: MISProtocol(n, colors), net, seeds=[0, 1]
-        )
-        assert point.all_stabilized
 
 
 class TestTables:

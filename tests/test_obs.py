@@ -240,7 +240,7 @@ class TestInstrumentation:
                              topology_params={"n": 32}, seed=1,
                              engine="batch-resident",
                              metrics="aggregate").build_simulator()
-        sim.run_resident(steps=10)
+        sim.run_steps(10)
         snap = TELEMETRY.snapshot()
         assert snap["counters"]["sim.steps"] == 10
         spans = [r for r in TELEMETRY.spans()

@@ -268,7 +268,7 @@ class TestBatchKernelProperties:
             scheduler=SynchronousScheduler(),
             seed=seed, metrics="aggregate",
         )
-        resident.run_resident(steps=prefix)
+        resident.run_steps(prefix)
         scalar.run_steps(prefix)
         if resident.engine.batch_active:
             resident.engine._store.materialize()

@@ -307,6 +307,33 @@ class TestResultStore:
         with pytest.raises(ValueError, match="not a results store"):
             ResultStore(not_a_db)
 
+    def test_locked_wal_switch_is_retried(self, tmp_path, monkeypatch):
+        # A second process creating the same store can get "database is
+        # locked" from the journal-mode pragma at once; that is a race
+        # to wait out, not a foreign file.
+        connect = sqlite3.connect
+
+        class LockedOnce:
+            def __init__(self, conn):
+                self._conn = conn
+                self.locked = True
+
+            def execute(self, sql, *args):
+                if self.locked and sql.startswith("PRAGMA journal_mode"):
+                    self.locked = False
+                    raise sqlite3.OperationalError("database is locked")
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(sqlite3, "connect",
+                            lambda *a, **kw: LockedOnce(connect(*a, **kw)))
+        with ResultStore(tmp_path / "w.sqlite") as store:
+            assert not store._conn.locked
+            assert store._conn.execute(
+                "PRAGMA journal_mode").fetchone()[0] == "wal"
+
     def test_concurrent_connections_can_read_mid_write(self, tmp_path,
                                                        campaign):
         # WAL: a second connection reads committed rows while the first
