@@ -127,12 +127,6 @@ MIN_RESIDENT_SPEEDUP = 3.0
 #: runners)
 MIN_RESIDENT_SPEEDUP_TINY = 1.5
 
-#: the pure-python column backend has no vectorized kernels, so the
-#: per-step overhead the fused loop saves is a small share of a step —
-#: fused runs ~1.1-1.65x per-step at n=600 there, so the no-NumPy lane
-#: only gates against an outright regression
-MIN_RESIDENT_SPEEDUP_TINY_PYTHON = 0.9
-
 #: 1M-tier gates (full mode), asserted independently: the vectorized
 #: build path must assemble the ColumnStore within the budget, and the
 #: fused driver must sustain this many synchronous steps per second
@@ -391,7 +385,6 @@ def measure_resident(n: int, budget_s: float) -> Dict[str, float]:
 
     resident_sim = build("batch-resident")
     rates = {
-        "backend": resident_sim.engine.backend_name,
         "batch": time_stepping(build("batch-resident"), budget_s),
         "resident": time_stepping_resident(resident_sim, budget_s),
     }
@@ -437,13 +430,6 @@ def measure_obs_overhead(n: int, budget_s: float) -> Dict[str, float]:
         "enabled": enabled,
         "enabled_overhead": 1.0 - enabled / disabled,
     }
-
-
-def resident_tiny_floor(rates: Dict[str, float]) -> float:
-    """The --tiny resident gate, by column backend (see the constants)."""
-    if rates.get("backend") == "numpy":
-        return MIN_RESIDENT_SPEEDUP_TINY
-    return MIN_RESIDENT_SPEEDUP_TINY_PYTHON
 
 
 def measure_million_resident(n: int = MILLION_N,
@@ -511,8 +497,7 @@ def write_bench6_json(mode: str, n: int, budget_s: float,
         "n": n,
         "budget_s": budget_s,
         "resident_vs_batch": {
-            k: round(v, 3) if isinstance(v, float) else v
-            for k, v in resident.items()
+            k: round(v, 3) for k, v in resident.items()
         },
     }
     if obs is not None:
@@ -809,7 +794,7 @@ def test_resident_engine_speedup(tiny):
         )
         assert million["store_build_s"] < MILLION_STORE_BUILD_BUDGET_S
         assert million["steps_per_sec"] >= MILLION_MIN_STEPS_PER_SEC
-    floor = resident_tiny_floor(rates) if tiny else MIN_RESIDENT_SPEEDUP
+    floor = MIN_RESIDENT_SPEEDUP_TINY if tiny else MIN_RESIDENT_SPEEDUP
     assert rates["speedup"] >= floor
 
 
@@ -990,7 +975,7 @@ def main(argv=None) -> int:
         MIN_BATCH_SPEEDUP_TINY if args.tiny else MIN_BATCH_SPEEDUP
     )
     resident_ok = resident["speedup"] >= (
-        resident_tiny_floor(resident) if args.tiny else MIN_RESIDENT_SPEEDUP
+        MIN_RESIDENT_SPEEDUP_TINY if args.tiny else MIN_RESIDENT_SPEEDUP
     )
     if million_res is not None:
         resident_ok = (

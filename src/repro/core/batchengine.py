@@ -33,10 +33,12 @@ columnar verdict through :meth:`BatchEngine.silent` when there is one.
 
 Kernels are registered per *protocol class* with
 :func:`register_batch_kernel` next to the scalar implementations
-(:mod:`repro.protocols.coloring` / ``mis`` / ``matching``).  A protocol
-without a kernel — or state the column store cannot mirror (legacy
-backend, mixed layouts, exotic domains) — degrades transparently: the
-engine runs an internal :attr:`BatchEngine.fallback_cls` engine and
+(:mod:`repro.protocols.coloring` / ``mis`` / ``matching``) and index
+the store's NumPy columns directly.  A protocol without a kernel, an
+interpreter without NumPy, or state the column store cannot mirror
+(legacy backend, mixed layouts, exotic domains) degrades
+transparently: the engine runs an internal
+:attr:`BatchEngine.fallback_cls` engine with identical results and
 the simulator keeps the scalar step loop, so
 ``engine="batch-resident"`` is always safe to request.
 
@@ -89,9 +91,10 @@ def register_batch_kernel(protocol_cls: Type):
 class BatchKernel:
     """Vectorized guard/action evaluation for one protocol.
 
-    Contract — for any index vector over the store's canonical order,
-    :meth:`classify` must return, per process, exactly what the scalar
-    priority cascade would have produced against the same γ:
+    Contract — for any ``int64`` index array over the store's canonical
+    order, :meth:`classify` must return arrays holding, per process,
+    exactly what the scalar priority cascade would have produced
+    against the same γ:
 
     * ``codes`` — the index of the fired action in :attr:`rule_names`
       (``-1`` when every guard is false: selected-but-disabled);
@@ -156,12 +159,11 @@ class BatchKernel:
 class BatchOutcome:
     """One batch step's results, pre-aggregation (engine-internal)."""
 
-    __slots__ = ("selected", "sel_idx", "idx", "codes", "ports", "bits")
+    __slots__ = ("selected", "idx", "codes", "ports", "bits")
 
-    def __init__(self, selected, sel_idx, idx, codes, ports, bits):
+    def __init__(self, selected, idx, codes, ports, bits):
         self.selected = selected
-        self.sel_idx = sel_idx  # canonical indices, python list
-        self.idx = idx  # the same indices as a backend column
+        self.idx = idx  # canonical indices of ``selected``
         self.codes = codes
         self.ports = ports
         self.bits = bits
@@ -246,12 +248,6 @@ class BatchEngine(EnabledSetEngine):
         """Whether batch execution is live (False = scalar fallback)."""
         return self._fallback is None
 
-    @property
-    def backend_name(self) -> Optional[str]:
-        """Column backend in use (``"numpy"``/``"python"``), or None
-        when running the scalar fallback."""
-        return None if self._store is None else self._store.backend
-
     # ------------------------------------------------------------------
     # Column freshness
     # ------------------------------------------------------------------
@@ -282,11 +278,8 @@ class BatchEngine(EnabledSetEngine):
             self._refresh()
             store = self._store
             codes, _ports, _bits, _aux = self._kernel.classify(store.all_idx)
-            ops = store.ops
             pids = store.pids
-            ids = [
-                pids[i] for i in ops.nonzero_list(ops.ne(codes, -1))
-            ]
+            ids = [pids[i] for i in store.np.flatnonzero(codes != -1).tolist()]
             self._enabled_list_cache = tuple(ids)
             self._enabled_cache = frozenset(ids)
         return self._enabled_cache, self._enabled_list_cache
@@ -358,8 +351,9 @@ class BatchEngine(EnabledSetEngine):
         free (the simulator guards via ``Scheduler.selects_distinct``)."""
         self._refresh()
         store = self._store
-        sel_idx = list(map(store.pindex.__getitem__, selected))
-        idx = store.ops.int_col(sel_idx)
+        np = store.np
+        idx = np.fromiter(map(store.pindex.__getitem__, selected),
+                          dtype=np.int64, count=len(selected))
         obs_on = TELEMETRY.enabled
         t0 = perf_counter() if obs_on else 0.0
         codes, ports, bits, aux = self._kernel.classify(idx)
@@ -373,7 +367,7 @@ class BatchEngine(EnabledSetEngine):
         if obs_on:
             TELEMETRY.histogram("engine.classify_s").observe(t1 - t0)
             TELEMETRY.histogram("engine.plan_s").observe(perf_counter() - t1)
-        return BatchOutcome(selected, sel_idx, idx, codes, ports, bits)
+        return BatchOutcome(selected, idx, codes, ports, bits)
 
     def _audit_step(self, idx, codes, ports, bits) -> None:
         """Hook for :class:`BatchCrossCheckEngine`, called with every
@@ -416,7 +410,6 @@ class BatchEngine(EnabledSetEngine):
         self._refresh()
         all_idx = store.all_idx
         n = store.n
-        all_sel = None if store.backend == "numpy" else list(range(n))
         rng = sim.rngs.protocol if sim.protocol.randomized else None
         collector = sim._metrics if sim.metrics_tier == "aggregate" else None
         resident_plan = getattr(kernel, "plan_writes_resident", None)
@@ -443,7 +436,7 @@ class BatchEngine(EnabledSetEngine):
             steps += 1
             if collector is not None:
                 self.fold_aggregate(
-                    BatchOutcome(None, all_sel, all_idx, codes, ports, bits),
+                    BatchOutcome(None, all_idx, codes, ports, bits),
                     collector, True,
                 )
             if stop_on_silence and sim.is_silent():
@@ -470,11 +463,10 @@ class BatchEngine(EnabledSetEngine):
     # ------------------------------------------------------------------
     def make_step_record(self, index, outcome: BatchOutcome, closed: bool) -> StepRecord:
         """The exact :class:`StepRecord` the scalar loop would build."""
-        ops = self._store.ops
         names = self._kernel.rule_names
-        codes = ops.tolist(outcome.codes)
-        ports = ops.tolist(outcome.ports)
-        bits = ops.tolist(outcome.bits)
+        codes = outcome.codes.tolist()
+        ports = outcome.ports.tolist()
+        bits = outcome.bits.tolist()
         executed = {}
         ports_read = {}
         bits_read = {}
@@ -509,21 +501,15 @@ class BatchEngine(EnabledSetEngine):
         if closed:
             collector.rounds += 1
         store = self._store
-        ops = store.ops
+        np = store.np
         if self._pending_act is None:
-            self._pending_act = ops.zeros_int(store.n)
-        pend = self._pending_act
-        if store.backend == "numpy":
-            pend[outcome.idx] += 1
-        else:
-            for i in outcome.sel_idx:
-                pend[i] += 1
+            self._pending_act = np.zeros(store.n, dtype=np.int64)
+        self._pending_act[outcome.idx] += 1
         self._agg_dirty = True
         self._agg_collector = collector
 
-        ports = outcome.ports
-        has_read = ops.ne(ports, 0)
-        count = ops.count(has_read)
+        has_read = outcome.ports != 0
+        count = int(has_read.sum())
         if count:
             collector.total_reads += count
             if collector.max_reads_in_step < 1:
@@ -536,8 +522,7 @@ class BatchEngine(EnabledSetEngine):
                 self._ensure_seen("_seen"),
                 outcome,
                 has_read,
-                defer_to=(self._unflushed_reads
-                          if store.backend == "numpy" else None),
+                defer_to=self._unflushed_reads,
             )
             if collector.suffix_read_sets is not None:
                 if self._suffix_epoch != collector.suffix_start_step:
@@ -550,41 +535,24 @@ class BatchEngine(EnabledSetEngine):
                     has_read,
                 )
         bits = outcome.bits
-        if store.backend == "numpy":
-            if len(bits):
-                np = ops.np
-                max_bits = float(bits.max())
-                if max_bits > collector.max_bits_in_step:
-                    collector.max_bits_in_step = max_bits
-                # ``np.add.accumulate`` is a strict left-to-right
-                # chain (unlike ``np.add.reduce``, which pairs up), so
-                # seeding the running total as element 0 reproduces the
-                # scalar loop's sequential float fold bit for bit.
-                chain = np.empty(len(bits) + 1, dtype=np.float64)
-                chain[0] = collector.total_bits
-                chain[1:] = bits
-                collector.total_bits = float(np.add.accumulate(chain)[-1])
-        else:
-            bits_list = ops.tolist(bits)
-            if bits_list:
-                max_bits = max(bits_list)
-                if max_bits > collector.max_bits_in_step:
-                    collector.max_bits_in_step = max_bits
-                total = collector.total_bits
-                for b in bits_list:
-                    total += b
-                collector.total_bits = total
+        if len(bits):
+            max_bits = float(bits.max())
+            if max_bits > collector.max_bits_in_step:
+                collector.max_bits_in_step = max_bits
+            # ``np.add.accumulate`` is a strict left-to-right chain
+            # (unlike ``np.add.reduce``, which pairs up), so seeding the
+            # running total as element 0 reproduces the scalar loop's
+            # sequential float fold bit for bit.
+            chain = np.empty(len(bits) + 1, dtype=np.float64)
+            chain[0] = collector.total_bits
+            chain[1:] = bits
+            collector.total_bits = float(np.add.accumulate(chain)[-1])
 
     def _ensure_seen(self, attr):
         seen = getattr(self, attr)
         if seen is None:
             store = self._store
-            if store.backend == "numpy":
-                seen = store.ops.np.zeros(
-                    (store.n, store.max_degree), dtype=bool
-                )
-            else:
-                seen = [set() for _ in range(store.n)]
+            seen = store.np.zeros((store.n, store.max_degree), dtype=bool)
             setattr(self, attr, seen)
         return seen
 
@@ -592,38 +560,28 @@ class BatchEngine(EnabledSetEngine):
                         defer_to=None) -> None:
         """Fold newly observed (process, port) reads into ``read_sets``.
 
-        With ``defer_to`` (the main numpy fold), the per-process set
+        With ``defer_to`` (the main fold), the per-process set
         materialization is postponed: the new index pairs are stashed
         and drained by :meth:`flush_pending_metrics` before any
         external metrics read.  Each pair is recorded exactly once (the
         seen matrix dedups at fold time), so the drain's set inserts
         are order-insensitive and byte-equivalent to the eager fold.
         """
-        store = self._store
-        ops = store.ops
-        pids = store.pids
-        if store.backend == "numpy":
-            rows = outcome.idx[has_read]
-            cols = outcome.ports[has_read] - 1
-            hit = seen[rows, cols]
-            if hit.all():
-                return
-            new = ~hit
-            new_rows = rows[new]
-            new_cols = cols[new]
-            seen[new_rows, new_cols] = True
-            if defer_to is not None:
-                defer_to.append((new_rows, new_cols))
-                return
-            for i, c in zip(new_rows.tolist(), new_cols.tolist()):
-                read_sets[pids[i]].add(c + 1)
-        else:
-            for i, port, reads in zip(outcome.sel_idx, outcome.ports, has_read):
-                if reads:
-                    s = seen[i]
-                    if port not in s:
-                        s.add(port)
-                        read_sets[pids[i]].add(port)
+        rows = outcome.idx[has_read]
+        cols = outcome.ports[has_read] - 1
+        hit = seen[rows, cols]
+        if hit.all():
+            return
+        new = ~hit
+        new_rows = rows[new]
+        new_cols = cols[new]
+        seen[new_rows, new_cols] = True
+        if defer_to is not None:
+            defer_to.append((new_rows, new_cols))
+            return
+        pids = self._store.pids
+        for i, c in zip(new_rows.tolist(), new_cols.tolist()):
+            read_sets[pids[i]].add(c + 1)
 
     def flush_pending_metrics(self) -> None:
         """Drain accumulated activation counts into the collector
@@ -635,17 +593,10 @@ class BatchEngine(EnabledSetEngine):
         pend = self._pending_act
         activations = self._agg_collector.activations
         pids = self._store.pids
-        if self._store.backend == "numpy":
-            np = self._store.ops.np
-            nz = np.nonzero(pend)[0]
-            for i, c in zip(nz.tolist(), pend[nz].tolist()):
-                activations[pids[i]] += c
-            pend[nz] = 0
-        else:
-            for i, c in enumerate(pend):
-                if c:
-                    activations[pids[i]] += c
-                    pend[i] = 0
+        nz = self._store.np.nonzero(pend)[0]
+        for i, c in zip(nz.tolist(), pend[nz].tolist()):
+            activations[pids[i]] += c
+        pend[nz] = 0
         pending_reads = self._unflushed_reads
         if pending_reads:
             self._unflushed_reads = []
@@ -669,7 +620,7 @@ class BatchEngine(EnabledSetEngine):
         names = self._kernel.rule_names
         return {
             p: (names[code] if code >= 0 else None)
-            for p, code in zip(store.pids, store.ops.tolist(codes))
+            for p, code in zip(store.pids, codes.tolist())
         }
 
 
@@ -695,16 +646,12 @@ class BatchCrossCheckEngine(BatchEngine):
     def _audit_step(self, idx, codes, ports, bits) -> None:
         # Probe contexts cache raw rows, bypassing the sync hook.
         self.materialize_rows()
-        store = self._store
-        ops = store.ops
-        pids = store.pids
+        pids = self._store.pids
         names = self._kernel.rule_names
         actions = self._actions
         pool = self._probe_pool
-        code_l = ops.tolist(codes)
-        port_l = ops.tolist(ports)
-        bits_l = ops.tolist(bits)
-        for i, code, port, b in zip(ops.tolist(idx), code_l, port_l, bits_l):
+        for i, code, port, b in zip(idx.tolist(), codes.tolist(),
+                                    ports.tolist(), bits.tolist()):
             p = pids[i]
             ctx = pool.acquire(p, rng=None)
             action = first_enabled(actions, ctx)

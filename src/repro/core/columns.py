@@ -13,18 +13,18 @@ register-width tables every kernel needs:
   value tuple, so ``Dominator``/``dominated`` and ``False``/``True``
   become ``0``/``1``);
 * ``nbr`` / ``deg`` — a padded neighbor-index matrix built from the
-  port-ordered :meth:`Network.neighbors` tuples (``nbr[i][port-1]`` is
+  port-ordered :meth:`Network.neighbors` tuples (``nbr[i, port-1]`` is
   the column index of the neighbor behind port ``port`` of process
   ``i``);
 * ``reg_bits(name)`` — per-process register widths in bits, gathered by
   neighbor index to charge reads exactly like
   :class:`~repro.core.context.StepContext` does.
 
-Backends: NumPy arrays when NumPy imports (:data:`numpy` is resolved at
-store construction, so blocking the import per-test exercises the
-fallback), stdlib ``array('q')``/list columns otherwise.  Both expose
-one tiny primitive set (:class:`_NumpyOps` / :class:`_PythonOps`) so
-kernels are written once against ``store.ops``.
+Columns are NumPy arrays (``int64`` state, ``float64`` widths), and
+kernels index them directly through the store's :attr:`ColumnStore.np`
+module.  NumPy is resolved on every :meth:`ColumnStore.try_build`, never
+cached, so a test can block the import for a single store; without it
+there is no store and the batch engine runs its scalar fallback.
 
 The columns are the live state: :meth:`ColumnStore.write` and
 :meth:`ColumnStore.write_col` land in the columns only, record the
@@ -39,16 +39,16 @@ mutually exclusive by construction: while columns are dirty,
 :meth:`pull`/:meth:`pull_all` refuse to run, so a row-ahead and a
 column-ahead view can never silently merge.
 
-A store is only *supported* for flat configurations whose processes
-share one interned layout and whose domains are all integer ranges or
-uniform finite value tuples; :meth:`ColumnStore.try_build` returns
-``None`` otherwise and the batch engine falls back to the scalar path.
+A store is only *supported* when NumPy imports, for flat
+configurations whose processes share one interned layout and whose
+domains are all integer ranges or uniform finite value tuples;
+:meth:`ColumnStore.try_build` returns ``None`` otherwise and the batch
+engine falls back to the scalar path.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..obs.registry import TELEMETRY
@@ -56,8 +56,6 @@ from .exceptions import ModelError
 from .variables import FiniteSet, IntRange
 
 ProcessId = Hashable
-
-_SCALARS = (bool, int, float)
 
 
 def _load_numpy():
@@ -68,163 +66,6 @@ def _load_numpy():
     except ImportError:
         return None
     return numpy
-
-
-class _NumpyOps:
-    """Vector primitives over ``numpy.ndarray`` columns."""
-
-    backend = "numpy"
-
-    def __init__(self, np):
-        self.np = np
-
-    # -- construction ---------------------------------------------------
-    def int_col(self, seq):
-        return self.np.asarray(seq, dtype=self.np.int64)
-
-    def float_col(self, seq):
-        return self.np.asarray(seq, dtype=self.np.float64)
-
-    def arange(self, n):
-        return self.np.arange(n, dtype=self.np.int64)
-
-    def zeros_int(self, n):
-        return self.np.zeros(n, dtype=self.np.int64)
-
-    # -- gathers --------------------------------------------------------
-    def take(self, col, idx):
-        return col[idx]
-
-    def take2(self, mat, rows, cols):
-        return mat[rows, cols]
-
-    # -- elementwise ----------------------------------------------------
-    def eq(self, a, b):
-        return a == b
-
-    def ne(self, a, b):
-        return a != b
-
-    def lt(self, a, b):
-        return a < b
-
-    def and_(self, a, b):
-        return a & b
-
-    def or_(self, a, b):
-        return a | b
-
-    def not_(self, a):
-        return ~a
-
-    def add(self, a, b):
-        return a + b
-
-    def mod(self, a, b):
-        return a % b
-
-    def where(self, c, a, b):
-        return self.np.where(c, a, b)
-
-    # -- reductions / conversions --------------------------------------
-    def count(self, mask) -> int:
-        return int(mask.sum())
-
-    def anytrue(self, mask) -> bool:
-        return bool(mask.any())
-
-    def compress_list(self, vals, mask) -> list:
-        return vals[mask].tolist()
-
-    def nonzero_list(self, mask) -> list:
-        return self.np.nonzero(mask)[0].tolist()
-
-    def tolist(self, col) -> list:
-        return col.tolist()
-
-
-class _PythonOps:
-    """The same primitives over stdlib ``array``/list columns.
-
-    Columns are ``array('q')`` (state) or plain lists (masks, floats);
-    scalar operands broadcast.  Performance is secondary — this backend
-    exists so the batch engine stays available, and trace-identical,
-    without NumPy.
-    """
-
-    backend = "python"
-
-    @staticmethod
-    def _iter(v, n):
-        return repeat(v) if isinstance(v, _SCALARS) else v
-
-    # -- construction ---------------------------------------------------
-    def int_col(self, seq):
-        return array("q", seq)
-
-    def float_col(self, seq):
-        return list(seq)
-
-    def arange(self, n):
-        return array("q", range(n))
-
-    def zeros_int(self, n):
-        return array("q", bytes(8 * n))
-
-    # -- gathers --------------------------------------------------------
-    def take(self, col, idx):
-        return [col[i] for i in idx]
-
-    def take2(self, mat, rows, cols):
-        return [mat[i][j] for i, j in zip(rows, cols)]
-
-    # -- elementwise ----------------------------------------------------
-    def eq(self, a, b):
-        return [x == y for x, y in zip(a, self._iter(b, len(a)))]
-
-    def ne(self, a, b):
-        return [x != y for x, y in zip(a, self._iter(b, len(a)))]
-
-    def lt(self, a, b):
-        return [x < y for x, y in zip(a, self._iter(b, len(a)))]
-
-    def and_(self, a, b):
-        return [x and y for x, y in zip(a, b)]
-
-    def or_(self, a, b):
-        return [x or y for x, y in zip(a, b)]
-
-    def not_(self, a):
-        return [not x for x in a]
-
-    def add(self, a, b):
-        return [x + y for x, y in zip(a, self._iter(b, len(a)))]
-
-    def mod(self, a, b):
-        return [x % y for x, y in zip(a, self._iter(b, len(a)))]
-
-    def where(self, c, a, b):
-        n = len(c)
-        return [
-            x if m else y
-            for m, x, y in zip(c, self._iter(a, n), self._iter(b, n))
-        ]
-
-    # -- reductions / conversions --------------------------------------
-    def count(self, mask) -> int:
-        return sum(mask)
-
-    def anytrue(self, mask) -> bool:
-        return any(mask)
-
-    def compress_list(self, vals, mask) -> list:
-        return [v for v, m in zip(vals, mask) if m]
-
-    def nonzero_list(self, mask) -> list:
-        return [i for i, m in enumerate(mask) if m]
-
-    def tolist(self, col) -> list:
-        return list(col)
 
 
 class _SlotCodec:
@@ -262,8 +103,7 @@ class ColumnStore:
     """Columnar mirror of one flat configuration over one network."""
 
     __slots__ = (
-        "ops",
-        "backend",
+        "np",
         "n",
         "pids",
         "pindex",
@@ -281,10 +121,10 @@ class ColumnStore:
         "_bits_cols",
     )
 
-    def __init__(self, ops, pids, pindex, layout, rows, codecs, bits_raw,
+    def __init__(self, np, pids, pindex, layout, rows, codecs, bits_raw,
                  nbr, deg, max_degree):
-        self.ops = ops
-        self.backend = ops.backend
+        #: the NumPy module the columns are built with
+        self.np = np
         self.n = len(pids)
         self.pids = pids
         self.pindex = pindex
@@ -296,7 +136,7 @@ class ColumnStore:
         self.nbr = nbr
         self.deg = deg
         self.max_degree = max_degree
-        self.all_idx = ops.arange(self.n)
+        self.all_idx = np.arange(self.n, dtype=np.int64)
         #: per-slot column generation stamp; advances on every write,
         #: so observers can tell whether a slot moved since they last
         #: materialized.
@@ -311,13 +151,14 @@ class ColumnStore:
         """A store for this run, or ``None`` when unsupported.
 
         Unsupported cases (the batch engine then runs its scalar
-        fallback): legacy dict configurations, processes with differing
-        layouts, and variable domains that are neither integer ranges
-        nor one shared finite value tuple.
+        fallback): NumPy not importable, legacy dict configurations,
+        processes with differing layouts, and variable domains that are
+        neither integer ranges nor one shared finite value tuple.
         """
+        np = _load_numpy()
         row_of = getattr(config, "row_of", None)
         layout_of = getattr(config, "layout_of", None)
-        if row_of is None or layout_of is None:
+        if np is None or row_of is None or layout_of is None:
             return None
         pids = list(network.processes)
         n = len(pids)
@@ -395,39 +236,27 @@ class ColumnStore:
             _SlotCodec(None if values is False else tuple(values))
             for values in codec_values
         ]
-        np = _load_numpy()
-        ops = _NumpyOps(np) if np is not None else _PythonOps()
         pindex = {p: i for i, p in enumerate(pids)}
         port_lists = [network.neighbors(p) for p in pids]
         degs = list(map(len, port_lists))
         max_degree = max(degs) if degs else 0
         if max_degree == 0:
             return None
-        if ops.backend == "numpy":
-            # Padded (n, Δ) table built by scatter instead of a Python
-            # per-neighbor append loop — at 1M processes the loop was
-            # most of the store build.
-            flat_pids = list(chain.from_iterable(port_lists))
-            flat = np.fromiter(
-                map(pindex.__getitem__, flat_pids),
-                dtype=np.int64, count=len(flat_pids),
-            )
-            deg_arr = np.asarray(degs, dtype=np.int64)
-            rows_rep = np.repeat(np.arange(n, dtype=np.int64), deg_arr)
-            starts = np.repeat(
-                np.cumsum(deg_arr, dtype=np.int64) - deg_arr, deg_arr
-            )
-            cols_rep = np.arange(len(flat_pids), dtype=np.int64) - starts
-            nbr = np.zeros((n, max_degree), dtype=np.int64)
-            nbr[rows_rep, cols_rep] = flat
-            deg = deg_arr
-        else:
-            nbr = [
-                array("q", (pindex[q] for q in order))
-                for order in port_lists
-            ]
-            deg = ops.int_col(degs)
-        return cls(ops, pids, pindex, layout, rows, codecs, bits_raw,
+        # Padded (n, Δ) table built by scatter instead of a Python
+        # per-neighbor append loop — at 1M processes the loop was most
+        # of the store build.
+        flat_pids = list(chain.from_iterable(port_lists))
+        flat = np.fromiter(
+            map(pindex.__getitem__, flat_pids),
+            dtype=np.int64, count=len(flat_pids),
+        )
+        deg = np.asarray(degs, dtype=np.int64)
+        rows_rep = np.repeat(np.arange(n, dtype=np.int64), deg)
+        starts = np.repeat(np.cumsum(deg, dtype=np.int64) - deg, deg)
+        cols_rep = np.arange(len(flat_pids), dtype=np.int64) - starts
+        nbr = np.zeros((n, max_degree), dtype=np.int64)
+        nbr[rows_rep, cols_rep] = flat
+        return cls(np, pids, pindex, layout, rows, codecs, bits_raw,
                    nbr, deg, max_degree)
 
     # ------------------------------------------------------------------
@@ -438,7 +267,8 @@ class ColumnStore:
         return self.layout.index[name]
 
     def col(self, slot: int):
-        """The backend column (codes, one entry per process) for ``slot``."""
+        """The ``int64`` column (codes, one entry per process) for
+        ``slot``."""
         return self.cols[slot]
 
     def encode(self, slot: int, value) -> int:
@@ -451,8 +281,8 @@ class ColumnStore:
         index to charge a read)."""
         col = self._bits_cols.get(name)
         if col is None:
-            col = self._bits_cols[name] = self.ops.float_col(
-                self._bits_raw[name]
+            col = self._bits_cols[name] = self.np.asarray(
+                self._bits_raw[name], dtype=self.np.float64
             )
         return col
 
@@ -473,7 +303,7 @@ class ColumnStore:
             else:
                 enc = codec.encode_map
                 data = [enc[row[k]] for row in rows]
-            self.cols[k] = self.ops.int_col(data)
+            self.cols[k] = self.np.asarray(data, dtype=self.np.int64)
 
     def pull(self, indices) -> None:
         """Re-read the rows of ``indices`` (out-of-band writes: faults,
@@ -497,20 +327,13 @@ class ColumnStore:
     def write(self, slot: int, indices: list, codes: list) -> None:
         """Apply one slot's batch of writes to the column; the rows stay
         stale until :meth:`materialize` decodes them."""
-        col = self.cols[slot]
-        if self.backend == "numpy":
-            col[indices] = codes
-        else:
-            for i, v in zip(indices, codes):
-                col[i] = v
+        self.cols[slot][indices] = codes
         self.generation[slot] += 1
         self._dirty_slots.add(slot)
 
     def write_col(self, slot: int, codes) -> None:
         """Replace one slot's whole column (the rows stay stale until
         :meth:`materialize` decodes them)."""
-        if self.backend == "python" and not isinstance(codes, array):
-            codes = array("q", codes)
         self.cols[slot] = codes
         self.generation[slot] += 1
         self._dirty_slots.add(slot)
@@ -533,10 +356,9 @@ class ColumnStore:
             TELEMETRY.counter("columns.materialized_slots").inc(
                 len(self._dirty_slots))
         rows = self.rows
-        tolist = self.ops.tolist
         for k in sorted(self._dirty_slots):
             codec = self.codecs[k]
-            data = tolist(self.cols[k])
+            data = self.cols[k].tolist()
             if codec.values is None:
                 for i, v in enumerate(data):
                     rows[i][k] = v
@@ -547,7 +369,4 @@ class ColumnStore:
         self._dirty_slots.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"ColumnStore(n={self.n}, backend={self.backend!r}, "
-            f"vars={self.layout.names!r})"
-        )
+        return f"ColumnStore(n={self.n}, vars={self.layout.names!r})"

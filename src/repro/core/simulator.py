@@ -266,7 +266,10 @@ class Simulator:
 
         Assigning a replacement configuration swaps the run's state
         wholesale: the new object is normalized into the simulator's
-        backend, every pooled context is rebuilt (their cached rows
+        backend and validated like a constructor argument (an
+        out-of-domain value raises
+        :class:`~repro.core.exceptions.DomainError` and keeps the old
+        state), every pooled context is rebuilt (their cached rows
         address the old storage), and the enabled-set engine is
         rebound and fully invalidated.  In-place mutation via
         :meth:`invalidate_enabled` remains the cheaper path for faults.
@@ -280,6 +283,8 @@ class Simulator:
         )
         if not isinstance(new_config, backend):
             new_config = backend(new_config.as_dict())
+        self.protocol.validate_configuration(self.network, new_config,
+                                             specs_of=self.specs_of)
         self._config = new_config
         if self._ctx_pool is not None:
             self._ctx_pool = StepContextPool(

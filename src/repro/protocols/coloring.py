@@ -127,22 +127,20 @@ class ColoringBatchKernel(BatchKernel):
 
     def classify(self, idx):
         store = self.store
-        o = store.ops
-        cur = o.take(store.col(self._cur), idx)
-        q = o.take2(store.nbr, idx, o.add(cur, -1))
-        c = o.take(store.col(self._c), idx)
-        clash = o.eq(c, o.take(store.col(self._c), q))
-        codes = o.where(clash, 0, 1)
-        bits = o.take(self._cbits, q)
+        c_col = store.col(self._c)
+        cur = store.col(self._cur)[idx]
+        q = store.nbr[idx, cur - 1]
+        clash = c_col[idx] == c_col[q]
+        codes = store.np.where(clash, 0, 1)
+        bits = self._cbits[q]
         return codes, cur, bits, (cur, clash)
 
     def plan_writes(self, idx, codes, aux, rng):
         cur, clash = aux
         store = self.store
-        o = store.ops
-        new_cur = o.add(o.mod(cur, o.take(store.deg, idx)), 1)
-        writes = [(self._cur, o.tolist(idx), o.tolist(new_cur))]
-        rec_idx = o.compress_list(idx, clash)
+        new_cur = cur % store.deg[idx] + 1
+        writes = [(self._cur, idx.tolist(), new_cur.tolist())]
+        rec_idx = idx[clash].tolist()
         if rec_idx:
             sample = self.protocol.palette.sample
             writes.append((self._c, rec_idx, [sample(rng) for _ in rec_idx]))
@@ -156,9 +154,8 @@ class ColoringBatchKernel(BatchKernel):
         produces for the full network)."""
         cur, clash = aux
         store = self.store
-        o = store.ops
-        store.write_col(self._cur, o.add(o.mod(cur, store.deg), 1))
-        rec_idx = o.compress_list(store.all_idx, clash)
+        store.write_col(self._cur, cur % store.deg + 1)
+        rec_idx = store.all_idx[clash].tolist()
         if rec_idx:
             sample = self.protocol.palette.sample
             store.write(self._c, rec_idx, [sample(rng) for _ in rec_idx])
@@ -171,15 +168,7 @@ class ColoringBatchKernel(BatchKernel):
         the exact scalar checker)."""
         store = self.store
         c = store.col(self._c)
-        if store.backend == "numpy":
-            np = store.ops.np
-            clash = c[store.nbr] == c[:, None]
-            valid = (np.arange(store.max_degree)[None, :]
-                     < store.deg[:, None])
-            return not bool((clash & valid).any())
-        for i, nb in enumerate(store.nbr):
-            ci = c[i]
-            for j in nb:
-                if c[j] == ci:
-                    return False
-        return True
+        clash = c[store.nbr] == c[:, None]
+        valid = (store.np.arange(store.max_degree)[None, :]
+                 < store.deg[:, None])
+        return not bool((clash & valid).any())

@@ -223,87 +223,86 @@ class MatchingBatchKernel(BatchKernel):
 
     def classify(self, idx):
         store = self.store
-        o = store.ops
-        m = o.take(store.col(self._m), idx)
-        pr = o.take(store.col(self._pr), idx)
-        c = o.take(store.col(self._c), idx)
-        cur = o.take(store.col(self._cur), idx)
-        q = o.take2(store.nbr, idx, o.add(cur, -1))
-        prq = o.take(store.col(self._pr), q)
-        mq = o.eq(o.take(store.col(self._m), q), 1)
-        cq = o.take(store.col(self._c), q)
+        where = store.np.where
+        m_col = store.col(self._m)
+        pr_col = store.col(self._pr)
+        c_col = store.col(self._c)
+        m = m_col[idx]
+        pr = pr_col[idx]
+        c = c_col[idx]
+        cur = store.col(self._cur)[idx]
+        q = store.nbr[idx, cur - 1]
+        prq = pr_col[q]
+        mq = m_col[q] == 1
+        cq = c_col[q]
         # PR.(cur.p) = p: q's pointed port leads back across the edge.
         # A null PR.q gathers the wrapped column harmlessly — masked out.
-        back = o.take2(store.nbr, q, o.add(prq, -1))
-        pb = o.and_(o.ne(prq, 0), o.eq(back, idx))
+        back = store.nbr[q, prq - 1]
+        pb = (prq != 0) & (back == idx)
 
-        case_a = o.and_(o.ne(pr, 0), o.ne(pr, cur))
-        case_b = o.eq(pr, cur)
+        case_a = (pr != 0) & (pr != cur)
+        case_b = pr == cur
         # -- PR.p = cur.p: publish / (pointed-back: disabled) / abandon
-        b_pub = o.ne(m, o.where(pb, 1, 0))
-        abandons = o.or_(mq, o.lt(cq, c))
-        codes_b = o.where(b_pub, 1, o.where(pb, -1, o.where(abandons, 3, -1)))
-        read_m_b = o.and_(o.not_(b_pub), o.not_(pb))
-        read_c_b = o.and_(read_m_b, o.not_(mq))
+        b_pub = m != where(pb, 1, 0)
+        abandons = mq | (cq < c)
+        codes_b = where(b_pub, 1, where(pb, -1, where(abandons, 3, -1)))
+        read_m_b = ~b_pub & ~pb
+        read_c_b = read_m_b & ~mq
         # -- PR.p = 0: publish / accept / propose / seek / disabled
-        c_pub = o.eq(m, 1)
-        prq0 = o.eq(prq, 0)
-        c_lt = o.lt(c, cq)
-        cq_lt = o.lt(cq, c)
-        inner = o.where(
+        c_pub = m == 1
+        prq0 = prq == 0
+        c_lt = c < cq
+        cq_lt = cq < c
+        inner = where(
             c_lt,
-            o.where(mq, 5, 4),
-            o.where(cq_lt, 5, o.where(mq, 5, -1)),
+            where(mq, 5, 4),
+            where(cq_lt, 5, where(mq, 5, -1)),
         )
-        codes_c = o.where(
-            c_pub, 1, o.where(pb, 2, o.where(o.not_(prq0), 5, inner))
-        )
-        read_pr_c = o.not_(c_pub)
-        read_c_c = o.and_(read_pr_c, o.and_(o.not_(pb), prq0))
-        read_m_c = o.and_(read_c_c, o.or_(c_lt, o.eq(cq, c)))
+        codes_c = where(c_pub, 1, where(pb, 2, where(~prq0, 5, inner)))
+        read_pr_c = ~c_pub
+        read_c_c = read_pr_c & ~pb & prq0
+        read_m_c = read_c_c & (c_lt | (cq == c))
 
-        codes = o.where(case_a, 0, o.where(case_b, codes_b, codes_c))
-        has_read = o.where(case_a, False, o.where(case_b, True, read_pr_c))
-        ports = o.where(has_read, cur, 0)
-        prb = o.take(self._prbits, q)
-        mb = o.take(self._mbits, q)
-        cb = o.take(self._cbits, q)
-        bits_b = o.where(
-            read_c_b,
-            o.add(o.add(prb, mb), cb),
-            o.where(read_m_b, o.add(prb, mb), prb),
+        codes = where(case_a, 0, where(case_b, codes_b, codes_c))
+        has_read = where(case_a, False, where(case_b, True, read_pr_c))
+        ports = where(has_read, cur, 0)
+        prb = self._prbits[q]
+        mb = self._mbits[q]
+        cb = self._cbits[q]
+        # Bits sum in each branch's read order: PR, M, C pointing at
+        # cur; PR, C, M when null.
+        bits_b = where(
+            read_c_b, (prb + mb) + cb, where(read_m_b, prb + mb, prb)
         )
-        bits_c = o.where(
-            read_m_c,
-            o.add(o.add(prb, cb), mb),
-            o.where(read_c_c, o.add(prb, cb), prb),
+        bits_c = where(
+            read_m_c, (prb + cb) + mb, where(read_c_c, prb + cb, prb)
         )
-        bits = o.where(
-            case_a, 0.0, o.where(case_b, bits_b, o.where(read_pr_c, bits_c, 0.0))
+        bits = where(
+            case_a, 0.0, where(case_b, bits_b, where(read_pr_c, bits_c, 0.0))
         )
         return codes, ports, bits, (cur, pb, case_b)
 
     def plan_writes(self, idx, codes, aux, rng):
         cur, pb, case_b = aux
         store = self.store
-        o = store.ops
+        where = store.np.where
         writes = []
         # realign/accept/propose point PR at cur; abandon nulls it.
-        pr_cur = o.or_(o.eq(codes, 0), o.or_(o.eq(codes, 2), o.eq(codes, 4)))
-        pr_any = o.or_(pr_cur, o.eq(codes, 3))
-        pr_idx = o.compress_list(idx, pr_any)
+        pr_cur = (codes == 0) | (codes == 2) | (codes == 4)
+        pr_any = pr_cur | (codes == 3)
+        pr_idx = idx[pr_any].tolist()
         if pr_idx:
-            vals = o.where(pr_cur, cur, 0)
-            writes.append((self._pr, pr_idx, o.compress_list(vals, pr_any)))
-        is_pub = o.eq(codes, 1)
-        pub_idx = o.compress_list(idx, is_pub)
+            vals = where(pr_cur, cur, 0)
+            writes.append((self._pr, pr_idx, vals[pr_any].tolist()))
+        is_pub = codes == 1
+        pub_idx = idx[is_pub].tolist()
         if pub_idx:
             # M <- PRmarried(p) against the same pre-step columns.
-            m_vals = o.where(o.and_(pb, case_b), 1, 0)
-            writes.append((self._m, pub_idx, o.compress_list(m_vals, is_pub)))
-        is_seek = o.eq(codes, 5)
-        seek_idx = o.compress_list(idx, is_seek)
+            m_vals = where(pb & case_b, 1, 0)
+            writes.append((self._m, pub_idx, m_vals[is_pub].tolist()))
+        is_seek = codes == 5
+        seek_idx = idx[is_seek].tolist()
         if seek_idx:
-            new_cur = o.add(o.mod(cur, o.take(store.deg, idx)), 1)
-            writes.append((self._cur, seek_idx, o.compress_list(new_cur, is_seek)))
+            new_cur = cur % store.deg[idx] + 1
+            writes.append((self._cur, seek_idx, new_cur[is_seek].tolist()))
         return writes

@@ -155,39 +155,39 @@ class MISBatchKernel(BatchKernel):
 
     def classify(self, idx):
         store = self.store
-        o = store.ops
-        s = o.take(store.col(self._s), idx)
-        c = o.take(store.col(self._c), idx)
-        cur = o.take(store.col(self._cur), idx)
-        q = o.take2(store.nbr, idx, o.add(cur, -1))
-        sq_dom = o.eq(o.take(store.col(self._s), q), self._dom)
-        cq = o.take(store.col(self._c), q)
-        yields = o.and_(sq_dom, o.lt(cq, c))
-        claims = o.or_(o.not_(sq_dom), o.lt(c, cq))
-        codes = o.where(
-            o.eq(s, self._dom),
-            o.where(yields, 0, 2),
-            o.where(claims, 1, -1),
+        where = store.np.where
+        s_col = store.col(self._s)
+        c_col = store.col(self._c)
+        c = c_col[idx]
+        cur = store.col(self._cur)[idx]
+        q = store.nbr[idx, cur - 1]
+        sq_dom = s_col[q] == self._dom
+        cq = c_col[q]
+        yields = sq_dom & (cq < c)
+        claims = ~sq_dom | (c < cq)
+        codes = where(
+            s_col[idx] == self._dom,
+            where(yields, 0, 2),
+            where(claims, 1, -1),
         )
-        sb = o.take(self._sbits, q)
-        bits = o.where(sq_dom, o.add(sb, o.take(self._cbits, q)), sb)
+        sb = self._sbits[q]
+        bits = where(sq_dom, sb + self._cbits[q], sb)
         return codes, cur, bits, cur
 
     def plan_writes(self, idx, codes, aux, rng):
         cur = aux
         store = self.store
-        o = store.ops
         writes = []
-        y_idx = o.compress_list(idx, o.eq(codes, 0))
+        y_idx = idx[codes == 0].tolist()
         if y_idx:
             writes.append((self._s, y_idx, [self._dominated] * len(y_idx)))
-        is_claim = o.eq(codes, 1)
-        c_idx = o.compress_list(idx, is_claim)
+        is_claim = codes == 1
+        c_idx = idx[is_claim].tolist()
         if c_idx:
             writes.append((self._s, c_idx, [self._dom] * len(c_idx)))
-        moves = o.or_(is_claim, o.eq(codes, 2))
-        m_idx = o.compress_list(idx, moves)
+        moves = is_claim | (codes == 2)
+        m_idx = idx[moves].tolist()
         if m_idx:
-            new_cur = o.add(o.mod(cur, o.take(store.deg, idx)), 1)
-            writes.append((self._cur, m_idx, o.compress_list(new_cur, moves)))
+            new_cur = cur % store.deg[idx] + 1
+            writes.append((self._cur, m_idx, new_cur[moves].tolist()))
         return writes

@@ -8,9 +8,9 @@ Two comparisons, one row type:
   the regression threshold *in the metric's bad direction* (more
   rounds is worse, more availability is better).
 * :func:`diff_bench` — two ``BENCH_*.json`` payloads (or any two
-  entries of a store's bench trajectory): every shared numeric leaf is
-  treated as a throughput-like higher-is-better measure, so a drop
-  beyond the threshold is a regression.
+  entries of a store's bench trajectory): shared numeric leaves are
+  throughput-like and higher-is-better, except seconds (leaves ending
+  in ``_s``), where a rise beyond the threshold is the regression.
 
 Both return :class:`DiffRow` lists; :func:`gate` folds a list into a
 pass/fail verdict usable as a CI exit code (the ``repro compare``
@@ -41,6 +41,10 @@ DEFAULT_DIFF_METRICS = ("rounds", "steps", "total_bits")
 
 #: Bench payload keys that describe the setup, not a measurement.
 _BENCH_CONTEXT_KEYS = frozenset({"n", "budget_s", "seed"})
+
+#: Bench leaves :func:`diff_bench` never ratio-gates: a signed fraction
+#: near zero, whose absolute ceiling the bench itself asserts.
+_BENCH_UNGATED_LEAVES = frozenset({"enabled_overhead"})
 
 
 @dataclass(frozen=True)
@@ -225,11 +229,13 @@ def diff_bench(
     """Compare two bench payloads (e.g. two ``BENCH_3.json`` snapshots).
 
     ``mode`` selects one section ("full" / "tiny") when the payloads
-    are mode-keyed, as the repo's BENCH files are.  Every shared
-    numeric leaf is compared as higher-is-better (these files hold
-    steps/sec rates and speedup ratios); a drop past ``threshold`` is a
-    regression.  Leaves present on one side only are ignored — bench
-    coverage grows over time.
+    are mode-keyed, as the repo's BENCH files are.  Shared numeric
+    leaves are compared as higher-is-better (these files hold steps/sec
+    rates and speedup ratios) and a drop past ``threshold`` is a
+    regression; leaves ending in ``_s`` are seconds, where a rise past
+    ``threshold`` is.  ``enabled_overhead`` (a signed fraction near
+    zero) is reported but never regresses.  Leaves present on one side
+    only are ignored — bench coverage grows over time.
     """
     if mode is not None:
         payload_a = payload_a.get(mode, {})
@@ -239,10 +245,17 @@ def diff_bench(
     rows: List[DiffRow] = []
     for path in sorted(set(flat_a) & set(flat_b)):
         a, b = flat_a[path], flat_b[path]
+        leaf = path.rsplit(".", 1)[-1]
+        if leaf in _BENCH_UNGATED_LEAVES:
+            regressed = False
+        elif leaf.endswith("_s"):
+            regressed = b > a * (1.0 + threshold)
+        else:
+            regressed = b < a * (1.0 - threshold)
         rows.append(DiffRow(
             group=path, metric="value",
             value_a=a, value_b=b, delta=b - a, ratio=_ratio(a, b),
-            regressed=b < a * (1.0 - threshold),
+            regressed=regressed,
         ))
     return rows
 

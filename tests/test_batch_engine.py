@@ -8,8 +8,8 @@ therefore the whole contract: every suite here compares the engine
 against the scalar oracles byte for byte *through* those observation
 boundaries — traces, final configurations, metrics (both tiers),
 per-step enabled sets, mid-run reads forcing materialization, scenario
-corruption, churn store rebuilds, and the NumPy-free backend.  It also
-pins the fallback ladder (kernel-less protocols, legacy state,
+corruption and churn store rebuilds.  It also pins the fallback ladder
+(kernel-less protocols, legacy state, an interpreter without NumPy,
 duplicate-pid selections), the fused loop's eligibility rules, and
 the self-auditing ``batch-debug`` engine on both the per-step and the
 fused path, on its silence verdicts, and on its scalar fallback.
@@ -29,11 +29,14 @@ from repro.core import (
     BatchEngine,
     CentralScheduler,
     Configuration,
+    CrossCheckEngine,
+    IncrementalEngine,
     ModelError,
     Simulator,
     TraceRecorder,
 )
 from repro.core.actions import GuardedAction
+from repro.core.columns import ColumnStore
 from repro.core.exceptions import ConvergenceError
 from repro.core.protocol import Protocol
 from repro.core.scheduler import FixedSequenceScheduler
@@ -89,16 +92,6 @@ def aggregate_state(sim):
     )
 
 
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run a test once per column backend (NumPy blocked for python)."""
-    if request.param == "numpy":
-        pytest.importorskip("numpy")
-    else:
-        monkeypatch.setitem(sys.modules, "numpy", None)
-    return request.param
-
-
 # ----------------------------------------------------------------------
 # Per-step path: full-tier traces stay byte-identical
 # ----------------------------------------------------------------------
@@ -106,7 +99,7 @@ class TestTraceByteIdentity:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
     def test_columnar_and_scalar_traces_are_byte_identical(
-        self, protocol, scheduler, sched_params, backend
+        self, protocol, scheduler, sched_params
     ):
         for seed in SEEDS:
             scalar, scalar_sim = run_recorded(
@@ -118,7 +111,6 @@ class TestTraceByteIdentity:
             label = (protocol, scheduler, sched_params, seed)
             assert isinstance(columnar_sim.engine, BatchEngine)
             assert columnar_sim.engine.batch_active, label
-            assert columnar_sim.engine.backend_name == backend, label
             assert scalar == columnar, label
             assert scalar_sim.config == columnar_sim.config, label
             assert (scalar_sim.metrics.summary()
@@ -144,7 +136,7 @@ class TestTraceByteIdentity:
         assert audited == columnar
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_per_step_aggregate_folds_agree(self, protocol, backend):
+    def test_per_step_aggregate_folds_agree(self, protocol):
         """``Simulator.step`` on the aggregate tier folds columnar
         outcomes exactly like the scalar contexts (``run_steps`` would
         fuse; stepping one at a time pins the per-step fold)."""
@@ -156,7 +148,7 @@ class TestTraceByteIdentity:
                 for _ in range(60):
                     sim.step()
                 states.append(aggregate_state(sim))
-            assert sim.engine.backend_name == backend
+            assert sim.engine.batch_active
             assert states[0] == states[1], (protocol, scheduler)
 
     def test_duplicate_pid_selection_takes_the_scalar_path(self):
@@ -187,7 +179,7 @@ class TestFusedDriver:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
     def test_fused_steps_match_scalar_aggregates(self, protocol, scheduler,
-                                                 sched_params, backend):
+                                                 sched_params):
         for seed in SEEDS:
             scalar = build_sim(protocol, (scheduler, sched_params),
                                seed=seed, metrics="aggregate")
@@ -198,8 +190,8 @@ class TestFusedDriver:
             # Only the plain synchronous daemon fuses; enabled_only
             # steps one Simulator.step at a time.
             expected = None if sched_params else fused.engine
+            assert fused.engine.batch_active
             assert fused._fused_resident() is expected
-            assert fused.engine.backend_name == backend
             fused.run_steps(60)
             label = (protocol, scheduler, sched_params, seed)
             assert aggregate_state(scalar) == aggregate_state(fused), label
@@ -536,10 +528,81 @@ class TestFallback:
         assert not columnar_sim.engine.batch_active
         assert scalar == columnar
 
-    def test_numpy_backend_used_when_importable(self):
-        pytest.importorskip("numpy")
-        sim = build_sim("coloring", engine="batch-resident")
-        assert sim.engine.backend_name == "numpy"
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_without_numpy_runs_scalar(self, protocol, monkeypatch):
+        """Without NumPy there is no column store: both columnar engines
+        run their scalar fallbacks, trace-identical to ``incremental``."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        scalar, _ = run_recorded(protocol, ("synchronous", {}), 3,
+                                 "incremental")
+        for engine, fallback_cls in (("batch-resident", IncrementalEngine),
+                                     ("batch-debug", CrossCheckEngine)):
+            trace, sim = run_recorded(protocol, ("synchronous", {}), 3,
+                                      engine)
+            assert not sim.engine.batch_active, engine
+            assert type(sim.engine._fallback) is fallback_cls, engine
+            assert trace == scalar, engine
+        sim = build_sim(protocol, engine="batch-resident",
+                        metrics="aggregate")
+        assert sim._fused_resident() is None
+        assert sim.engine.silent() is None
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_without_numpy_aggregate_folds_agree(self, protocol,
+                                                 monkeypatch):
+        """The aggregate tier folds the fallback's contexts exactly like
+        ``incremental`` does, under both daemons."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for scheduler in SCHEDULERS:
+            states = []
+            for engine in ("incremental", "batch-resident", "batch-debug"):
+                sim = build_sim(protocol, scheduler, seed=5, engine=engine,
+                                metrics="aggregate")
+                sim.run_steps(60)
+                assert sim.step_index == 60, (engine, scheduler)
+                states.append(aggregate_state(sim))
+            assert not sim.engine.batch_active
+            assert states[0] == states[1] == states[2], (protocol, scheduler)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_without_numpy_run_until_silent_reports_match(self, protocol,
+                                                          monkeypatch):
+        """With no fused loop, ``run_until_silent`` on the fallback
+        reaches the same silent configuration with the same report."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for scheduler in SCHEDULERS:
+            for seed in SEEDS:
+                reports = []
+                sims = []
+                for engine in ("incremental", "batch-resident"):
+                    sim = build_sim(protocol, scheduler, seed=seed,
+                                    engine=engine, metrics="aggregate")
+                    reports.append(sim.run_until_silent(max_rounds=500))
+                    sims.append(sim)
+                label = (protocol, scheduler, seed)
+                assert not sims[1].engine.batch_active, label
+                assert reports[0] == reports[1], label
+                assert sims[0].config == sims[1].config, label
+                assert (sims[0].metrics.summary()
+                        == sims[1].metrics.summary()), label
+
+    def test_numpy_is_resolved_per_store_build(self, monkeypatch):
+        """The NumPy import is not cached: blocking it affects only the
+        stores built while it is blocked."""
+        sim = build_sim("coloring")
+
+        def build():
+            return ColumnStore.try_build(sim.network, sim.config,
+                                         sim.specs_of)
+
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert build() is None
+        assert not build_sim("coloring",
+                             engine="batch-resident").engine.batch_active
+        monkeypatch.undo()
+        assert isinstance(build(), ColumnStore)
+        assert build_sim("coloring",
+                         engine="batch-resident").engine.batch_active
 
 
 class TestEligibility:

@@ -800,6 +800,24 @@ class TestDiff:
         assert [r.group for r in rows] == ["x"]
         assert gate(rows)
 
+    def test_diff_bench_seconds_lower_is_better_overhead_ungated(self):
+        """Seconds regress when they grow; the signed telemetry overhead
+        near zero is left to the bench's own absolute ceiling."""
+        def payload(store_build_s, overhead):
+            return {
+                "million_sparse": {"store_build_s": store_build_s,
+                                   "steps_per_sec": 9.0},
+                "telemetry_overhead": {"enabled_overhead": overhead},
+            }
+
+        improved = diff_bench(payload(6.7, 0.04), payload(2.0, -0.016),
+                              threshold=0.6)
+        assert gate(improved)
+        worse = diff_bench(payload(6.7, 0.04), payload(20.0, 0.04),
+                           threshold=0.6)
+        assert [r.group for r in worse if r.regressed] == [
+            "million_sparse.store_build_s"]
+
     def test_bench_trajectory_round_trips(self, tmp_path):
         with ResultStore(tmp_path / "w.sqlite") as store:
             store.record_bench("BENCH_3", "tiny", {"hot_loop": {"x": 1.0}})

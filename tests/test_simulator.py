@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import (
+    ENGINE_NAMES,
     Configuration,
     ConvergenceError,
+    DomainError,
     FixedSequenceScheduler,
     Simulator,
     SynchronousScheduler,
@@ -85,8 +87,6 @@ class TestStepSemantics:
         bad = Configuration(
             {0: {"C": 9, "cur": 1}, 1: {"C": 1, "cur": 1}, 2: {"C": 1, "cur": 1}}
         )
-        from repro.core import DomainError
-
         with pytest.raises(DomainError):
             Simulator(proto, net, config=bad)
 
@@ -96,11 +96,27 @@ class TestStepSemantics:
         proto = MISProtocol(net, colors)
         bad = proto.arbitrary_configuration(net)
         bad.set(0, "C", colors[0] % max(colors.values()) + 1)
-        from repro.core import DomainError
-
         if bad.get(0, "C") != colors[0]:
             with pytest.raises(DomainError):
                 Simulator(proto, net, config=bad)
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_assigned_configuration_validated(self, engine):
+        """Assigning ``Simulator.config`` checks domains like the
+        constructor does: every engine refuses with DomainError and the
+        run keeps its old state."""
+        net = ring(6)
+        sim = Simulator(MISProtocol(net, greedy_coloring(net)), net,
+                        seed=0, engine=engine)
+        old = sim.config
+        before = old.as_dict()
+        states = old.as_dict()
+        states[net.processes[0]]["S"] = "bogus"
+        with pytest.raises(DomainError):
+            sim.config = Configuration(states)
+        assert sim.config is old
+        assert sim.config.as_dict() == before
+        assert sim.run_until_silent(max_rounds=100).stabilized
 
 
 class TestRunHelpers:
