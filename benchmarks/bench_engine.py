@@ -37,8 +37,15 @@ The 10k-node scale tier.  Two families of measurements:
   alone (< 10s) and fused steps/sec (≥ 5) are each gated separately,
   so a build regression cannot hide behind a stepping win or vice
   versa.
+* **Run to silence** — COLORING, MIS and MATCHING each run to silence
+  on a 10k-process sparse graph (average degree 3), synchronous
+  daemon, ``engine="batch-resident"``, aggregate tier, each under an
+  absolute wall-time ceiling (3,000 processes at ``--tiny``).  Only
+  COLORING has a columnar silence verdict; MIS and MATCHING take the
+  scalar silence walk at every step, so this gate catches a walk that
+  stops being linear in n.  It writes no BENCH file.
 
-Every run (pytest or script) appends machine-readable results to
+Every other run (pytest or script) appends machine-readable results to
 ``BENCH_3.json`` at the repo root — steps/sec per topology × protocol
 × engine × metrics tier plus the hot-loop ratio — the scenario case to
 ``BENCH_4.json``, the batch-engine case (with the 1M-node tier at
@@ -159,6 +166,16 @@ MAX_OBS_ENABLED_OVERHEAD_TINY = 0.35
 #: flaking on loaded CI runners.
 MIN_SCENARIO_RATIO = 0.12
 MIN_SCENARIO_RATIO_TINY = 0.06
+
+#: run-to-silence gate: absolute ceilings on ``run_until_silent`` wall
+#: time per protocol (set-up excluded).  On a shared 2-vCPU host the
+#: linear silence walk reaches silence in ≤1.1 s at 10k and ≤0.22 s at
+#: 3,000 processes; the quadratic walk it replaced took 60 s (MIS) /
+#: 271 s (MATCHING) at 10k and 4.2-4.4 s / 8.9-9.7 s at 3,000.
+SILENCE_N = 10_000
+SILENCE_CEILING_S = 10.0
+SILENCE_TINY_N = 3_000
+SILENCE_TINY_CEILING_S = 1.5
 
 
 def topologies(n: int) -> List[Tuple[str, Dict]]:
@@ -302,6 +319,32 @@ def measure_scenario(n: int, budget_s: float) -> Dict[str, float]:
         "faults_injected": float(metrics.faults_injected),
         "recoveries_timed": float(len(metrics.recovery_rounds)),
     }
+
+
+def measure_run_to_silence(n: int) -> Dict[str, Dict[str, float]]:
+    """Per protocol: seconds for a sparse ``n``-process synchronous
+    ``batch-resident`` run to reach silence, its steps, and whether it
+    ended silent and legitimate."""
+    out = {}
+    for protocol in PROTOCOLS:
+        sim = ExperimentSpec(
+            protocol=protocol,
+            topology="sparse",
+            topology_params={"n": n, "avg_degree": 3.0, "seed": 7},
+            scheduler="synchronous",
+            seed=1,
+            engine="batch-resident",
+            metrics="aggregate",
+        ).build_simulator()
+        assert sim.engine.batch_active, protocol
+        t0 = time.perf_counter()
+        report = sim.run_until_silent()
+        out[protocol] = {
+            "seconds": time.perf_counter() - t0,
+            "steps": report.steps,
+            "stabilized": report.stabilized,
+        }
+    return out
 
 
 def write_bench4_json(mode: str, n: int, budget_s: float,
@@ -816,6 +859,24 @@ def test_obs_overhead(tiny):
     ceiling = (MAX_OBS_ENABLED_OVERHEAD_TINY if tiny
                else MAX_OBS_ENABLED_OVERHEAD)
     assert rates["enabled_overhead"] <= ceiling
+
+
+def test_run_to_silence_every_protocol(tiny):
+    """Every protocol reaches silence at scale within an absolute
+    ceiling: 10k sparse processes (3,000 at --tiny), synchronous
+    daemon, batch-resident engine, aggregate tier."""
+    n = SILENCE_TINY_N if tiny else SILENCE_N
+    ceiling = SILENCE_TINY_CEILING_S if tiny else SILENCE_CEILING_S
+    results = measure_run_to_silence(n)
+    for protocol, result in results.items():
+        print(
+            f"\nrun to silence, n={n} sparse ({protocol}, synchronous, "
+            f"batch-resident): {result['seconds']:.3f} s for "
+            f"{result['steps']} steps (ceiling {ceiling:.1f} s)"
+        )
+    for protocol, result in results.items():
+        assert result["stabilized"], protocol
+        assert result["seconds"] <= ceiling, (protocol, result)
 
 
 # ----------------------------------------------------------------------

@@ -177,9 +177,10 @@ class BatchEngine(EnabledSetEngine):
     :meth:`materialize_rows` decodes them (``ColumnStore.generation``
     stamps which slots moved); the bound
     :class:`~repro.core.state.Configuration` gets a sync hook, so *any*
-    row observation — traces, predicates, silence walks, fault
-    injectors, direct ``config.get``/``state_of`` reads — transparently
-    materializes first and can never see stale rows.  The simulator's
+    row observation — traces, predicates, fault injectors, direct
+    ``config.get``/``state_of`` reads — transparently materializes
+    first and can never see stale rows; silence walks, which read
+    through pooled contexts, materialize explicitly.  The simulator's
     ``run_steps``/``run_until_silent`` delegate to the fused
     :meth:`run_steps` loop under the plain synchronous daemon.  The
     scalar engines remain the oracles.
@@ -674,8 +675,10 @@ class BatchCrossCheckEngine(BatchEngine):
     def silent(self) -> Optional[bool]:
         verdict = super().silent()
         if verdict is not None:
-            # The scalar walk reads the rows through the sync hook.
-            expect = is_silent(self.protocol, self.network, self.config)
+            # The scalar walk's pooled contexts read raw rows.
+            self.materialize_rows()
+            expect = is_silent(self.protocol, self.network, self.config,
+                               specs_of=self.specs_of, pool=self._probe_pool)
             if verdict != expect:
                 raise ModelError(
                     f"batch kernel silence verdict {verdict} diverged "

@@ -624,7 +624,8 @@ class Simulator:
                 return cached[1]
         verdict = self.engine.silent()
         if verdict is None:
-            verdict = is_silent(self.protocol, self.network, self.config)
+            verdict = is_silent(self.protocol, self.network, self.config,
+                                **self._walk_args())
         if runtime is not None:
             runtime.silence_cache = (key, verdict)
         return verdict
@@ -632,7 +633,20 @@ class Simulator:
     def silence_witness(self):
         """A reachable communication write proving γ is not silent
         (None when silent)."""
-        return silence_witness(self.protocol, self.network, self.config)
+        return silence_witness(self.protocol, self.network, self.config,
+                               **self._walk_args())
+
+    def _walk_args(self) -> dict:
+        """The run's spec map and execution pool for a silence walk.
+
+        Pooled contexts read raw rows, so pending column writes are
+        decoded first.  The walk only overlays buffered writes, which
+        the next step's context reset clears.
+        """
+        batch = self._batch
+        if batch is not None:
+            batch.materialize_rows()
+        return {"specs_of": self.specs_of, "pool": self._ctx_pool}
 
     def enabled_processes(self) -> List[ProcessId]:
         """Processes with at least one enabled action in the current γ.

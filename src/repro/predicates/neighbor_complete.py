@@ -80,7 +80,7 @@ def enumerate_silent_configurations(
         config = Configuration(
             {p: state for (p, _n, _d), state in zip(per_process_choices, assignment)}
         )
-        if is_silent(protocol, network, config):
+        if is_silent(protocol, network, config, specs_of=specs_of):
             yield config
             produced += 1
             if limit is not None and produced >= limit:

@@ -229,7 +229,7 @@ def verify_convergence_round_robin(
     checked = 0
     for start in enumerate_configurations(protocol, network, max_configs):
         checked += 1
-        if is_silent(protocol, network, start):
+        if is_silent(protocol, network, start, specs_of=stepper.specs_of):
             continue
         queue = deque([(start, 0, 0)])  # (config, schedule position, depth)
         visited: Set[Tuple[CanonicalState, int]] = {
@@ -240,7 +240,8 @@ def verify_convergence_round_robin(
             config, pos, depth = queue.popleft()
             p = processes[pos]
             for successor in stepper.successors(config, p):
-                if is_silent(protocol, network, successor):
+                if is_silent(protocol, network, successor,
+                             specs_of=stepper.specs_of):
                     reached = depth + 1
                     break
                 key = (_canonical(successor, processes), (pos + 1) % n)

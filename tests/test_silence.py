@@ -1,11 +1,76 @@
 """Unit tests for the sound silence (quiescence) checker."""
 
-import pytest
+import random
 
-from repro.core import Configuration, is_silent, silence_witness
-from repro.core.silence import process_quiescence_witness
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import protocol_registry, topology_registry
+from repro.core import (
+    Configuration,
+    Simulator,
+    StepContext,
+    StepContextPool,
+    is_silent,
+    silence_witness,
+)
+from repro.core.actions import first_enabled
+from repro.core.protocol import Protocol
+from repro.core.scheduler import CentralScheduler
+from repro.core.silence import QuiescenceWitness, process_quiescence_witness
 from repro.graphs import chain, greedy_coloring, ring
 from repro.protocols import ColoringProtocol, MISProtocol
+
+
+# ----------------------------------------------------------------------
+# Reference: the copy-based walk the pooled, read-only walk replaced
+# ----------------------------------------------------------------------
+def reference_process_witness(protocol, network, config, p):
+    """The historical walk: a configuration copy per walk, a fresh
+    context per pointer value, a fresh probe generator per walk."""
+    specs_of = protocol.specs_of(network)
+    internal_specs = [s for s in specs_of[p] if s.kind == "internal"]
+    actions = protocol.actions()
+    trial = config.copy()
+    probe_rng = random.Random(0)
+
+    state = tuple(config.get(p, s.name) for s in internal_specs)
+    seen = set()
+    while state not in seen:
+        seen.add(state)
+        for spec, value in zip(internal_specs, state):
+            trial.set(p, spec.name, value)
+        ctx = StepContext(p, network, trial, specs_of, rng=probe_rng)
+        action = first_enabled(actions, ctx)
+        if action is None:
+            return None
+        action.effect(ctx)
+        comm_writes = ctx.comm_writes()
+        for name, new_value in comm_writes.items():
+            old_value = config.get(p, name)
+            if ctx.used_randomness:
+                return QuiescenceWitness(
+                    p, action.name, name, old_value, new_value, True)
+            if new_value != old_value:
+                return QuiescenceWitness(
+                    p, action.name, name, old_value, new_value, False)
+        if ctx.used_randomness and not comm_writes:
+            return QuiescenceWitness(
+                p, action.name, "<internal>", None, None, True)
+        state = tuple(
+            ctx.writes.get(s.name, trial.get(p, s.name))
+            for s in internal_specs
+        )
+    return None
+
+
+def reference_silence_witness(protocol, network, config):
+    for p in network.processes:
+        witness = reference_process_witness(protocol, network, config, p)
+        if witness is not None:
+            return witness
+    return None
 
 
 def coloring_config(colors):
@@ -126,3 +191,113 @@ class TestSilenceAfterConvergence:
         sim.run_until_silent(max_rounds=5000)
         assert is_silent(proto, small_network, sim.config)
         assert proto.is_legitimate(small_network, sim.config)
+
+
+# ----------------------------------------------------------------------
+# The pooled walk equals the reference, field for field
+# ----------------------------------------------------------------------
+PROTOCOLS = ("coloring", "mis", "matching")
+
+
+@st.composite
+def walked_runs(draw):
+    """A small run of one protocol, stopped after a random number of
+    steps from a random configuration."""
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    topology = draw(st.sampled_from(("ring", "sparse", "torus")))
+    if topology == "ring":
+        params = {"n": draw(st.integers(3, 12))}
+    elif topology == "sparse":
+        params = {"n": draw(st.integers(4, 16)), "avg_degree": 3.0,
+                  "seed": draw(st.integers(0, 1000))}
+    else:
+        params = {"rows": draw(st.integers(3, 4)),
+                  "cols": draw(st.integers(3, 4))}
+    net = topology_registry.build(topology, **params)
+    central = draw(st.booleans())
+    sim = Simulator(
+        protocol_registry.build(protocol, net),
+        net,
+        scheduler=CentralScheduler() if central else None,
+        seed=draw(st.integers(0, 10_000)),
+        engine=draw(st.sampled_from(("incremental", "batch-resident"))),
+        metrics="aggregate",
+    )
+    sim.is_silent()  # warms the run's context pool
+    # A central step activates one process, a synchronous step all.
+    sim.run_steps(draw(st.integers(0, 12 * (net.n if central else 1))))
+    return sim
+
+
+class TestWalkMatchesReference:
+    @given(walked_runs())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_witnesses_match_the_copy_based_walk(self, sim):
+        # The run's own walk goes first, before any other read decodes
+        # pending column writes into the rows.
+        by_sim = sim.silence_witness()
+        protocol, net, config = sim.protocol, sim.network, sim.config
+        expect = reference_silence_witness(protocol, net, config)
+        assert by_sim == expect
+        assert sim.is_silent() == (expect is None)
+        specs_of = sim.specs_of
+        shared = StepContextPool(net, config, specs_of)
+        assert silence_witness(protocol, net, config) == expect
+        assert silence_witness(protocol, net, config, specs_of=specs_of,
+                               pool=shared) == expect
+        for p in net.processes:
+            want = reference_process_witness(protocol, net, config, p)
+            assert process_quiescence_witness(protocol, net, config, p) == want
+            assert process_quiescence_witness(
+                protocol, net, config, p, specs_of, pool=shared) == want
+
+
+# ----------------------------------------------------------------------
+# A repeated check copies nothing, rebuilds nothing, writes nothing
+# ----------------------------------------------------------------------
+class TestRepeatedCheckIsReadOnly:
+    @pytest.mark.parametrize("engine,protocol", [
+        ("incremental", "coloring"),
+        ("incremental", "mis"),
+        ("incremental", "matching"),
+        ("batch-resident", "mis"),
+        ("batch-resident", "matching"),
+    ])
+    @pytest.mark.parametrize("converged", [False, True])
+    def test_no_copy_no_spec_map_no_new_context(self, monkeypatch, engine,
+                                                 protocol, converged):
+        net = topology_registry.build("sparse", n=40, avg_degree=3.0, seed=3)
+        sim = Simulator(protocol_registry.build(protocol, net), net, seed=5,
+                        engine=engine, metrics="aggregate")
+        if converged:
+            sim.run_until_silent(max_rounds=500)
+        else:
+            sim.run_steps(1)
+        assert sim.engine.silent() is None  # the scalar walk decides
+        verdict = sim.is_silent()
+        assert verdict is converged
+        config = sim.config
+        rows = [config.row_of(p) for p in net.processes]
+        ids = [id(row) for row in rows]
+        contents = [list(row) for row in rows]
+
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(Configuration, "copy")
+        spy(Protocol, "specs_of")
+        spy(StepContext, "__init__")
+        assert sim.is_silent() is verdict
+        assert calls == []
+        after = [config.row_of(p) for p in net.processes]
+        assert [id(row) for row in after] == ids
+        assert [list(row) for row in after] == contents
