@@ -26,10 +26,13 @@ table.  The simulator detects an active engine
 On eligible runs the fused :meth:`BatchEngine.run_steps` loop goes
 further and executes whole plain-synchronous-daemon step sequences —
 classification, writes, round tracking, aggregate metrics folds —
-without returning to Python rows in between.  Silence is decided in
-one place, :meth:`Simulator.is_silent
-<repro.core.simulator.Simulator.is_silent>`, which takes the kernel's
-columnar verdict through :meth:`BatchEngine.silent` when there is one.
+without returning to Python rows in between.  Silence and legitimacy
+are each decided in one place, :meth:`Simulator.is_silent
+<repro.core.simulator.Simulator.is_silent>` and
+:meth:`Simulator.is_legitimate
+<repro.core.simulator.Simulator.is_legitimate>`, which take the
+kernel's columnar verdicts through :meth:`BatchEngine.silent` and
+:meth:`BatchEngine.legitimate` when there are some.
 
 Kernels are registered per *protocol class* with
 :func:`register_batch_kernel` next to the scalar implementations
@@ -49,7 +52,8 @@ per-step or fused, re-evaluates each selected process through the
 scalar guard probes and raises
 :class:`~repro.core.exceptions.ModelError` on any divergence in action
 choice, ports read, or bits charged; every columnar silence verdict is
-checked against the exact scalar checker; and without a kernel it
+checked against the exact scalar checker and every columnar legitimacy
+verdict against ``Protocol.is_legitimate``; and without a kernel it
 falls back to :class:`~repro.core.engine.CrossCheckEngine` itself.
 """
 
@@ -154,6 +158,12 @@ class BatchKernel:
     #: :func:`~repro.core.silence.is_silent` on every configuration),
     #: served through :meth:`BatchEngine.silent`; without it the
     #: simulator walks the rows.
+    #:
+    #: ``legitimate_cols()`` — the protocol's legitimacy predicate
+    #: straight from the columns (must agree with
+    #: ``Protocol.is_legitimate`` on every configuration), served
+    #: through :meth:`BatchEngine.legitimate`; without it the
+    #: simulator evaluates the predicate over the rows.
 
 
 class BatchOutcome:
@@ -330,11 +340,20 @@ class BatchEngine(EnabledSetEngine):
     def silent(self) -> Optional[bool]:
         """The kernel's columnar silence verdict (``silent_cols``), or
         None on the scalar fallback and for kernels without one."""
-        silent_cols = getattr(self._kernel, "silent_cols", None)
-        if silent_cols is None:
+        return self._kernel_verdict("silent_cols")
+
+    def legitimate(self) -> Optional[bool]:
+        """The kernel's columnar legitimacy verdict
+        (``legitimate_cols``), or None on the scalar fallback and for
+        kernels without one."""
+        return self._kernel_verdict("legitimate_cols")
+
+    def _kernel_verdict(self, name: str) -> Optional[bool]:
+        check = getattr(self._kernel, name, None)
+        if check is None:
             return None
         self._refresh()
-        return silent_cols()
+        return check()
 
     def rebind_config(self, config) -> None:
         super().rebind_config(config)
@@ -634,8 +653,9 @@ class BatchCrossCheckEngine(BatchEngine):
     or the bits charged raises
     :class:`~repro.core.exceptions.ModelError` — on the per-step path
     and inside fused spans alike.  Enabled-set queries are audited
-    against a full scalar scan, and columnar silence verdicts against
-    the exact scalar checker.  Without a kernel the scalar fallback is
+    against a full scalar scan, columnar silence verdicts against the
+    exact scalar checker, and columnar legitimacy verdicts against the
+    protocol's predicate.  Without a kernel the scalar fallback is
     the self-auditing :class:`~repro.core.engine.CrossCheckEngine`.
     Strictly a debugging mode — every batch step pays the full scalar
     cost on top.
@@ -683,6 +703,18 @@ class BatchCrossCheckEngine(BatchEngine):
                 raise ModelError(
                     f"batch kernel silence verdict {verdict} diverged "
                     f"from the scalar checker ({expect})"
+                )
+        return verdict
+
+    def legitimate(self) -> Optional[bool]:
+        verdict = super().legitimate()
+        if verdict is not None:
+            self.materialize_rows()
+            expect = self.protocol.is_legitimate(self.network, self.config)
+            if verdict != expect:
+                raise ModelError(
+                    f"batch kernel legitimacy verdict {verdict} diverged "
+                    f"from the scalar predicate ({expect})"
                 )
         return verdict
 

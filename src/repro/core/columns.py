@@ -15,7 +15,10 @@ register-width tables every kernel needs:
 * ``nbr`` / ``deg`` — a padded neighbor-index matrix built from the
   port-ordered :meth:`Network.neighbors` tuples (``nbr[i, port-1]`` is
   the column index of the neighbor behind port ``port`` of process
-  ``i``);
+  ``i``), and :attr:`ColumnStore.port_mask`, which tells its real ports
+  from the padding — whole-network reductions over edges (the
+  columnar silence and legitimacy verdicts) gather through ``nbr``
+  and mask;
 * ``reg_bits(name)`` — per-process register widths in bits, gathered by
   neighbor index to charge reads exactly like
   :class:`~repro.core.context.StepContext` does.
@@ -115,6 +118,7 @@ class ColumnStore:
         "deg",
         "max_degree",
         "all_idx",
+        "_port_mask",
         "generation",
         "_dirty_slots",
         "_bits_raw",
@@ -137,6 +141,7 @@ class ColumnStore:
         self.deg = deg
         self.max_degree = max_degree
         self.all_idx = np.arange(self.n, dtype=np.int64)
+        self._port_mask = None
         #: per-slot column generation stamp; advances on every write,
         #: so observers can tell whether a slot moved since they last
         #: materialized.
@@ -270,6 +275,19 @@ class ColumnStore:
         """The ``int64`` column (codes, one entry per process) for
         ``slot``."""
         return self.cols[slot]
+
+    @property
+    def port_mask(self):
+        """``(n, Δ)`` bool matrix, True where ``nbr[i, j]`` is a real
+        port of process ``i`` (``j < deg[i]``) and False on the padding
+        (built on first use)."""
+        mask = self._port_mask
+        if mask is None:
+            np = self.np
+            mask = self._port_mask = (
+                np.arange(self.max_degree)[None, :] < self.deg[:, None]
+            )
+        return mask
 
     def encode(self, slot: int, value) -> int:
         """The column code of one row value (for kernel constants)."""

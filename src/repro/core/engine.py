@@ -142,6 +142,15 @@ class EnabledSetEngine(ABC):
         None."""
         return None
 
+    def legitimate(self) -> Optional[bool]:
+        """The engine's own verdict on the protocol's legitimacy
+        predicate for the current γ, or None when it has none.
+        :meth:`Simulator.is_legitimate
+        <repro.core.simulator.Simulator.is_legitimate>` falls back to
+        ``Protocol.is_legitimate`` over the rows on None; the scalar
+        engines always answer None."""
+        return None
+
     # ------------------------------------------------------------------
     # Change notifications
     # ------------------------------------------------------------------

@@ -592,8 +592,18 @@ class Simulator:
     # Queries
     # ------------------------------------------------------------------
     def is_legitimate(self) -> bool:
-        """Whether the current γ satisfies the protocol's predicate."""
-        return self.protocol.is_legitimate(self.network, self.config)
+        """Whether the current γ satisfies the protocol's predicate.
+
+        The one place a run decides legitimacy: the engine's own
+        verdict (:meth:`EnabledSetEngine.legitimate
+        <repro.core.engine.EnabledSetEngine.legitimate>` — a columnar
+        reduction on kernels that have one, which decodes no row) when
+        it gives one, else ``Protocol.is_legitimate`` over the rows.
+        """
+        verdict = self.engine.legitimate()
+        if verdict is None:
+            verdict = self.protocol.is_legitimate(self.network, self.config)
+        return verdict
 
     def is_silent(self) -> bool:
         """Exact check that γ's communication part is fixed forever.

@@ -77,7 +77,11 @@ class Network:
                 order = tuple(self._graph.neighbors(p))
             self._ports[p] = order
 
+        # Derived once on first use: a Network never changes after
+        # construction (every ``with_*`` mutator returns a new one).
         self._diameter: Optional[int] = None
+        self._m: Optional[int] = None
+        self._max_degree: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Paper notation
@@ -94,8 +98,12 @@ class Network:
 
     @property
     def m(self) -> int:
-        """Number of edges."""
-        return self._graph.number_of_edges()
+        """Number of edges (computed lazily from the port tables,
+        cached).  Each edge appears in both endpoints' port lists and
+        construction rejects self-loops, so it is half their total."""
+        if self._m is None:
+            self._m = sum(map(len, self._ports.values())) // 2
+        return self._m
 
     def neighbors(self, p: ProcessId) -> Tuple[ProcessId, ...]:
         """Γ.p — neighbors of ``p`` in local-index order (port 1 first)."""
@@ -107,8 +115,10 @@ class Network:
 
     @property
     def max_degree(self) -> int:
-        """Δ — the degree of the network."""
-        return max(self.degree(p) for p in self._graph.nodes)
+        """Δ — the degree of the network (computed lazily, cached)."""
+        if self._max_degree is None:
+            self._max_degree = max(map(len, self._ports.values()))
+        return self._max_degree
 
     @property
     def diameter(self) -> int:

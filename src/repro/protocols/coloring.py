@@ -160,15 +160,17 @@ class ColoringBatchKernel(BatchKernel):
             sample = self.protocol.palette.sample
             store.write(self._c, rec_idx, [sample(rng) for _ in rec_idx])
 
-    def silent_cols(self) -> bool:
-        """Silence straight from the columns: COLORING is silent exactly
-        when the coloring is proper — a clashing edge keeps ``recolor``
-        reachable via the ``cur`` rotation, a proper coloring disables
-        it everywhere (the property suite pins this equivalence against
-        the exact scalar checker)."""
+    def legitimate_cols(self) -> bool:
+        """The coloring predicate straight from the columns: no port
+        leads to a neighbor of the same color."""
         store = self.store
         c = store.col(self._c)
         clash = c[store.nbr] == c[:, None]
-        valid = (store.np.arange(store.max_degree)[None, :]
-                 < store.deg[:, None])
-        return not bool((clash & valid).any())
+        return not bool((clash & store.port_mask).any())
+
+    #: Silence straight from the columns: COLORING is silent exactly
+    #: when the coloring is proper — a clashing edge keeps ``recolor``
+    #: reachable via the ``cur`` rotation, a proper coloring disables
+    #: it everywhere (the property suite pins this equivalence against
+    #: the exact scalar checker).
+    silent_cols = legitimate_cols

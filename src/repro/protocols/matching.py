@@ -306,3 +306,21 @@ class MatchingBatchKernel(BatchKernel):
             new_cur = cur % store.deg[idx] + 1
             writes.append((self._cur, seek_idx, new_cur[is_seek].tolist()))
         return writes
+
+    def legitimate_cols(self) -> bool:
+        """The maximal matching predicate straight from the columns:
+        every edge has a married endpoint.  Process ``i`` is married
+        when ``PR.i`` points at a neighbor whose ``PR`` points back.
+        Each process has one pointer, so the married pairs are always
+        a matching; only maximality needs checking."""
+        store = self.store
+        nbr = store.nbr
+        idx = store.all_idx
+        pr = store.col(self._pr)
+        # A null PR gathers the wrapped last column harmlessly; the
+        # ``!= 0`` terms mask it out.
+        q = nbr[idx, pr - 1]
+        prq = pr[q]
+        married = (pr != 0) & (prq != 0) & (nbr[q, prq - 1] == idx)
+        uncovered = ~(married[:, None] | married[nbr])
+        return not bool((uncovered & store.port_mask).any())

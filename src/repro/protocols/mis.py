@@ -191,3 +191,13 @@ class MISBatchKernel(BatchKernel):
             new_cur = cur % store.deg[idx] + 1
             writes.append((self._cur, m_idx, new_cur[moves].tolist()))
         return writes
+
+    def legitimate_cols(self) -> bool:
+        """The MIS predicate straight from the columns.  Independence
+        (no Dominator has a Dominator neighbor) and maximality (every
+        dominated process has one) together say each process is a
+        Dominator exactly when it has no Dominator neighbor."""
+        store = self.store
+        dom = store.col(self._s) == self._dom
+        dom_nbr = (dom[store.nbr] & store.port_mask).any(axis=1)
+        return bool((dom != dom_nbr).all())

@@ -12,7 +12,8 @@ corruption and churn store rebuilds.  It also pins the fallback ladder
 (kernel-less protocols, legacy state, an interpreter without NumPy,
 duplicate-pid selections), the fused loop's eligibility rules, and
 the self-auditing ``batch-debug`` engine on both the per-step and the
-fused path, on its silence verdicts, and on its scalar fallback.
+fused path, on its silence and legitimacy verdicts, and on its scalar
+fallback.
 """
 
 import sys
@@ -20,10 +21,12 @@ import sys
 import pytest
 
 from repro.api import (
+    ExperimentSpec,
     protocol_registry,
     scheduler_registry,
     topology_registry,
 )
+from repro.api.spec import drive_simulator
 from repro.core import (
     BatchCrossCheckEngine,
     BatchEngine,
@@ -41,9 +44,14 @@ from repro.core.exceptions import ConvergenceError
 from repro.core.protocol import Protocol
 from repro.core.scheduler import FixedSequenceScheduler
 from repro.core.variables import BOOL, comm
+from repro.protocols.coloring import ColoringBatchKernel
+from repro.protocols.matching import MatchingBatchKernel
+from repro.protocols.mis import MISBatchKernel
 from repro.scenarios import build_scenario
 
 PROTOCOLS = ("coloring", "mis", "matching")
+KERNELS = {"coloring": ColoringBatchKernel, "mis": MISBatchKernel,
+           "matching": MatchingBatchKernel}
 #: synchronous daemon and maximal (greedy) daemon — the two the columnar
 #: path (and its fused loop) is designed for; the equivalence must
 #: hold for any daemon.
@@ -297,6 +305,55 @@ class TestObservationBoundaries:
         assert healed == fresh
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_fused_trial_ends_without_a_row_decode(self, protocol,
+                                                   monkeypatch):
+        """A fused trial's closing legitimacy verdict comes from the
+        columns: the protocol's row predicate never runs.  COLORING's
+        silence verdict is columnar too, so its whole trial decodes no
+        row and still gives the ``incremental`` row; MIS and MATCHING
+        still decode for their scalar silence walk."""
+        spec = ExperimentSpec(
+            protocol=protocol, topology="sparse",
+            topology_params={"n": 2000, "avg_degree": 3, "seed": 11},
+            scheduler="synchronous", seed=3,
+            engine="batch-resident", metrics="aggregate",
+        )
+        sim = spec.build_simulator()
+        assert not sim.engine._store.dirty  # nothing to decode yet
+        decodes = []
+        predicate_calls = []
+        materialize = ColumnStore.materialize
+
+        def counting_materialize(store):
+            if store.dirty:
+                decodes.append(store)
+            materialize(store)
+
+        protocol_cls = type(sim.protocol)
+        predicate = protocol_cls.is_legitimate
+
+        def counting_predicate(self, network, config):
+            predicate_calls.append(self)
+            return predicate(self, network, config)
+
+        monkeypatch.setattr(ColumnStore, "materialize",
+                            counting_materialize)
+        monkeypatch.setattr(protocol_cls, "is_legitimate",
+                            counting_predicate)
+        report = drive_simulator(sim, max_rounds=spec.max_rounds)
+        row = (report, sim.metrics.trial_measures())
+        assert report.stabilized
+        assert predicate_calls == []
+        if protocol != "coloring":
+            return
+        assert decodes == []
+        assert sim.engine._store.dirty
+        monkeypatch.undo()
+        oracle = spec.variant(engine="incremental").build_simulator()
+        oracle_report = drive_simulator(oracle, max_rounds=spec.max_rounds)
+        assert row == (oracle_report, oracle.metrics.trial_measures())
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_replaced_config_keeps_its_final_state(self, protocol):
         """Assigning ``Simulator.config`` rebuilds the store; the
         outgoing configuration is decoded before it is unhooked, so a
@@ -513,10 +570,19 @@ class TestFallback:
         assert not sim.engine.batch_active
         assert sim._fused_resident() is None
         assert sim.engine.silent() is None
+        assert sim.engine.legitimate() is None
         with pytest.raises(ModelError, match="active batch kernel"):
             sim.engine.classify_all()
         report = sim.run_until_silent(max_rounds=50)
         assert report.stabilized
+
+    @pytest.mark.parametrize("engine", ["incremental", "scan", "debug"])
+    def test_scalar_engines_give_no_verdicts(self, engine):
+        """Only an active columnar engine answers silence and
+        legitimacy itself; the simulator asks the rows otherwise."""
+        sim = build_sim("coloring", engine=engine)
+        assert sim.engine.silent() is None
+        assert sim.engine.legitimate() is None
 
     def test_legacy_state_backend_falls_back(self):
         scalar, _ = run_recorded(
@@ -546,6 +612,7 @@ class TestFallback:
                         metrics="aggregate")
         assert sim._fused_resident() is None
         assert sim.engine.silent() is None
+        assert sim.engine.legitimate() is None
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_without_numpy_aggregate_folds_agree(self, protocol,
@@ -646,13 +713,7 @@ class TestBatchCrossCheck:
     def test_fused_span_is_audited(self, protocol, monkeypatch):
         """The audit covers the fused loop, not just per-step calls:
         a kernel that misclassifies one process trips it mid-span."""
-        from repro.protocols.coloring import ColoringBatchKernel
-        from repro.protocols.matching import MatchingBatchKernel
-        from repro.protocols.mis import MISBatchKernel
-
-        kernel_cls = {"coloring": ColoringBatchKernel,
-                      "mis": MISBatchKernel,
-                      "matching": MatchingBatchKernel}[protocol]
+        kernel_cls = KERNELS[protocol]
         classify = kernel_cls.classify
 
         def flip_first(self, idx):
@@ -689,8 +750,6 @@ class TestBatchCrossCheck:
     def test_silence_verdict_is_audited(self, monkeypatch):
         """A columnar silence verdict that disagrees with the exact
         scalar checker raises instead of ending the run early."""
-        from repro.protocols.coloring import ColoringBatchKernel
-
         silent_cols = ColoringBatchKernel.silent_cols
         monkeypatch.setattr(ColoringBatchKernel, "silent_cols",
                             lambda self: not silent_cols(self))
@@ -698,6 +757,19 @@ class TestBatchCrossCheck:
                         topology=("ring", {"n": 12}), metrics="aggregate")
         with pytest.raises(ModelError, match="silence verdict"):
             sim.run_until_silent(max_rounds=50)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_legitimacy_verdict_is_audited(self, protocol, monkeypatch):
+        """A columnar legitimacy verdict that disagrees with the
+        protocol's predicate raises instead of landing in the report."""
+        kernel_cls = KERNELS[protocol]
+        legitimate_cols = kernel_cls.legitimate_cols
+        monkeypatch.setattr(kernel_cls, "legitimate_cols",
+                            lambda self: not legitimate_cols(self))
+        sim = build_sim(protocol, seed=5, engine="batch-debug",
+                        topology=("ring", {"n": 12}), metrics="aggregate")
+        with pytest.raises(ModelError, match="legitimacy verdict"):
+            sim.run_until_silent(max_rounds=500)
 
     def test_out_of_band_mutation_is_caught(self):
         from repro.predicates.mis import DOMINATED, DOMINATOR

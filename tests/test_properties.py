@@ -16,6 +16,7 @@ from repro.core.actions import first_enabled
 from repro.core.context import StepContext
 from repro.core.rounds import RoundTracker
 from repro.core.scheduler import SynchronousScheduler
+from repro.faults import corrupt_fraction
 from repro.graphs import (
     greedy_coloring,
     is_proper_coloring,
@@ -278,6 +279,47 @@ class TestBatchKernelProperties:
         # lockstep — the decoded rows are a faithful resume point
         assert resident.step() == scalar.step()
         assert resident.config == scalar.config
+
+    @given(
+        networks,
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(("coloring", "mis", "matching")),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from((0.1, 0.3, 1.0)),
+    )
+    @SLOW
+    def test_columnar_legitimacy_is_the_scalar_predicate(
+        self, net, seed, protocol, prefix, fraction
+    ):
+        """The kernel's legitimacy verdict equals the protocol's
+        predicate on the arbitrary start, after each of a prefix of
+        fused steps, at silence, and after each of a few transient
+        faults (whose row writes the engine must re-read into the
+        columns first).  Small faults on a silent configuration give
+        the near-legitimate cases a wrong verdict would flip."""
+        proto = _paper_protocol(protocol, net)
+        sim = Simulator(
+            proto, net, scheduler=SynchronousScheduler(),
+            seed=seed, engine="batch-resident", metrics="aggregate",
+        )
+        assert sim.engine.batch_active
+
+        def agrees():
+            # The columnar verdict is taken first, while the columns
+            # may still be ahead of the rows the predicate decodes.
+            verdict = sim.engine.legitimate()
+            assert verdict == proto.is_legitimate(net, sim.config)
+
+        agrees()
+        for _ in range(prefix):
+            sim.run_steps(1)
+            agrees()
+        sim.run_until_silent(max_rounds=50_000)
+        agrees()
+        rng = random.Random(seed)
+        for _ in range(4):
+            corrupt_fraction(sim, fraction, rng)
+            agrees()
 
 
 class TestSilenceCheckerProperties:

@@ -1,5 +1,7 @@
 """Tests for protocol MATCHING (Figure 10, Theorems 7–8, Lemmas 5–9)."""
 
+import random
+
 import pytest
 
 from repro.analysis import (
@@ -218,3 +220,31 @@ class TestEfficiencyAndStability:
         for p in net.processes:
             if p not in married and net.degree(p) > 1:
                 assert len(suffix[p]) == net.degree(p)
+
+
+class TestColumnarVerdict:
+    """The batch kernel's ``legitimate_cols`` gathers ``nbr[i, PR.i−1]``
+    and ``nbr[q, PR.q−1]``: a null pointer wraps to the last column, and
+    rows shorter than Δ are padded.  These configurations sit next to
+    legitimacy, so a verdict that let a wrapped or padded entry count
+    as a marriage or an edge would flip."""
+
+    @pytest.mark.parametrize("net,pr,expected", [
+        # 0 points at 3, whose null PR wraps to its last port, 0.
+        (ring(4), {0: 2, 1: 2, 2: 1, 3: 0}, False),
+        # 0's null PR wraps to its last port, 3, which points at 0.
+        (ring(4), {0: 0, 1: 2, 2: 1, 3: 2}, False),
+        # The padded rows of the endpoints 0 and 4 are no edges.
+        (chain(5), {0: 0, 1: 2, 2: 1, 3: 2, 4: 1}, True),
+    ], ids=["null-target", "null-source", "padding"])
+    def test_verdict_masks_null_pointers_and_padding(self, net, pr,
+                                                     expected):
+        proto = make(net)
+        config = proto.arbitrary_configuration(net, random.Random(0))
+        for p, port in pr.items():
+            config.set(p, "PR", port)
+        sim = Simulator(proto, net, config=config, seed=0,
+                        engine="batch-resident")
+        assert sim.engine.batch_active
+        assert sim.engine.legitimate() is expected
+        assert proto.is_legitimate(net, sim.config) is expected

@@ -320,6 +320,27 @@ CHURN_SCENARIO_PARAMS = {"period_rounds": 2, "fraction": 0.25, "min_n": 6}
 
 class TestScenarioEngineEquivalence:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_periodic_faults_rows_match_across_engines(self, protocol):
+        """Availability is sampled after every step and recovery at
+        round boundaries.  The columnar engines answer those verdicts
+        from their kernels, and the rows must equal the scalar
+        predicate's, audited under ``batch-debug``."""
+        rows = [
+            ExperimentSpec(
+                protocol=protocol, topology="gnp",
+                topology_params={"n": 14, "p": 0.3, "seed": 2}, seed=6,
+                engine=engine, scenario="periodic-faults",
+                scenario_params={"period_rounds": 8, "fraction": 0.3,
+                                 "total_rounds": 40},
+            ).run().to_dict()
+            for engine in ("incremental", "batch-resident", "batch-debug")
+        ]
+        assert rows[0] == rows[1] == rows[2], protocol
+        assert rows[0]["faults_injected"] == 4
+        assert 0.0 < rows[0]["availability"] < 1.0
+        assert rows[0]["mean_recovery_rounds"] > 0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
     def test_churn_enabled_sets_match_scan(self, protocol, scheduler,
                                            sched_params):

@@ -5,14 +5,35 @@ import random
 import networkx as nx
 import pytest
 
+from repro.api import topology_registry
 from repro.core.exceptions import TopologyError
 from repro.graphs import (
     Network,
     chain,
+    missing_edges,
     network_from_edges,
+    non_bridge_edges,
     relabel_ports_randomly,
+    removable_nodes,
     ring,
 )
+
+#: one small instance of every registered generator
+GENERATOR_CASES = [
+    ("chain", {"n": 5}),
+    ("ring", {"n": 6}),
+    ("star", {"leaves": 4}),
+    ("clique", {"n": 5}),
+    ("grid", {"rows": 3, "cols": 4}),
+    ("torus", {"rows": 3, "cols": 4}),
+    ("hypercube", {"dim": 3}),
+    ("binary-tree", {"height": 3}),
+    ("caterpillar", {"spine": 4, "legs_per_node": 2}),
+    ("gnp", {"n": 12, "p": 0.3, "seed": 1}),
+    ("regular", {"n": 10, "d": 3, "seed": 2}),
+    ("sparse", {"n": 30, "avg_degree": 3, "seed": 3}),
+    ("tree", {"n": 12, "seed": 4}),
+]
 
 
 class TestConstruction:
@@ -59,6 +80,36 @@ class TestPaperNotation:
     def test_diameter(self):
         assert chain(5).diameter == 4
         assert ring(6).diameter == 3
+
+    @pytest.mark.parametrize("name,params", GENERATOR_CASES,
+                             ids=[name for name, _ in GENERATOR_CASES])
+    def test_cached_counts_match_networkx(self, name, params):
+        """Δ and m come from the port tables and are cached on first
+        use; they must equal networkx's counts for every generator and
+        for every network a ``with_*`` mutator derives."""
+        net = topology_registry.build(name, **params)
+        procs = net.processes
+        p = procs[0]
+        derived = [
+            net,
+            net.with_ports({p: list(reversed(net.neighbors(p)))}),
+            net.with_node_added("joiner", procs[:2]),
+        ]
+        missing = missing_edges(net, limit=1)
+        if missing:
+            derived.append(net.with_edge_added(*missing[0]))
+        safe_edges = non_bridge_edges(net)
+        if safe_edges:
+            derived.append(net.with_edge_removed(*safe_edges[0]))
+        removable = removable_nodes(net)
+        if removable:
+            derived.append(net.with_node_removed(removable[0]))
+        for candidate in derived:
+            graph = candidate.subgraph_view()
+            expect_delta = max(d for _node, d in graph.degree)
+            for _ in range(2):  # the first read fills the cache
+                assert candidate.m == graph.number_of_edges()
+                assert candidate.max_degree == expect_delta
 
     def test_neighbors_in_port_order(self):
         net = network_from_edges([(0, 1), (0, 2)], ports={0: [2, 1]})
