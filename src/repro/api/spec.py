@@ -38,6 +38,10 @@ def _frozen_params(params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     return json.loads(json.dumps(params, sort_keys=True))
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One trial as pure data: names + parameters + seed + budget."""
@@ -77,6 +81,17 @@ class ExperimentSpec:
             )
         if self.scenario is None and self.scenario_params:
             raise ValueError("scenario_params given without a scenario")
+        # A seed of "3" would seed a different generator than 3 under
+        # the same key prefix; bools are ints to Python, not to a spec.
+        if not _is_int(self.seed):
+            raise ValueError(
+                f"ExperimentSpec.seed must be an integer, got {self.seed!r}"
+            )
+        if not (_is_int(self.max_rounds) and self.max_rounds > 0):
+            raise ValueError(
+                f"ExperimentSpec.max_rounds must be a positive integer, "
+                f"got {self.max_rounds!r}"
+            )
 
     # ------------------------------------------------------------------
     # Serialization

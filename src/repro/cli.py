@@ -75,6 +75,7 @@ from .results import (
     recipe_table,
     split_csv,
 )
+from .results.diff import check_threshold
 from .impossibility import (
     theorem1_gadget_demo,
     theorem1_overlay_demo,
@@ -585,6 +586,10 @@ def cmd_compare(args) -> int:
     threshold = args.threshold if args.threshold is not None else (
         0.25 if (args.bench or args.bench_store) else 0.10
     )
+    try:
+        check_threshold(threshold)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if args.bench_store:
         # Trajectory gate: candidate = the newest recorded emission,
         # baseline = the one before it (what CI restored from cache).

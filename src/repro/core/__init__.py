@@ -48,8 +48,8 @@ from .scheduler import (
     make_scheduler,
 )
 from .silence import QuiescenceWitness, is_silent, silence_witness
-from .simulator import STATE_BACKENDS, Simulator, StabilizationReport
-from .state import Configuration, LegacyConfiguration, StateLayout, StateView
+from .simulator import Simulator, StabilizationReport
+from .state import Configuration, StateLayout, StateView
 from .trace import (
     FaultEvent,
     Trace,
@@ -93,7 +93,6 @@ __all__ = [
     "IllegalWrite",
     "IntRange",
     "LeanStepRecord",
-    "LegacyConfiguration",
     "METRICS_TIERS",
     "MetricsCollector",
     "ModelError",
@@ -104,7 +103,6 @@ __all__ = [
     "RngStreams",
     "RoundRobinScheduler",
     "RoundTracker",
-    "STATE_BACKENDS",
     "ScanEngine",
     "Scheduler",
     "Simulator",

@@ -39,7 +39,7 @@ Kernels are registered per *protocol class* with
 (:mod:`repro.protocols.coloring` / ``mis`` / ``matching``) and index
 the store's NumPy columns directly.  A protocol without a kernel, an
 interpreter without NumPy, or state the column store cannot mirror
-(legacy backend, mixed layouts, exotic domains) degrades
+(mixed layouts, exotic domains) degrades
 transparently: the engine runs an internal
 :attr:`BatchEngine.fallback_cls` engine with identical results and
 the simulator keeps the scalar step loop, so

@@ -1,4 +1,4 @@
-"""Columnar bridge between flat configurations and batch kernels.
+"""Columnar bridge between configurations and batch kernels.
 
 The flat :class:`~repro.core.state.Configuration` stores one value row
 per process addressed through an interned
@@ -42,9 +42,9 @@ mutually exclusive by construction: while columns are dirty,
 :meth:`pull`/:meth:`pull_all` refuse to run, so a row-ahead and a
 column-ahead view can never silently merge.
 
-A store is only *supported* when NumPy imports, for flat
-configurations whose processes share one interned layout and whose
-domains are all integer ranges or uniform finite value tuples;
+A store is only *supported* when NumPy imports, for configurations
+whose processes share one interned layout and whose domains are all
+integer ranges or uniform finite value tuples;
 :meth:`ColumnStore.try_build` returns ``None`` otherwise and the batch
 engine falls back to the scalar path.
 """
@@ -156,23 +156,20 @@ class ColumnStore:
         """A store for this run, or ``None`` when unsupported.
 
         Unsupported cases (the batch engine then runs its scalar
-        fallback): NumPy not importable, legacy dict configurations,
-        processes with differing layouts, and variable domains that are
-        neither integer ranges nor one shared finite value tuple.
+        fallback): NumPy not importable, processes with differing
+        layouts, and variable domains that are neither integer ranges
+        nor one shared finite value tuple.
         """
         np = _load_numpy()
-        row_of = getattr(config, "row_of", None)
-        layout_of = getattr(config, "layout_of", None)
-        if np is None or row_of is None or layout_of is None:
+        if np is None:
             return None
         pids = list(network.processes)
         n = len(pids)
         if n == 0:
             return None
-        aligned = getattr(config, "aligned_storage", None)
-        aligned = aligned(pids) if aligned is not None else None
+        aligned = config.aligned_storage(pids)
         layout = (aligned[0][0] if aligned is not None
-                  else layout_of(pids[0]))
+                  else config.layout_of(pids[0]))
         names = layout.names
         nvars = len(names)
         # One pass over every process resolves layout sharing, slot
@@ -224,9 +221,9 @@ class ColumnStore:
                 if layouts[i] is not layout:
                     return None
             else:
-                if layout_of(p) is not layout:
+                if config.layout_of(p) is not layout:
                     return None
-                rows[i] = row_of(p)
+                rows[i] = config.row_of(p)
             specs = specs_of[p]
             bits = spec_cache.get(id(specs))
             if bits is None and id(specs) not in spec_cache:

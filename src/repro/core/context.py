@@ -14,11 +14,11 @@ The context also buffers writes so the simulator can apply the paper's
 step semantics: all selected processes read from ``γi`` and their writes
 land simultaneously in ``γi+1``.
 
-Hot-path design: a context bound to a flat indexed
-:class:`~repro.core.state.Configuration` caches its own row and slot
-table, the interned ``name -> spec`` map of its process, and — lazily,
-per port — the neighbor's row/slot/bits triple, so repeated reads cost
-two dict probes and a list index instead of a spec scan.  Contexts are
+Hot-path design: a context caches its own row and slot table in the
+flat indexed :class:`~repro.core.state.Configuration`, the interned
+``name -> spec`` map of its process, and — lazily, per port — the
+neighbor's row/slot/bits triple, so repeated reads cost two dict
+probes and a list index instead of a spec scan.  Contexts are
 meant to be pooled per process and :meth:`reset` between steps
 (:class:`StepContextPool`); all cached references stay valid because
 configuration rows are mutated in place and never rebound.
@@ -115,13 +115,8 @@ class StepContext:
         self._specs_of = specs_of
         self._own_specs = _own_spec_map(specs_of[pid])
         self._rng = rng
-        row_of = getattr(config, "row_of", None)
-        if row_of is not None:  # flat indexed backend
-            self._row = row_of(pid)
-            self._slots = config.layout_of(pid).index
-        else:  # legacy dict backend
-            self._row = None
-            self._slots = None
+        self._row = config.row_of(pid)
+        self._slots = config.layout_of(pid).index
         self._degree = network.degree(pid)
         #: per-port lazy read tables: port -> (neighbor, {name: cell});
         #: a cell is ``[row, slot, bits, stamp]`` — ``stamp`` marks the
@@ -196,10 +191,7 @@ class StepContext:
         writes = self.writes
         if name in writes:
             return writes[name]
-        row = self._row
-        if row is not None:
-            return row[self._slots[name]]
-        return self._config.get(self.pid, name)
+        return self._row[self._slots[name]]
 
     def set(self, name: str, value: Any) -> None:
         """Assign one of the process's own (writable) variables."""
@@ -240,10 +232,7 @@ class StepContext:
             cell[3] = stamp
             self.ports_read.add(port)
             self.bits_read += cell[2]
-        row = cell[0]
-        if row is not None:
-            return row[cell[1]]
-        return self._config.get(q, name)
+        return cell[0][cell[1]]
 
     def _resolve_read(self, q: ProcessId, name: str) -> list:
         """Build (and legality-check) one cached neighbor-read cell."""
@@ -256,13 +245,10 @@ class StepContext:
             raise IllegalRead(
                 f"{name}.{q!r} is internal and may not be read by {self.pid!r}"
             )
-        bits = spec.domain.bits
         config = self._config
-        row_of = getattr(config, "row_of", None)
-        if row_of is not None:
-            # None stamps as "never read": the cell charges on first use.
-            return [row_of(q), config.layout_of(q).index[name], bits, None]
-        return [None, name, bits, None]
+        # None stamps as "never read": the cell charges on first use.
+        return [config.row_of(q), config.layout_of(q).index[name],
+                spec.domain.bits, None]
 
     def cur_port(self, pointer: str = "cur") -> int:
         """Convenience: the current value of a round-robin port pointer."""
@@ -318,21 +304,13 @@ class StepContext:
         own = self._own_specs
         changed = False
         row = self._row
-        if row is not None:
-            slots = self._slots
-            for name, value in writes.items():
-                slot = slots[name]
-                if row[slot] != value:
-                    row[slot] = value
-                    if own[name][3]:
-                        changed = True
-        else:
-            config, pid = self._config, self.pid
-            for name, value in writes.items():
-                if config.get(pid, name) != value:
-                    config.set(pid, name, value)
-                    if own[name][3]:
-                        changed = True
+        slots = self._slots
+        for name, value in writes.items():
+            slot = slots[name]
+            if row[slot] != value:
+                row[slot] = value
+                if own[name][3]:
+                    changed = True
         return changed
 
 

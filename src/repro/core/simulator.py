@@ -17,16 +17,15 @@ Implements the computation model of paper §2 faithfully:
   debug mode), which powers :meth:`Simulator.enabled_processes` and the
   enabled-drawing daemons.
 
-Hot-path design (flat-state step loop): the default ``state="flat"``
-backend addresses process state as ``row[slot]`` through the indexed
+Hot-path design: the scalar step loop addresses process state as
+``row[slot]`` through the indexed
 :class:`~repro.core.state.Configuration`, reuses one pooled
 :class:`~repro.core.context.StepContext` per process per run instead of
 allocating one per activation, and — under ``metrics="aggregate"`` —
 folds the paper's measures straight off the contexts without
 materializing per-step :class:`~repro.core.metrics.StepRecord` objects.
-``state="legacy"`` + ``metrics="full"`` reproduces the historical
-dict-of-dicts loop step for step; the flat-vs-legacy equivalence tests
-require byte-identical traces between the two.
+An active columnar engine runs whole steps over columns instead; both
+forms produce the same ``γi+1`` bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from .actions import first_enabled
-from .context import StepContext, StepContextPool
+from .context import StepContextPool
 from .engine import EnabledSetEngine, make_engine
 from .exceptions import ConvergenceError
 from ..obs.registry import TELEMETRY
@@ -45,12 +44,9 @@ from .rngstreams import RngStreams
 from .rounds import RoundTracker
 from .scheduler import Scheduler, SynchronousScheduler
 from .silence import is_silent, silence_witness
-from .state import Configuration, LegacyConfiguration
+from .state import Configuration
 
 ProcessId = Hashable
-
-#: Configuration backends accepted by ``Simulator(state=...)``.
-STATE_BACKENDS = ("flat", "legacy")
 
 
 @dataclass
@@ -90,8 +86,8 @@ class Simulator:
     config:
         Starting configuration; defaults to a fresh *arbitrary*
         (uniformly corrupted) configuration, the standard
-        self-stabilization starting point.  A private copy is taken in
-        the requested ``state`` backend either way.
+        self-stabilization starting point.  A given configuration is
+        copied: the run never mutates the caller's object.
     engine:
         Enabled-set maintenance strategy: a name from
         :data:`~repro.core.engine.ENGINE_NAMES` (``"incremental"`` by
@@ -108,12 +104,6 @@ class Simulator:
         much cheaper — :meth:`step` then returns a
         :class:`~repro.core.metrics.LeanStepRecord`); ``"off"`` skips
         the collector entirely.  Traces require ``"full"``.
-    state:
-        Configuration backend (:data:`STATE_BACKENDS`): ``"flat"``
-        (default) runs the indexed row/slot hot path with pooled step
-        contexts; ``"legacy"`` runs the historical dict-of-dicts path
-        with per-activation context allocation — the reference both for
-        the equivalence tests and the performance benchmarks' baseline.
     keep_records:
         Bounded :class:`~repro.core.metrics.StepRecord` retention under
         the ``full`` tier (most recent N on ``metrics.records``);
@@ -143,7 +133,6 @@ class Simulator:
         config: Optional[Configuration] = None,
         engine: Union[str, EnabledSetEngine] = "incremental",
         metrics: str = "full",
-        state: str = "flat",
         keep_records: int = 0,
         scenario=None,
         protocol_factory: Optional[Callable] = None,
@@ -151,10 +140,6 @@ class Simulator:
         if metrics not in METRICS_TIERS:
             raise ValueError(
                 f"unknown metrics tier {metrics!r}; known: {METRICS_TIERS}"
-            )
-        if state not in STATE_BACKENDS:
-            raise ValueError(
-                f"unknown state backend {state!r}; known: {STATE_BACKENDS}"
             )
         self.protocol = protocol
         self.network = network
@@ -172,15 +157,10 @@ class Simulator:
         self.specs_of = protocol.specs_of(network)
         self._actions = protocol.actions()
         self.metrics_tier = metrics
-        self.state_backend = state
-        backend = Configuration if state == "flat" else LegacyConfiguration
         if config is None:
             config = protocol.arbitrary_configuration(network, self.rng)
-            if not isinstance(config, backend):
-                config = backend(config.as_dict())
         else:
-            # Private copy, normalized into the requested backend.
-            config = backend(config.as_dict())
+            config = Configuration(config.as_dict())
         protocol.validate_configuration(network, config,
                                         specs_of=self.specs_of)
         self._config = config
@@ -204,14 +184,7 @@ class Simulator:
             self.scheduler, "selects_distinct", False
         )
         self._derive_batch()
-        # Pooled contexts power the flat hot path; the legacy backend
-        # keeps the historical one-context-per-activation allocation so
-        # it stays a faithful baseline.
-        self._ctx_pool = (
-            StepContextPool(network, self.config, self.specs_of)
-            if state == "flat"
-            else None
-        )
+        self._ctx_pool = StepContextPool(network, config, self.specs_of)
         # Telemetry handles, fetched once: the step loop pays a single
         # ``enabled`` attribute check per step, and allocation-free
         # ``inc`` calls only while the registry is switched on.
@@ -247,29 +220,27 @@ class Simulator:
 
     def _derive_batch(self) -> None:
         """Route the step loop through the engine's batch path when the
-        engine is batch-capable *and* currently active (flat state with
-        a registered kernel; re-derived after every engine rebind)."""
+        engine is batch-capable *and* currently active (a registered
+        kernel and a column store; re-derived after every engine
+        rebind)."""
         engine = self.engine
         self._batch = (
-            engine
-            if self.state_backend == "flat"
-            and getattr(engine, "batch_active", False)
-            else None
+            engine if getattr(engine, "batch_active", False) else None
         )
 
     # ------------------------------------------------------------------
     # Configuration access
     # ------------------------------------------------------------------
     @property
-    def config(self) -> Union[Configuration, LegacyConfiguration]:
+    def config(self) -> Configuration:
         """The live configuration γ.
 
         Assigning a replacement configuration swaps the run's state
-        wholesale: the new object is normalized into the simulator's
-        backend and validated like a constructor argument (an
-        out-of-domain value raises
-        :class:`~repro.core.exceptions.DomainError` and keeps the old
-        state), every pooled context is rebuilt (their cached rows
+        wholesale: a private copy of the new configuration is taken and
+        validated like a constructor argument (an out-of-domain value
+        raises :class:`~repro.core.exceptions.DomainError` and keeps
+        the old state; the caller's object is never mutated by the
+        run), every pooled context is rebuilt (their cached rows
         address the old storage), and the enabled-set engine is
         rebound and fully invalidated.  In-place mutation via
         :meth:`invalidate_enabled` remains the cheaper path for faults.
@@ -278,18 +249,13 @@ class Simulator:
 
     @config.setter
     def config(self, new_config) -> None:
-        backend = (
-            Configuration if self.state_backend == "flat" else LegacyConfiguration
-        )
-        if not isinstance(new_config, backend):
-            new_config = backend(new_config.as_dict())
+        new_config = Configuration(new_config.as_dict())
         self.protocol.validate_configuration(self.network, new_config,
                                              specs_of=self.specs_of)
         self._config = new_config
-        if self._ctx_pool is not None:
-            self._ctx_pool = StepContextPool(
-                self.network, new_config, self.specs_of
-            )
+        self._ctx_pool = StepContextPool(
+            self.network, new_config, self.specs_of
+        )
         self.engine.rebind_config(new_config)
         self._derive_batch()
         if self.scenario_runtime is not None:
@@ -381,11 +347,7 @@ class Simulator:
                     value = spec.domain.sample(rng)
                 state[spec.name] = value
             states[p] = state
-        backend = (
-            Configuration if self.state_backend == "flat"
-            else LegacyConfiguration
-        )
-        config = backend(states)
+        config = Configuration(states)
         protocol.validate_configuration(network, config, specs_of=specs_of)
 
         self.protocol = protocol
@@ -396,8 +358,7 @@ class Simulator:
         self._processes = tuple(network.processes)
         self.round_tracker.rebind(self._processes)
         self.metrics.rebind_processes(list(self._processes))
-        if self._ctx_pool is not None:
-            self._ctx_pool = StepContextPool(network, config, specs_of)
+        self._ctx_pool = StepContextPool(network, config, specs_of)
         self.engine.rebind_network(protocol, network, config, specs_of)
         self._derive_batch()
         self.scheduler.rebind_network(network)
@@ -464,38 +425,27 @@ class Simulator:
             executions = []
             append = executions.append
             actions = self._actions
+            # Inlined StepContextPool.acquire / StepContext.reset: two
+            # function calls per activation are measurable at 10k
+            # activations per synchronous step.
             ctx_pool = self._ctx_pool
-            if ctx_pool is not None:
-                # Inlined StepContextPool.acquire / StepContext.reset: two
-                # function calls per activation are measurable at 10k
-                # activations per synchronous step.
-                ctxs = ctx_pool._ctxs
-                acquire = ctx_pool.acquire
-                for p in selected:
-                    ctx = ctxs.get(p)
-                    if ctx is None:
-                        ctx = acquire(p, action_rng)
-                    else:
-                        ctx._rng = action_rng
-                        ctx._stamp += 1
-                        ctx.ports_read.clear()
-                        ctx.bits_read = 0.0
-                        ctx.writes.clear()
-                        ctx.used_randomness = False
-                    action = first_enabled(actions, ctx)
-                    if action is not None:
-                        action.effect(ctx)
-                    append((p, ctx, action))
-            else:
-                network, config, specs_of = (
-                    self.network, self.config, self.specs_of)
-                for p in selected:
-                    ctx = StepContext(p, network, config, specs_of,
-                                      rng=action_rng)
-                    action = first_enabled(actions, ctx)
-                    if action is not None:
-                        action.effect(ctx)
-                    append((p, ctx, action))
+            ctxs = ctx_pool._ctxs
+            acquire = ctx_pool.acquire
+            for p in selected:
+                ctx = ctxs.get(p)
+                if ctx is None:
+                    ctx = acquire(p, action_rng)
+                else:
+                    ctx._rng = action_rng
+                    ctx._stamp += 1
+                    ctx.ports_read.clear()
+                    ctx.bits_read = 0.0
+                    ctx.writes.clear()
+                    ctx.used_randomness = False
+                action = first_enabled(actions, ctx)
+                if action is not None:
+                    action.effect(ctx)
+                append((p, ctx, action))
 
             # Simultaneous writes: γi+1 is built only after every activated
             # process has computed its action against γi.  Processes whose

@@ -4,25 +4,18 @@ A *configuration* (paper §2) is an instance of the states of all
 processes; the *communication configuration* restricts each state to its
 communication variables.
 
-Two backends implement one contract:
+:class:`Configuration` stores them **flat and indexed**: one interned
+:class:`StateLayout` (variable name → slot) per distinct variable
+tuple, and one plain value list (*row*) per process.  The step loop
+addresses state as ``row[slot]`` — no nested dicts — while the classic
+dict API (:meth:`~Configuration.get` / :meth:`~Configuration.set` /
+:meth:`~Configuration.state_of`) is kept as a compatibility view so
+protocols, predicates, faults, and the verification/impossibility
+modules work unchanged.  Layouts are fixed at construction: a process
+cannot grow a new variable.
 
-* :class:`Configuration` — the default **flat indexed** backend: one
-  interned :class:`StateLayout` (variable name → slot) per distinct
-  variable tuple, and one plain value list (*row*) per process.  The
-  hot step loop addresses state as ``row[slot]`` — no nested dicts —
-  while the classic dict API (:meth:`get` / :meth:`set` /
-  :meth:`state_of`) is kept as a compatibility view so protocols,
-  predicates, faults, and the verification/impossibility modules work
-  unchanged.
-* :class:`LegacyConfiguration` — the original dict-of-dicts backend,
-  retained as the reference implementation.  The flat-vs-legacy
-  trace-equivalence tests replay whole executions on both backends and
-  require byte-identical traces; it is also the fallback if a workload
-  ever needs per-process dynamic variable sets (the flat backend's
-  layouts are fixed at construction).
-
-Both backends are immutable-by-convention with explicit copy helpers so
-the simulator can implement the paper's read-from-``γi`` /
+Configurations are immutable-by-convention with explicit copy helpers
+so the simulator can implement the paper's read-from-``γi`` /
 write-to-``γi+1`` step semantics safely.
 """
 
@@ -78,10 +71,10 @@ class StateView(MutableMapping):
     """Write-through dict view of one process's row.
 
     What :meth:`Configuration.state_of` returns: reads and writes hit
-    the flat row directly, so the view behaves like the mutable state
-    dict the legacy backend used to hand out.  The variable set is
-    fixed — assigning an undeclared name raises ``KeyError`` and
-    deletion is not supported.
+    the flat row directly, so the view behaves like a mutable
+    ``name -> value`` state dict.  The variable set is fixed —
+    assigning an undeclared name raises ``KeyError`` and deletion is
+    not supported.
     """
 
     __slots__ = ("_row", "_layout", "_sync")
@@ -120,68 +113,7 @@ class StateView(MutableMapping):
         return repr(dict(self))
 
 
-class BaseConfiguration:
-    """Contract shared by the flat and legacy configuration backends.
-
-    Subclasses provide :meth:`state_of`, :meth:`get`, :meth:`set`,
-    :attr:`processes`, :meth:`copy` and :meth:`as_dict`; equality is
-    backend-independent (a flat configuration equals a legacy one with
-    the same states), so equivalence tests can compare across backends
-    directly.
-    """
-
-    __slots__ = ()
-
-    # -- equality (full state, backend-independent) ---------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BaseConfiguration):
-            return NotImplemented
-        if self is other:
-            return True
-        return self.as_dict() == other.as_dict()
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    # -- shared derived operations --------------------------------------
-    def comm_projection(
-        self, specs_of: Mapping[ProcessId, Tuple[VariableSpec, ...]]
-    ) -> Dict[ProcessId, Tuple[Tuple[str, Any], ...]]:
-        """The communication configuration (paper §2): neighbor-readable
-        variables only, as a hashable canonical form."""
-        return {
-            p: self.comm_state_of(p, specs_of[p]) for p in self.processes
-        }
-
-    def comm_state_of(
-        self, p: ProcessId, specs: Tuple[VariableSpec, ...]
-    ) -> Tuple[Tuple[str, Any], ...]:
-        """Communication state of one process, canonical/hashable."""
-        state = self.state_of(p)
-        return tuple(
-            (spec.name, state[spec.name])
-            for spec in specs
-            if spec.readable_by_neighbors
-        )
-
-    def validate(
-        self, specs_of: Mapping[ProcessId, Tuple[VariableSpec, ...]]
-    ) -> None:
-        """Check every value sits in its declared domain."""
-        for p, specs in specs_of.items():
-            state = self.state_of(p)
-            for spec in specs:
-                if spec.name not in state:
-                    raise DomainError(f"{p!r} is missing variable {spec.name!r}")
-                if state[spec.name] not in spec.domain:
-                    raise DomainError(
-                        f"value {state[spec.name]!r} of {spec.name}.{p!r} "
-                        f"outside its domain"
-                    )
-
-
-class Configuration(BaseConfiguration):
+class Configuration:
     """States of all processes over flat indexed storage.
 
     Construction accepts the classic ``pid -> {var_name: value}``
@@ -322,8 +254,8 @@ class Configuration(BaseConfiguration):
         return new
 
     def validate(self, specs_of) -> None:
-        """Domain check over the flat rows directly (same errors as the
-        base implementation, without per-name dict lookups)."""
+        """Check every value sits in its declared domain (over the flat
+        rows directly, without per-name dict lookups)."""
         pindex = self._pindex
         rows = self._rows
         layouts = self._layouts
@@ -378,6 +310,18 @@ class Configuration(BaseConfiguration):
             if spec.readable_by_neighbors
         )
 
+    # -- equality (full state) -------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        if self is other:
+            return True
+        return self.as_dict() == other.as_dict()
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return NotImplemented if eq is NotImplemented else not eq
+
     def __repr__(self) -> str:
         return f"Configuration({self.as_dict()!r})"
 
@@ -390,51 +334,3 @@ class Configuration(BaseConfiguration):
             for i, p in enumerate(self._pids)
         }
 
-
-class LegacyConfiguration(BaseConfiguration):
-    """The original dict-of-dicts configuration backend.
-
-    The mapping is ``pid -> {var_name: value}``.  Kept as the reference
-    implementation: the flat-vs-legacy equivalence tests replay whole
-    executions on both backends (``Simulator(..., state="legacy")``)
-    and require byte-identical traces.  Unlike the flat backend it
-    tolerates per-process dynamic variable sets, so it also serves as
-    an escape hatch for exotic workloads.
-    """
-
-    __slots__ = ("_states",)
-
-    def __init__(self, states: Mapping[ProcessId, Mapping[str, Any]]):
-        self._states = {p: dict(s) for p, s in states.items()}
-
-    # -- access --------------------------------------------------------
-    def state_of(self, p: ProcessId) -> ProcessState:
-        """Mutable reference to p's state dict (callers must not abuse)."""
-        return self._states[p]
-
-    def get(self, p: ProcessId, var: str) -> Any:
-        """The value of variable ``var`` of process ``p``."""
-        return self._states[p][var]
-
-    def set(self, p: ProcessId, var: str, value: Any) -> None:
-        """Write ``var`` of ``p`` in place (unvalidated; the simulator
-        validates domains and, for out-of-band writes, callers must
-        invalidate the enabled-set engine)."""
-        self._states[p][var] = value
-
-    @property
-    def processes(self) -> Iterable[ProcessId]:
-        """All process ids, in construction order."""
-        return self._states.keys()
-
-    # -- copies ----------------------------------------------------------
-    def copy(self) -> "LegacyConfiguration":
-        """An independent deep-enough copy (per-process dicts are new)."""
-        return LegacyConfiguration(self._states)
-
-    def __repr__(self) -> str:
-        return f"LegacyConfiguration({self._states!r})"
-
-    def as_dict(self) -> Dict[ProcessId, ProcessState]:
-        """Deep-ish copy as plain dicts (values assumed immutable)."""
-        return {p: dict(s) for p, s in self._states.items()}

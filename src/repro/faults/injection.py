@@ -116,10 +116,9 @@ def corrupt_processes(
     """Write arbitrary in-domain values into each victim's variables.
 
     Writes go through the configuration's per-process state view (one
-    pid lookup per victim; on the flat indexed backend the view writes
-    straight into the victim's row, which pooled step contexts alias —
-    no cache to refresh).  Returns the :class:`FaultReport` of what was
-    actually written.
+    pid lookup per victim; the view writes straight into the victim's
+    row, which pooled step contexts alias — no cache to refresh).
+    Returns the :class:`FaultReport` of what was actually written.
     """
     writes: Dict[ProcessId, Tuple[str, ...]] = {}
     kinds_hit: set = set()

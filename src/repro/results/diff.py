@@ -89,6 +89,19 @@ def _ratio(a: float, b: float) -> float:
     return b / a
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless ``threshold`` is a finite fraction ≥ 0.
+
+    Every comparison against a NaN is false, so a NaN threshold would
+    pass any drop; a negative one fails identical inputs.
+    """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(
+            f"regression threshold must be a finite fraction >= 0, "
+            f"got {threshold!r}"
+        )
+
+
 def _is_regression(metric: str, a: float, b: float,
                    threshold: float) -> bool:
     """Did ``b`` move past ``threshold`` in ``metric``'s bad direction?
@@ -122,8 +135,10 @@ def diff_runs_detailed(
     existing on one side only means the campaigns measured different
     spaces — reported in the ``only_*`` lists, not silently gated).
     Unknown run ids raise — a typo'd id must fail the gate loudly, not
-    produce an empty comparison that reads as "0 regressed".
+    produce an empty comparison that reads as "0 regressed" — and so
+    does a threshold :func:`check_threshold` refuses.
     """
+    check_threshold(threshold)
     _require_runs(store, run_a, run_b)
 
     def grouped(run_id: str) -> Dict[Tuple, Dict[str, float]]:
@@ -235,8 +250,10 @@ def diff_bench(
     regression; leaves ending in ``_s`` are seconds, where a rise past
     ``threshold`` is.  ``enabled_overhead`` (a signed fraction near
     zero) is reported but never regresses.  Leaves present on one side
-    only are ignored — bench coverage grows over time.
+    only are ignored — bench coverage grows over time.  A threshold
+    :func:`check_threshold` refuses raises ``ValueError``.
     """
+    check_threshold(threshold)
     if mode is not None:
         payload_a = payload_a.get(mode, {})
         payload_b = payload_b.get(mode, {})

@@ -167,6 +167,22 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict({"protocol": "coloring",
                                       "topology": "ring", "budget": 3})
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", "3"), ("seed", 3.0), ("seed", True), ("seed", None),
+        ("max_rounds", "10"), ("max_rounds", -5), ("max_rounds", 0),
+        ("max_rounds", 2.5), ("max_rounds", True),
+    ])
+    def test_from_dict_rejects_bad_seed_and_round_budget(self, field,
+                                                         value):
+        """A seed must be an integer and the round budget a positive
+        one: ``seed="3"`` would run another trial under the ``s3`` key
+        prefix, and a bad budget would fail deep in the run loop."""
+        data = ExperimentSpec(protocol="coloring", topology="ring",
+                              topology_params={"n": 8}).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=f"ExperimentSpec.{field}"):
+            ExperimentSpec.from_dict(data)
+
     def test_key_distinguishes_params_and_seed(self):
         base = ExperimentSpec(protocol="coloring", topology="ring",
                               topology_params={"n": 8})

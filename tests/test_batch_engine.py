@@ -9,8 +9,8 @@ against the scalar oracles byte for byte *through* those observation
 boundaries — traces, final configurations, metrics (both tiers),
 per-step enabled sets, mid-run reads forcing materialization, scenario
 corruption and churn store rebuilds.  It also pins the fallback ladder
-(kernel-less protocols, legacy state, an interpreter without NumPy,
-duplicate-pid selections), the fused loop's eligibility rules, and
+(kernel-less protocols, an interpreter without NumPy, duplicate-pid
+selections), the fused loop's eligibility rules, and
 the self-auditing ``batch-debug`` engine on both the per-step and the
 fused path, on its silence and legitimacy verdicts, and on its scalar
 fallback.
@@ -583,16 +583,6 @@ class TestFallback:
         sim = build_sim("coloring", engine=engine)
         assert sim.engine.silent() is None
         assert sim.engine.legitimate() is None
-
-    def test_legacy_state_backend_falls_back(self):
-        scalar, _ = run_recorded(
-            "mis", ("synchronous", {}), 3, "incremental", state="legacy"
-        )
-        columnar, columnar_sim = run_recorded(
-            "mis", ("synchronous", {}), 3, "batch-resident", state="legacy"
-        )
-        assert not columnar_sim.engine.batch_active
-        assert scalar == columnar
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_without_numpy_runs_scalar(self, protocol, monkeypatch):

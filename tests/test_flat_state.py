@@ -1,23 +1,23 @@
-"""Flat indexed configurations: API compatibility and trace equivalence.
+"""Flat indexed configurations: step semantics and API compatibility.
 
-The flat backend (``Configuration``) must be observationally identical
-to the legacy dict-of-dicts backend (``LegacyConfiguration``): the
-equivalence tests here replay whole executions on both backends —
-protocols × schedulers × engines × seeds — and require byte-identical
-JSONL traces, equal final configurations, and equal metrics.  The unit
-tests pin the compatibility surface (state views, projections, copies,
-cross-backend equality) the rest of the package relies on.
+The simulator's scalar loop reuses one pooled ``StepContext`` per
+process and writes straight into the configuration's rows.  The
+reference here replays the paper's step (§2) from scratch instead —
+fresh, unpooled contexts over a frozen copy of γi, writes applied only
+after every selected process computed — and the simulator must match
+it step for step: executed rules, ports read, bits read and γi+1,
+across protocols × daemons × scalar engines × seeds.  The unit tests
+pin the compatibility surface (state views, projections, copies,
+equality) the rest of the package relies on.
 """
+
+import random
 
 import pytest
 
 from repro.api import protocol_registry, scheduler_registry, topology_registry
-from repro.core import (
-    Configuration,
-    LegacyConfiguration,
-    Simulator,
-    TraceRecorder,
-)
+from repro.core import Configuration, Simulator, StepContext
+from repro.core.actions import first_enabled
 from repro.core.state import StateLayout
 from repro.graphs import ring
 
@@ -32,56 +32,137 @@ ENGINES = ("incremental", "scan")
 SEEDS = (0, 3, 11)
 
 
-def _run_recorded(state, protocol, scheduler, sched_params, engine, seed,
-                  steps=30, n=12):
+# ----------------------------------------------------------------------
+# Reference: the paper's step with fresh contexts over a frozen γi
+# ----------------------------------------------------------------------
+def reference_step(protocol, network, specs_of, gamma, selected, rng):
+    """One step from scratch: every selected process evaluates its rules
+    in a fresh, unpooled context over a frozen copy of ``gamma``; the
+    buffered writes land in γi+1 only after all of them computed.
+
+    Returns ``(executed, ports_read, bits_read, successor)``.
+    """
+    frozen = gamma.copy()
+    actions = protocol.actions()
+    executed, ports_read, bits_read, writes = {}, {}, {}, []
+    for p in selected:
+        ctx = StepContext(p, network, frozen, specs_of, rng=rng)
+        action = first_enabled(actions, ctx)
+        if action is not None:
+            action.effect(ctx)
+        executed[p] = action.name if action is not None else None
+        ports_read[p] = frozenset(ctx.ports_read)
+        bits_read[p] = ctx.bits_read
+        writes.append((p, ctx.writes))
+    successor = frozen.copy()
+    for p, buffered in writes:
+        for name, value in buffered.items():
+            successor.set(p, name, value)
+    return executed, ports_read, bits_read, successor
+
+
+def spy_on_selection(sim):
+    """Record each step's selection and the state of the protocol's
+    stream right after the scheduler drew it — where randomized rules
+    start drawing."""
+    calls = []
+    select = sim.scheduler.select
+
+    def spy(pool, rng):
+        selected = select(pool, rng)
+        calls.append((list(selected), sim.rngs.protocol.getstate()))
+        return selected
+
+    sim.scheduler.select = spy
+    return calls
+
+
+def build_sim(protocol, scheduler, sched_params, engine, seed, n=12,
+              metrics="full"):
     net = topology_registry.build("ring", n=n)
     proto = protocol_registry.build(protocol, net)
     sched = scheduler_registry.build(scheduler, net, **sched_params)
-    sim = Simulator(proto, net, scheduler=sched, seed=seed, engine=engine,
-                    state=state)
-    recorder = TraceRecorder(sim, seed=seed)
-    recorder.run_steps(steps)
-    return recorder.trace.to_jsonl(), sim
+    return Simulator(proto, net, scheduler=sched, seed=seed, engine=engine,
+                     metrics=metrics)
 
 
-class TestTraceEquivalence:
+class TestStepReference:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
-    def test_flat_and_legacy_traces_are_byte_identical(
-        self, protocol, scheduler, sched_params
-    ):
+    def test_scalar_steps_match_reference(self, protocol, scheduler,
+                                          sched_params):
         for engine in ENGINES:
             for seed in SEEDS:
-                flat, flat_sim = _run_recorded(
-                    "flat", protocol, scheduler, sched_params, engine, seed
-                )
-                legacy, legacy_sim = _run_recorded(
-                    "legacy", protocol, scheduler, sched_params, engine, seed
-                )
-                label = (protocol, scheduler, engine, seed)
-                assert flat == legacy, label
-                # Final configurations compare across backends.
-                assert flat_sim.config == legacy_sim.config, label
-                assert type(flat_sim.config) is Configuration
-                assert type(legacy_sim.config) is LegacyConfiguration
+                sim = build_sim(protocol, scheduler, sched_params, engine,
+                                seed)
+                calls = spy_on_selection(sim)
+                for step in range(30):
+                    label = (protocol, scheduler, engine, seed, step)
+                    gamma = sim.config.copy()
+                    record = sim.step()
+                    assert len(calls) == step + 1, label
+                    selected, rng_state = calls[-1]
+                    rng = None
+                    if sim.protocol.randomized:
+                        rng = random.Random()
+                        rng.setstate(rng_state)
+                    executed, ports_read, bits_read, successor = (
+                        reference_step(sim.protocol, sim.network,
+                                       sim.specs_of, gamma, selected, rng)
+                    )
+                    assert record.executed == executed, label
+                    assert record.ports_read == ports_read, label
+                    assert record.bits_read == bits_read, label
+                    assert sim.config == successor, label
+                    if rng is not None:
+                        # Same draws, in the same order.
+                        assert (rng.getstate()
+                                == sim.rngs.protocol.getstate()), label
 
-    def test_flat_and_legacy_metrics_agree(self):
-        for protocol in PROTOCOLS:
-            _trace, flat_sim = _run_recorded(
-                "flat", protocol, "central", {}, "incremental", seed=5
-            )
-            _trace, legacy_sim = _run_recorded(
-                "legacy", protocol, "central", {}, "incremental", seed=5
-            )
-            assert flat_sim.metrics.summary() == legacy_sim.metrics.summary()
-            assert flat_sim.metrics.activations == legacy_sim.metrics.activations
-            assert flat_sim.metrics.read_sets == legacy_sim.metrics.read_sets
 
-    def test_unknown_state_backend_rejected(self):
-        net = ring(4)
-        proto = protocol_registry.build("coloring", net)
-        with pytest.raises(ValueError, match="state backend"):
-            Simulator(proto, net, state="nested")
+class TestPooledScalarLoop:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_contexts_pooled_and_rows_read_through_them(self, protocol,
+                                                        monkeypatch):
+        """The scalar loop builds one execution context per process and
+        the engine one probe context per process, for the whole run,
+        and no step reads state through the dict API."""
+        built = []
+        init = StepContext.__init__
+
+        def counting_init(ctx, *args, **kwargs):
+            built.append(1)
+            init(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(StepContext, "__init__", counting_init)
+        dict_reads = []
+
+        def counted(name):
+            original = getattr(Configuration, name)
+
+            def wrapper(config, *args, **kwargs):
+                dict_reads.append(name)
+                return original(config, *args, **kwargs)
+
+            return wrapper
+
+        n = 30
+        for scheduler, sched_params in (("synchronous", {}),
+                                        ("central", {"enabled_only": True})):
+            for engine in ENGINES:
+                for metrics in ("full", "aggregate"):
+                    label = (protocol, scheduler, engine, metrics)
+                    built.clear()
+                    with monkeypatch.context() as patch:
+                        sim = build_sim(protocol, scheduler, sched_params,
+                                        engine, seed=0, n=n,
+                                        metrics=metrics)
+                        for name in ("get", "state_of"):
+                            patch.setattr(Configuration, name,
+                                          counted(name))
+                        sim.run_steps(60)
+                    assert 0 < len(built) <= 2 * n, (label, len(built))
+                    assert dict_reads == [], label
 
 
 class TestFlatConfiguration:
@@ -137,27 +218,37 @@ class TestFlatConfiguration:
         assert config.index_of(0) == 0
 
     def test_cross_backend_equality(self):
+        """Equality compares full states, not storage: configurations
+        built independently (in any process order) are equal until one
+        diverges, and never equal a non-configuration."""
         states = {0: {"C": 1, "cur": 2}, 1: {"C": 3, "cur": 1}}
         flat = Configuration(states)
-        legacy = LegacyConfiguration(states)
-        assert flat == legacy
-        assert legacy == flat
-        legacy.set(1, "C", 9)
-        assert flat != legacy
+        other = Configuration({1: states[1], 0: states[0]})
+        assert flat == other
+        assert other == flat
+        assert not flat != other
+        other.set(1, "C", 9)
+        assert flat != other
         assert flat != "not a configuration"
 
     def test_comm_projection_matches_legacy(self):
+        """The projection keeps exactly the neighbor-readable variables,
+        in spec order, as computed here from the dict view."""
         net = ring(6)
         proto = protocol_registry.build("mis", net)
         specs_of = proto.specs_of(net)
         sim = Simulator(proto, net, seed=2)
         flat = sim.config
-        legacy = LegacyConfiguration(flat.as_dict())
-        assert flat.comm_projection(specs_of) == legacy.comm_projection(specs_of)
-        p = next(iter(net.processes))
-        assert flat.comm_state_of(p, specs_of[p]) == legacy.comm_state_of(
-            p, specs_of[p]
-        )
+        states = flat.as_dict()
+        expected = {
+            p: tuple((s.name, states[p][s.name]) for s in specs_of[p]
+                     if s.readable_by_neighbors)
+            for p in net.processes
+        }
+        assert flat.comm_projection(specs_of) == expected
+        for p in net.processes:
+            assert flat.comm_state_of(p, specs_of[p]) == expected[p]
+        assert all(expected.values())
 
     def test_empty_state_supported(self):
         config = Configuration({0: {}})

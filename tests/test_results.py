@@ -18,6 +18,8 @@ import sqlite3
 import statistics
 import tracemalloc
 import types
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.api.campaign import _read_sink
 from repro.cli import main
 from repro.experiments import TrialResult
 from repro.experiments.tables import _fmt, format_table
+from repro.fabric import ResultService
 from repro.results import (
     Aggregate,
     JsonlSink,
@@ -35,6 +38,7 @@ from repro.results import (
     campaign_summary_table,
     diff_bench,
     diff_runs,
+    diff_runs_detailed,
     flatten_bench,
     gate,
     make_sink,
@@ -827,6 +831,65 @@ class TestDiff:
             first, last = traj[0], traj[-1]
             rows = diff_bench(first, last, threshold=0.25)
             assert gate(rows)  # throughput doubled: an improvement
+
+
+# ----------------------------------------------------------------------
+# Regression thresholds: a finite fraction >= 0, or one clean error
+# ----------------------------------------------------------------------
+BAD_THRESHOLDS = ("nan", "inf", "-inf", "-0.5")
+
+
+class TestThresholdValidation:
+    """A NaN threshold passes any drop (every comparison with NaN is
+    false) and a negative one fails identical inputs; both gates refuse
+    them instead of answering."""
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_library_rejects(self, tmp_path, campaign, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            diff_bench({"x": 100.0}, {"x": 1.0}, threshold=float(threshold))
+        path = tmp_path / "w.sqlite"
+        campaign.run(out=path, sink="sqlite")
+        with ResultStore(path) as store:
+            with pytest.raises(ValueError, match="threshold"):
+                diff_runs_detailed(store, "campaign", "campaign",
+                                   threshold=float(threshold))
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_cli_exits_with_one_line_in_every_mode(self, tmp_path,
+                                                   campaign, threshold):
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps({"full": {"x": 100.0}}))
+        pb.write_text(json.dumps({"full": {"x": 1.0}}))
+        store = tmp_path / "w.sqlite"
+        campaign.run(out=store, sink="sqlite")
+        bench_store = tmp_path / "bench.sqlite"
+        with ResultStore(bench_store) as bench:
+            for value in (100.0, 1.0):
+                bench.record_bench("BENCH_3", "tiny", {"x": value})
+        for argv in (["--bench", str(pa), str(pb), "--mode", "full"],
+                     ["--store", str(store), "--runs", "campaign",
+                      "campaign"],
+                     ["--bench-store", str(bench_store), "--mode", "tiny"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["compare", *argv, f"--threshold={threshold}"])
+            message = excinfo.value.code
+            assert isinstance(message, str), argv
+            assert "threshold" in message and "\n" not in message, argv
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_service_answers_400(self, tmp_path, campaign, threshold):
+        path = tmp_path / "w.sqlite"
+        campaign.run(out=path, sink="sqlite")
+        with ResultService(str(path)) as service:
+            url = (service.url + "/compare?runs=campaign,campaign"
+                   f"&threshold={threshold}")
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(url)
+            assert excinfo.value.code == 400
+            assert "threshold" in json.loads(
+                excinfo.value.read())["error"]
+            excinfo.value.close()
 
 
 # ----------------------------------------------------------------------

@@ -118,6 +118,34 @@ class TestStepSemantics:
         assert sim.config.as_dict() == before
         assert sim.run_until_silent(max_rounds=100).stabilized
 
+    @pytest.mark.parametrize("engine", ["incremental", "batch-resident"])
+    def test_assigned_configuration_is_copied(self, engine):
+        """Assigning ``Simulator.config`` takes a private copy, as the
+        constructor does: stepping the receiving run leaves the caller's
+        object — here another run's live configuration — untouched."""
+        net = ring(8)
+
+        def build(seed):
+            return Simulator(ColoringProtocol.for_network(net), net,
+                             seed=seed, engine=engine, metrics="aggregate")
+
+        a, twin, b = build(1), build(1), build(2)
+        a.run_steps(3)
+        twin.run_steps(3)
+        given = a.config
+        before = given.as_dict()
+        b.config = given
+        assert b.config is not given
+        b.run_steps(5)
+        assert b.config != given
+        assert a.config is given
+        assert given.as_dict() == before
+        # ``a`` keeps running from its own state, in step with a twin
+        # that never lent its configuration out.
+        a.run_steps(4)
+        twin.run_steps(4)
+        assert a.config == twin.config
+
 
 class TestRunHelpers:
     def test_run_until_silent_reports(self):
