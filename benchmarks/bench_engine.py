@@ -63,8 +63,10 @@ or as a plain script::
 
 The script form can additionally append each emission to a results
 store's bench trajectory (``--store bench.sqlite``), which ``repro
-compare --bench`` and :func:`repro.results.diff_bench` gate for
-regressions.
+compare --bench-store`` and :func:`repro.results.diff_bench` gate for
+regressions.  One function per BENCH file (``bench3_section`` …
+``bench6_section``) assembles each section once, and :func:`emit_bench`
+writes it to the JSON file and the store alike.
 """
 
 from __future__ import annotations
@@ -91,9 +93,8 @@ TIERS = ("full", "aggregate")
 #: loaded CI machines)
 MIN_SPEEDUP = 3.0
 
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_3.json"
-BENCH4_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_4.json"
-BENCH5_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_5.json"
+#: the repo root, where ``BENCH_<k>.json`` files live
+BENCH_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: BENCH_5 acceptance floor: the columnar engine, one step at a time, over
 #: the scalar incremental loop on 10k-node synchronous coloring,
@@ -112,8 +113,6 @@ BATCH_TINY_N = 600
 #: is enough for a stable rate
 MILLION_N = 1_000_000
 MILLION_STEPS = 5
-
-BENCH6_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_6.json"
 
 #: BENCH_6 acceptance floor: the fused loop over per-step columnar
 #: stepping on 10k-node synchronous coloring, aggregate tier
@@ -322,27 +321,6 @@ def measure_run_to_silence(n: int) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def write_bench4_json(mode: str, n: int, budget_s: float,
-                      scenario: Dict[str, float]) -> None:
-    """Merge the scenario case into ``BENCH_4.json`` (repo root),
-    keyed by mode exactly like :func:`write_bench_json`."""
-    payload: Dict = {}
-    if BENCH4_JSON.exists():
-        try:
-            payload = json.loads(BENCH4_JSON.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            payload = {}
-    payload[mode] = {
-        "n": n,
-        "budget_s": budget_s,
-        "churn_recovery": {k: round(v, 3) for k, v in scenario.items()},
-    }
-    BENCH4_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def identical_prefix(protocol: str, topology: str, params: Dict,
                      steps: int = 50) -> bool:
     """Cheap determinism guard: all engines replay the same steps."""
@@ -497,73 +475,6 @@ def measure_million_resident(n: int = MILLION_N,
     }
 
 
-def write_bench6_json(mode: str, n: int, budget_s: float,
-                      resident: Dict[str, float],
-                      million: Dict[str, float] = None,
-                      obs: Dict[str, float] = None) -> None:
-    """Merge the resident case into ``BENCH_6.json`` (repo root), keyed
-    by mode exactly like :func:`write_bench5_json`.  The 1M section
-    carries its two gate thresholds next to the measured values so the
-    artifact is self-describing."""
-    payload: Dict = {}
-    if BENCH6_JSON.exists():
-        try:
-            payload = json.loads(BENCH6_JSON.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            payload = {}
-    section = {
-        "n": n,
-        "budget_s": budget_s,
-        "resident_vs_batch": {
-            k: round(v, 3) for k, v in resident.items()
-        },
-    }
-    if obs is not None:
-        section["telemetry_overhead"] = {
-            k: round(v, 3) for k, v in obs.items()
-        }
-    if million is not None:
-        section["million_sparse"] = {
-            k: round(v, 3) for k, v in million.items()
-        }
-        section["million_gates"] = {
-            "store_build_budget_s": MILLION_STORE_BUILD_BUDGET_S,
-            "store_build_ok": million["store_build_s"]
-            < MILLION_STORE_BUILD_BUDGET_S,
-            "min_steps_per_sec": MILLION_MIN_STEPS_PER_SEC,
-            "steps_per_sec_ok": million["steps_per_sec"]
-            >= MILLION_MIN_STEPS_PER_SEC,
-        }
-    payload[mode] = section
-    BENCH6_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def write_bench6_obs(mode: str, obs: Dict[str, float]) -> None:
-    """Merge just the telemetry-overhead case into ``BENCH_6.json``,
-    leaving whatever the resident case already recorded for ``mode``
-    in place (the pytest cases run independently and in any order)."""
-    payload: Dict = {}
-    if BENCH6_JSON.exists():
-        try:
-            payload = json.loads(BENCH6_JSON.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            payload = {}
-    section = payload.get(mode)
-    if not isinstance(section, dict):
-        section = {}
-        payload[mode] = section
-    section["telemetry_overhead"] = {
-        k: round(v, 3) for k, v in obs.items()
-    }
-    BENCH6_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def measure_million(n: int = MILLION_N,
                     steps: int = MILLION_STEPS) -> Dict[str, float]:
     """The 1M-process sparse tier: columnar synchronous COLORING, one
@@ -598,33 +509,6 @@ def measure_million(n: int = MILLION_N,
     }
 
 
-def write_bench5_json(mode: str, n: int, budget_s: float,
-                      batch: Dict[str, float],
-                      million: Dict[str, float] = None) -> None:
-    """Merge the per-step columnar case into ``BENCH_5.json`` (repo root),
-    keyed by mode exactly like :func:`write_bench_json`."""
-    payload: Dict = {}
-    if BENCH5_JSON.exists():
-        try:
-            payload = json.loads(BENCH5_JSON.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            payload = {}
-    section = {
-        "n": n,
-        "budget_s": budget_s,
-        "batch_vs_incremental": {k: round(v, 3) for k, v in batch.items()},
-    }
-    if million is not None:
-        section["million_sparse"] = {
-            k: round(v, 3) for k, v in million.items()
-        }
-    payload[mode] = section
-    BENCH5_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def _speedup_rows(grid: List[Dict]) -> List[List]:
     """Fold the grid into incremental-vs-scan rows at the full tier."""
     by_cell = {
@@ -645,29 +529,88 @@ def _speedup_rows(grid: List[Dict]) -> List[List]:
     return rows
 
 
-def write_bench_json(mode: str, n: int, budget_s: float, grid: List[Dict],
-                     hot_loop: Dict[str, float]) -> None:
-    """Merge one results section into ``BENCH_3.json`` (repo root).
+def _rounded(values: Dict[str, float], digits: int = 3) -> Dict[str, float]:
+    return {k: round(v, digits) for k, v in values.items()}
 
-    Sections are keyed by ``mode`` (``"full"`` or ``"tiny"``) so CI
-    smoke numbers coexist with scale-tier numbers instead of
-    overwriting them.
+
+def bench3_section(n: int, budget_s: float, grid: List[Dict],
+                   hot_loop: Dict[str, float]) -> Dict:
+    """``BENCH_3``: the engine grid plus the two hot-loop rates."""
+    return {"n": n, "budget_s": budget_s, "grid": grid,
+            "hot_loop": _rounded(hot_loop, 2)}
+
+
+def bench4_section(n: int, budget_s: float,
+                   scenario: Dict[str, float]) -> Dict:
+    """``BENCH_4``: the churn+recovery scenario case."""
+    return {"n": n, "budget_s": budget_s,
+            "churn_recovery": _rounded(scenario)}
+
+
+def bench5_section(n: int, budget_s: float, batch: Dict[str, float],
+                   million: Dict[str, float] = None) -> Dict:
+    """``BENCH_5``: the per-step columnar case (and the 1M tier)."""
+    section = {"n": n, "budget_s": budget_s,
+               "batch_vs_incremental": _rounded(batch)}
+    if million is not None:
+        section["million_sparse"] = _rounded(million)
+    return section
+
+
+def bench6_section(n: int, budget_s: float, resident: Dict[str, float],
+                   million: Dict[str, float] = None,
+                   obs: Dict[str, float] = None) -> Dict:
+    """``BENCH_6``: the fused case, its telemetry overhead, and the 1M
+    tier with its two gate thresholds beside the measured values, so
+    the artifact is self-describing."""
+    section = {"n": n, "budget_s": budget_s,
+               "resident_vs_batch": _rounded(resident)}
+    if obs is not None:
+        section["telemetry_overhead"] = _rounded(obs)
+    if million is not None:
+        section["million_sparse"] = _rounded(million)
+        section["million_gates"] = {
+            "store_build_budget_s": MILLION_STORE_BUILD_BUDGET_S,
+            "store_build_ok": million["store_build_s"]
+            < MILLION_STORE_BUILD_BUDGET_S,
+            "min_steps_per_sec": MILLION_MIN_STEPS_PER_SEC,
+            "steps_per_sec_ok": million["steps_per_sec"]
+            >= MILLION_MIN_STEPS_PER_SEC,
+        }
+    return section
+
+
+def emit_bench(mode: str, sections: Dict[str, Dict], write_json: bool = True,
+               store: str = None) -> None:
+    """The one writer of bench sections (``{"BENCH_3": section, ...}``).
+
+    Each section's keys are merged into the ``mode`` entry of its
+    ``BENCH_<k>.json`` at the repo root (``full`` and ``tiny`` coexist,
+    and the pytest cases may each write part of one section), and the
+    same section is appended to the ``(bench, mode)`` trajectory of the
+    results store at ``store``, if given.
     """
-    payload: Dict = {}
-    if BENCH_JSON.exists():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            payload = {}
-    section = payload.setdefault(mode, {})
-    section["n"] = n
-    section["budget_s"] = budget_s
-    section["grid"] = grid
-    section["hot_loop"] = {k: round(v, 2) for k, v in hot_loop.items()}
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    for bench, section in sections.items() if write_json else ():
+        path = BENCH_ROOT / f"{bench}.json"
+        payload: Dict = {}
+        if path.exists():
+            try:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+            except (ValueError, OSError):
+                payload = {}
+        merged = payload.get(mode)
+        if not isinstance(merged, dict):
+            merged = {}
+        merged.update(section)
+        payload[mode] = merged
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    if store:
+        from repro.results import ResultStore
+
+        with ResultStore(store) as results:
+            for bench, section in sections.items():
+                results.record_bench(bench, mode, section)
 
 
 def _emit(rows: List[List], n: int) -> None:
@@ -697,7 +640,8 @@ def test_engine_speedup_grid(tiny):
     budget = TINY_BUDGET_S if tiny else FULL_BUDGET_S
     grid = measure_grid(n, budget)
     hot = measure_hot_loop(n, budget)
-    write_bench_json("tiny" if tiny else "full", n, budget, grid, hot)
+    emit_bench("tiny" if tiny else "full",
+               {"BENCH_3": bench3_section(n, budget, grid, hot)})
     rows = _speedup_rows(grid)
     _emit(rows, n)
     print(
@@ -725,7 +669,8 @@ def test_scenario_churn_recovery(tiny):
     n = TINY_N if tiny else FULL_N
     budget = TINY_BUDGET_S if tiny else FULL_BUDGET_S
     result = measure_scenario(n, budget)
-    write_bench4_json("tiny" if tiny else "full", n, budget, result)
+    emit_bench("tiny" if tiny else "full",
+               {"BENCH_4": bench4_section(n, budget, result)})
     print(
         f"\nchurn+recovery scenario, n={n} (synchronous coloring): "
         f"plain {result['plain']:,.1f} steps/s, "
@@ -747,7 +692,8 @@ def test_batch_engine_speedup(tiny):
     budget = TINY_BUDGET_S if tiny else FULL_BUDGET_S
     rates = measure_batch(n, budget)
     million = None if tiny else measure_million()
-    write_bench5_json("tiny" if tiny else "full", n, budget, rates, million)
+    emit_bench("tiny" if tiny else "full",
+               {"BENCH_5": bench5_section(n, budget, rates, million)})
     print(
         f"\ncolumnar engine, n={n} (synchronous coloring, aggregate tier): "
         f"incremental {rates['incremental']:,.1f} steps/s, "
@@ -775,7 +721,8 @@ def test_resident_engine_speedup(tiny):
     budget = TINY_BUDGET_S if tiny else FULL_BUDGET_S
     rates = measure_resident(n, budget)
     million = None if tiny else measure_million_resident()
-    write_bench6_json("tiny" if tiny else "full", n, budget, rates, million)
+    emit_bench("tiny" if tiny else "full",
+               {"BENCH_6": bench6_section(n, budget, rates, million)})
     print(
         f"\nfused loop, n={n} (synchronous coloring, aggregate tier): "
         f"per-step {rates['batch']:,.1f} steps/s, "
@@ -803,7 +750,8 @@ def test_obs_overhead(tiny):
     n = BATCH_TINY_N if tiny else FULL_N
     budget = TINY_BUDGET_S if tiny else FULL_BUDGET_S
     rates = measure_obs_overhead(n, budget)
-    write_bench6_obs("tiny" if tiny else "full", rates)
+    emit_bench("tiny" if tiny else "full",
+               {"BENCH_6": {"telemetry_overhead": _rounded(rates)}})
     print(
         f"\ntelemetry overhead, n={n} (fused resident, aggregate tier): "
         f"disabled {rates['disabled']:,.1f} steps/s, "
@@ -848,7 +796,7 @@ def main(argv=None) -> int:
     parser.add_argument("--budget", type=float, default=None,
                         help="seconds of stepping per (engine, cell)")
     parser.add_argument("--no-json", action="store_true",
-                        help="skip writing BENCH_3.json")
+                        help="skip writing the BENCH_*.json files")
     parser.add_argument("--store", default=None,
                         help="also append this emission to a results "
                              "store's bench trajectory (repro compare "
@@ -881,47 +829,14 @@ def main(argv=None) -> int:
         profiler.dump_stats(args.profile)
         print(f"cProfile stats written to {args.profile}")
     mode = "tiny" if args.tiny else "full"
-    if not args.no_json:
-        write_bench_json(mode, n, budget, grid, hot)
-        write_bench4_json(mode, n, budget, scenario)
-        write_bench5_json(mode, batch_n, budget, batch, million)
-        write_bench6_json(mode, batch_n, budget, resident, million_res,
-                          obs=obs)
+    emit_bench(mode, {
+        "BENCH_3": bench3_section(n, budget, grid, hot),
+        "BENCH_4": bench4_section(n, budget, scenario),
+        "BENCH_5": bench5_section(batch_n, budget, batch, million),
+        "BENCH_6": bench6_section(batch_n, budget, resident, million_res,
+                                  obs),
+    }, write_json=not args.no_json, store=args.store)
     if args.store:
-        from repro.results import ResultStore
-
-        with ResultStore(args.store) as store:
-            store.record_bench("BENCH_3", mode, {
-                "n": n, "budget_s": budget, "grid": grid,
-                "hot_loop": {k: round(v, 2) for k, v in hot.items()},
-            })
-            store.record_bench("BENCH_4", mode, {
-                "n": n, "budget_s": budget,
-                "churn_recovery": {k: round(v, 3)
-                                   for k, v in scenario.items()},
-            })
-            bench5 = {
-                "n": batch_n, "budget_s": budget,
-                "batch_vs_incremental": {k: round(v, 3)
-                                         for k, v in batch.items()},
-            }
-            if million is not None:
-                bench5["million_sparse"] = {k: round(v, 3)
-                                            for k, v in million.items()}
-            store.record_bench("BENCH_5", mode, bench5)
-            bench6 = {
-                "n": batch_n, "budget_s": budget,
-                "resident_vs_batch": {
-                    k: round(v, 3) if isinstance(v, float) else v
-                    for k, v in resident.items()
-                },
-            }
-            bench6["telemetry_overhead"] = {k: round(v, 3)
-                                            for k, v in obs.items()}
-            if million_res is not None:
-                bench6["million_sparse"] = {k: round(v, 3)
-                                            for k, v in million_res.items()}
-            store.record_bench("BENCH_6", mode, bench6)
         print(f"bench trajectories appended to {args.store}")
     print(f"engine grid at n={n}, {budget:.2f}s per cell:")
     for row in grid:

@@ -593,15 +593,21 @@ def cmd_compare(args) -> int:
     if args.bench_store:
         # Trajectory gate: candidate = the newest recorded emission,
         # baseline = the one before it (what CI restored from cache).
+        pair = (args.bench_name, args.mode or "full")
         with _open_store(args.bench_store) as store:
-            trajectory = store.bench_trajectory(args.bench_name,
-                                                args.mode or "full")
+            trajectory = store.bench_trajectory(*pair)
+            known = store.bench_pairs()
+        if not trajectory:
+            # A typo'd name or mode would otherwise gate nothing.
+            held = ", ".join(f"({b}, {m})" for b, m in known) or "none"
+            print(f"bench gate: ({pair[0]}, {pair[1]}) was never recorded "
+                  f"in {args.bench_store}; it holds: {held}")
+            return 1
         if len(trajectory) < 2:
             # A gate needs history; the first emission *is* the
             # baseline, so pass and let the next run compare against it.
-            print(f"bench gate: {len(trajectory)} recorded emission(s) "
-                  f"for ({args.bench_name}, {args.mode or 'full'}) — "
-                  f"no baseline yet, nothing to gate")
+            print(f"bench gate: 1 recorded emission for ({pair[0]}, "
+                  f"{pair[1]}) — no baseline yet, nothing to gate")
             return 0
         rows = diff_bench(trajectory[-2], trajectory[-1],
                           threshold=threshold)
@@ -1161,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="gate the newest bench emission in a store's "
                            "trajectory against the one before it "
                            "(written by bench_engine.py --store); "
-                           "passes when the trajectory has <2 points")
+                           "passes on a single point, fails on none")
     comp.add_argument("--bench-name", default="BENCH_3",
                       help="trajectory to gate with --bench-store "
                            "(BENCH_3 = engine grid + hot loop, "

@@ -5,9 +5,9 @@
 *entire steps* over columnar state — the synchronous daemons
 activate most of the network every step, so evaluating guards
 one pooled context at a time leaves an order of magnitude on the
-table.  The simulator detects an active engine
-(:attr:`BatchEngine.batch_active`) and routes the hot step loop through
-:meth:`execute_step`, which
+table.  Like every engine it executes the step the simulator hands it;
+on an active engine (:attr:`BatchEngine.batch_active`)
+:meth:`BatchEngine.execute_step`
 
 1. gathers the step's reads from a :class:`~repro.core.columns.ColumnStore`
    (γi — all gathers happen before any write),
@@ -19,7 +19,7 @@ table.  The simulator detects an active engine
    sync hook the engine installs on the
    :class:`~repro.core.state.Configuration`, so traces, silence
    detection, predicates and fault injectors see identical state, and
-4. hands the simulator everything needed to reproduce the scalar
+4. returns a :class:`BatchOutcome` that reproduces the scalar
    engine's metrics byte for byte under both the ``full`` and
    ``aggregate`` tiers.
 
@@ -40,9 +40,9 @@ Kernels are registered per *protocol class* with
 the store's NumPy columns directly.  A protocol without a kernel, an
 interpreter without NumPy, or state the column store cannot mirror
 (mixed layouts, exotic domains) degrades
-transparently: the engine runs an internal
-:attr:`BatchEngine.fallback_cls` engine with identical results and
-the simulator keeps the scalar step loop, so
+transparently: the engine keeps its enabled set in an internal
+:attr:`BatchEngine.fallback_cls` engine and executes steps through the
+inherited scalar loop, with identical results, so
 ``engine="batch-resident"`` is always safe to request.
 
 :class:`BatchCrossCheckEngine` (``engine="batch-debug"``) is the audit
@@ -167,16 +167,34 @@ class BatchKernel:
 
 
 class BatchOutcome:
-    """One batch step's results, pre-aggregation (engine-internal)."""
+    """One columnar step's classification, pre-aggregation."""
 
-    __slots__ = ("selected", "idx", "codes", "ports", "bits")
+    __slots__ = ("engine", "selected", "idx", "codes", "ports", "bits")
 
-    def __init__(self, selected, idx, codes, ports, bits):
+    def __init__(self, engine, selected, idx, codes, ports, bits):
+        self.engine = engine
         self.selected = selected
         self.idx = idx  # canonical indices of ``selected``
         self.codes = codes
         self.ports = ports
         self.bits = bits
+
+    def record(self, index: int, closed: bool) -> StepRecord:
+        """The exact :class:`StepRecord` the scalar loop would build."""
+        names = self.engine._kernel.rule_names
+        executed, ports_read, bits_read = {}, {}, {}
+        empty = frozenset()
+        for p, code, port, b in zip(self.selected, self.codes.tolist(),
+                                    self.ports.tolist(), self.bits.tolist()):
+            executed[p] = names[code] if code >= 0 else None
+            ports_read[p] = frozenset((port,)) if port else empty
+            bits_read[p] = b
+        return StepRecord(index, frozenset(self.selected), executed,
+                          ports_read, bits_read, closed)
+
+    def fold(self, collector, closed: bool) -> None:
+        """Fold the step into ``collector`` (the ``aggregate`` tier)."""
+        self.engine.fold_aggregate(self, collector, closed)
 
 
 class BatchEngine(EnabledSetEngine):
@@ -200,11 +218,13 @@ class BatchEngine(EnabledSetEngine):
     #: the scalar engine run when no kernel or column store applies
     fallback_cls: Type[EnabledSetEngine] = IncrementalEngine
 
-    def bind(self, protocol, network, config, specs_of) -> None:
-        super().bind(protocol, network, config, specs_of)
-        self._agg_dirty = False
-        self._agg_collector = None
-        self._hooked_config = None
+    _hooked_config = None
+    #: whether ``fold_aggregate`` left counts for the next flush
+    _agg_dirty = False
+    _agg_collector = None
+
+    def _attach(self, protocol, network, config, specs_of) -> None:
+        super()._attach(protocol, network, config, specs_of)
         self._activate()
 
     # ------------------------------------------------------------------
@@ -311,17 +331,10 @@ class BatchEngine(EnabledSetEngine):
         return self._compute_enabled()[0]
 
     def note_step(self, activated, comm_changed) -> None:
-        # Scalar steps interleaved with batch ones (e.g. a scripted
-        # scheduler repeating a pid) mutate rows behind the columns.
         if self._fallback is not None:
             self._fallback.note_step(activated, comm_changed)
-            return
-        if not self._stale_all:
-            pindex = self._store.pindex
-            self._pull_pending.update(
-                pindex[p] for p in activated if p in pindex
-            )
-        self._drop_enabled_cache()
+        else:  # a step noted from outside wrote rows behind the columns
+            self.invalidate(activated)
 
     def invalidate(self, processes: Optional[Iterable[ProcessId]] = None) -> None:
         if self._fallback is not None:
@@ -355,20 +368,14 @@ class BatchEngine(EnabledSetEngine):
         self._refresh()
         return check()
 
-    def rebind_config(self, config) -> None:
-        super().rebind_config(config)
-        self._activate()
-
-    def rebind_network(self, protocol, network, config, specs_of) -> None:
-        super().rebind_network(protocol, network, config, specs_of)
-        self._activate()
-
     # ------------------------------------------------------------------
-    # Batch step execution (simulator hot path)
+    # Step execution
     # ------------------------------------------------------------------
-    def execute_step(self, selected, rng) -> BatchOutcome:
-        """Run one whole step over columns; selection must be duplicate
-        free (the simulator guards via ``Scheduler.selects_distinct``)."""
+    def execute_step(self, selected, rng):
+        """Run one whole step over columns, or the inherited scalar
+        loop on the fallback."""
+        if self._fallback is not None:
+            return super().execute_step(selected, rng)
         self._refresh()
         store = self._store
         np = store.np
@@ -387,7 +394,7 @@ class BatchEngine(EnabledSetEngine):
         if obs_on:
             TELEMETRY.histogram("engine.classify_s").observe(t1 - t0)
             TELEMETRY.histogram("engine.plan_s").observe(perf_counter() - t1)
-        return BatchOutcome(selected, idx, codes, ports, bits)
+        return BatchOutcome(self, selected, idx, codes, ports, bits)
 
     def _audit_step(self, idx, codes, ports, bits) -> None:
         """Hook for :class:`BatchCrossCheckEngine`, called with every
@@ -401,8 +408,8 @@ class BatchEngine(EnabledSetEngine):
 
         The observation boundary: installed as the configuration's sync
         hook and called explicitly before any scalar code path that
-        bypasses it (pooled step contexts cache raw row references).
-        No-op on the scalar fallback.
+        bypasses it (pooled contexts cache raw row references).  No-op
+        on the scalar fallback.
         """
         store = self._store
         if store is not None:
@@ -456,7 +463,7 @@ class BatchEngine(EnabledSetEngine):
             steps += 1
             if collector is not None:
                 self.fold_aggregate(
-                    BatchOutcome(None, all_idx, codes, ports, bits),
+                    BatchOutcome(self, None, all_idx, codes, ports, bits),
                     collector, True,
                 )
             if stop_on_silence and sim.is_silent():
@@ -481,29 +488,6 @@ class BatchEngine(EnabledSetEngine):
     # ------------------------------------------------------------------
     # Metrics reproduction
     # ------------------------------------------------------------------
-    def make_step_record(self, index, outcome: BatchOutcome, closed: bool) -> StepRecord:
-        """The exact :class:`StepRecord` the scalar loop would build."""
-        names = self._kernel.rule_names
-        codes = outcome.codes.tolist()
-        ports = outcome.ports.tolist()
-        bits = outcome.bits.tolist()
-        executed = {}
-        ports_read = {}
-        bits_read = {}
-        empty = frozenset()
-        for p, code, port, b in zip(outcome.selected, codes, ports, bits):
-            executed[p] = names[code] if code >= 0 else None
-            ports_read[p] = frozenset((port,)) if port else empty
-            bits_read[p] = b
-        return StepRecord(
-            index=index,
-            activated=frozenset(outcome.selected),
-            executed=executed,
-            ports_read=ports_read,
-            bits_read=bits_read,
-            closed_round=closed,
-        )
-
     def fold_aggregate(self, outcome: BatchOutcome, collector, closed: bool) -> None:
         """Fold one batch step into the collector, reproducing
         :meth:`MetricsCollector.record_lean` exactly.
@@ -607,7 +591,7 @@ class BatchEngine(EnabledSetEngine):
         """Drain accumulated activation counts into the collector
         (called by ``Simulator.metrics`` before any external read, and
         before the engine rebuilds its per-process vectors)."""
-        if not getattr(self, "_agg_dirty", False):
+        if not self._agg_dirty:
             return
         self._agg_dirty = False
         pend = self._pending_act

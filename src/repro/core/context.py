@@ -148,8 +148,10 @@ class StepContext:
         they address storage that is mutated in place, so they stay
         valid for the lifetime of the bound configuration.
 
-        ``Simulator.step`` inlines this body for its execution pool —
-        a new per-step field cleared here must be cleared there too.
+        :meth:`EnabledSetEngine.execute_step
+        <repro.core.engine.EnabledSetEngine.execute_step>` inlines this
+        body for its execution pool — a new per-step field cleared here
+        must be cleared there too.
         """
         self._rng = rng
         self._stamp += 1

@@ -35,6 +35,10 @@ All engines are *lazy*: :meth:`note_step` only records what moved, and
 guard re-evaluation happens when :meth:`enabled_set` /
 :meth:`enabled_list` is queried.  A run that never asks about
 enabled-status pays almost nothing.
+
+Every engine also executes the steps the simulator hands it
+(:meth:`EnabledSetEngine.execute_step`): the scalar loop here, or the
+columnar one of :mod:`repro.core.batchengine`.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from ..obs.registry import TELEMETRY
 from .actions import first_enabled
 from .context import StepContextPool
 from .exceptions import ModelError
+from .metrics import StepRecord
 
 ProcessId = Hashable
 
@@ -59,20 +64,47 @@ ProcessId = Hashable
 ENGINE_NAMES = ("incremental", "scan", "debug", "batch-resident", "batch-debug")
 
 
+class ScalarOutcome:
+    """One scalar step's ``(pid, ctx, action)`` executions, in selection
+    order (``action`` is None for a selected-but-disabled process)."""
+
+    __slots__ = ("selected", "executions")
+
+    def __init__(self, selected, executions):
+        self.selected = selected
+        self.executions = executions
+
+    def record(self, index: int, closed: bool) -> StepRecord:
+        """The step's full-tier :class:`~repro.core.metrics.StepRecord`."""
+        executed, ports_read, bits_read = {}, {}, {}
+        for p, ctx, action in self.executions:
+            executed[p] = action.name if action else None
+            ports_read[p] = frozenset(ctx.ports_read)
+            bits_read[p] = ctx.bits_read
+        return StepRecord(index, frozenset(self.selected), executed,
+                          ports_read, bits_read, closed)
+
+    def fold(self, collector, closed: bool) -> None:
+        """Fold the step into ``collector`` (the ``aggregate`` tier)."""
+        collector.record_lean(self.executions, closed)
+
+
 class EnabledSetEngine(ABC):
-    """Maintains the set of enabled processes across simulator steps.
+    """Executes steps and maintains the set of enabled processes.
 
     Lifecycle contract:
 
     1. The simulator calls :meth:`bind` once with the live run objects;
        the engine snapshots nothing — it reads the (mutable)
        configuration on every guard evaluation.
-    2. After every applied step the simulator calls :meth:`note_step`
-       with the activated set and the subset whose *communication*
-       variables actually changed value.  This must be cheap.
+    2. Every step, the simulator hands the scheduler's selection to
+       :meth:`execute_step`, which applies the step to the
+       configuration and notes it itself: the activated set and the
+       subset whose *communication* variables actually changed value
+       reach :meth:`note_step`.  Noting must be cheap.
     3. Any time :meth:`enabled_set` / :meth:`enabled_list` is called,
-       the engine answers for the configuration as of the last
-       :meth:`note_step` (evaluating guards lazily as needed).
+       the engine answers for the configuration as of the last noted
+       step (evaluating guards lazily as needed).
     4. Code that mutates the configuration behind the simulator's back
        (fault injection) must call :meth:`invalidate` with the touched
        processes, or with ``None`` to distrust everything.
@@ -80,6 +112,10 @@ class EnabledSetEngine(ABC):
 
     #: registry/CLI identifier of the engine implementation
     name: str = "engine"
+
+    #: whether whole steps run over columns, which the simulator's fused
+    #: loop requires (never, on the scalar engines)
+    batch_active: bool = False
 
     def bind(self, protocol, network, config, specs_of) -> None:
         """Attach the engine to one run (called by the simulator).
@@ -96,23 +132,83 @@ class EnabledSetEngine(ABC):
                 "or a fresh instance to each Simulator"
             )
         self._bound = True
+        self._attach(protocol, network, config, specs_of)
+
+    def _attach(self, protocol, network, config, specs_of) -> None:
+        """Derive everything the engine keeps from the run objects.
+
+        The one attach path of :meth:`bind`, :meth:`rebind_config` and
+        :meth:`rebind_network`.  Subclasses extend it with their own
+        derived state and trust nothing from an earlier attach.
+        """
         self.protocol = protocol
         self.network = network
         self.config = config
         self.specs_of = specs_of
         self._actions = protocol.actions()
-        # Guard probes reuse pooled contexts (reset per evaluation)
-        # instead of allocating one per guard check: a scan costs n
-        # context builds otherwise.  Separate from the simulator's
-        # execution pool, so a lazy flush triggered mid-step can never
-        # clobber the read tracking of the step's execution contexts.
+        # Pooled contexts (reset per use) instead of one allocation per
+        # guard check or activation.  Guard probes and step execution
+        # keep separate pools, so a lazy flush triggered mid-step can
+        # never clobber the read tracking of the step's contexts.
         self._probe_pool = StepContextPool(network, config, specs_of)
+        #: the execution contexts of :meth:`execute_step`; silence walks
+        #: borrow them between steps
+        self.exec_pool = StepContextPool(network, config, specs_of)
         #: canonical position of each process — every engine presents
         #: the enabled pool in network-process order so that daemons
         #: drawing from it behave identically across engines.
         self._order: Dict[ProcessId, int] = {
             p: i for i, p in enumerate(network.processes)
         }
+
+    # ------------------------------------------------------------------
+    # Step execution
+    # ------------------------------------------------------------------
+    def execute_step(self, selected, rng) -> ScalarOutcome:
+        """Execute the step ``(γi, si, γi+1)`` for the selection ``si``:
+        each selected process runs its first enabled action against γi
+        in its pooled context, then all writes land in γi+1 together.
+        ``rng`` serves randomized actions.  Notes the step."""
+        executions = []
+        append = executions.append
+        actions = self._actions
+        # Inlined StepContextPool.acquire / StepContext.reset: two
+        # function calls per activation are measurable at 10k
+        # activations per synchronous step.
+        pool = self.exec_pool
+        ctxs = pool._ctxs
+        acquire = pool.acquire
+        for p in selected:
+            ctx = ctxs.get(p)
+            if ctx is None:
+                ctx = acquire(p, rng)
+            else:
+                ctx._rng = rng
+                ctx._stamp += 1
+                ctx.ports_read.clear()
+                ctx.bits_read = 0.0
+                ctx.writes.clear()
+                ctx.used_randomness = False
+            action = first_enabled(actions, ctx)
+            if action is not None:
+                action.effect(ctx)
+            append((p, ctx, action))
+        # Only processes whose communication variables took a new value
+        # can flip a neighbor's enabled-status.
+        comm_changed = [
+            p for p, ctx, _action in executions if ctx.flush_writes()
+        ]
+        self.note_step(selected, comm_changed)
+        return ScalarOutcome(selected, executions)
+
+    def materialize_rows(self) -> None:
+        """Decode state the engine keeps outside the configuration's
+        rows, before scalar code reads them (no-op: scalar engines
+        write the rows directly)."""
+
+    def flush_pending_metrics(self) -> None:
+        """Drain metric folds the engine defers into the collector
+        (no-op: scalar outcomes fold eagerly)."""
 
     # ------------------------------------------------------------------
     # Queries
@@ -179,24 +275,21 @@ class EnabledSetEngine(ABC):
         """Point the engine at a *replacement* configuration object.
 
         Assigning ``Simulator.config`` swaps the storage every cached
-        row references, so the probe pool is rebuilt and the whole
+        row references, so both context pools are rebuilt and the whole
         enabled set distrusted.  This is wholesale replacement, not the
         in-place mutation path — for that, :meth:`invalidate` alone is
         enough.
         """
-        self.config = config
-        self._probe_pool = StepContextPool(
-            self.network, config, self.specs_of
-        )
         self.invalidate(None)
+        self._attach(self.protocol, self.network, config, self.specs_of)
 
     def rebind_network(self, protocol, network, config, specs_of) -> None:
         """Re-attach a bound engine to a *mutated* run (topology churn).
 
         Scenario churn events replace the network, the protocol built
         for it, the configuration and the variable specs wholesale.
-        The engine rebuilds everything derived from them — guard
-        probes, the canonical process order, and (for the incremental
+        The engine rebuilds everything derived from them — context
+        pools, the canonical process order, and (for the incremental
         engine) the influence map — and distrusts the entire enabled
         set.  Only legal on an already-bound engine; fresh engines go
         through :meth:`bind`.
@@ -205,14 +298,8 @@ class EnabledSetEngine(ABC):
             raise ValueError(
                 f"{type(self).__name__} is not bound yet; call bind() first"
             )
-        self.protocol = protocol
-        self.network = network
-        self.config = config
-        self.specs_of = specs_of
-        self._actions = protocol.actions()
-        self._probe_pool = StepContextPool(network, config, specs_of)
-        self._order = {p: i for i, p in enumerate(network.processes)}
         self.invalidate(None)
+        self._attach(protocol, network, config, specs_of)
 
     # ------------------------------------------------------------------
     # Shared guard evaluation
@@ -241,8 +328,8 @@ class ScanEngine(EnabledSetEngine):
 
     name = "scan"
 
-    def bind(self, protocol, network, config, specs_of) -> None:
-        super().bind(protocol, network, config, specs_of)
+    def _attach(self, protocol, network, config, specs_of) -> None:
+        super()._attach(protocol, network, config, specs_of)
         self._stale = True
         self._set: FrozenSet[ProcessId] = frozenset()
         self._list: Tuple[ProcessId, ...] = ()
@@ -274,12 +361,13 @@ class ScanEngine(EnabledSetEngine):
 class IncrementalEngine(EnabledSetEngine):
     """Dirty-set maintenance of the enabled set.
 
-    On :meth:`bind` the engine performs one full scan and precomputes
-    the *influence map* — for each process ``q``, the processes whose
-    guards may read ``q``'s communication variables (the inverse of
-    :meth:`Protocol.reads <repro.core.protocol.Protocol.reads>`).
-    After a step, exactly ``activated ∪ influence(comm_changed)`` is
-    marked dirty; a query re-evaluates only dirty guards.
+    On attach the engine precomputes the *influence map* — for each
+    process ``q``, the processes whose guards may read ``q``'s
+    communication variables (the inverse of :meth:`Protocol.reads
+    <repro.core.protocol.Protocol.reads>`) — and distrusts the whole
+    enabled set, so the first query performs one full scan.  After a
+    step, exactly ``activated ∪ influence(comm_changed)`` is marked
+    dirty; a query re-evaluates only dirty guards.
 
     When the accumulated dirty-set covers the whole network (e.g. under
     the synchronous daemon, or after ``invalidate(None)``) the engine
@@ -289,8 +377,8 @@ class IncrementalEngine(EnabledSetEngine):
 
     name = "incremental"
 
-    def bind(self, protocol, network, config, specs_of) -> None:
-        super().bind(protocol, network, config, specs_of)
+    def _attach(self, protocol, network, config, specs_of) -> None:
+        super()._attach(protocol, network, config, specs_of)
         self._n = network.n
         # influence[q] = processes (≠ q) whose enabled-status may depend
         # on q's communication variables.
@@ -302,20 +390,9 @@ class IncrementalEngine(EnabledSetEngine):
             q: tuple(ps) for q, ps in influence.items()
         }
         self._dirty: Set[ProcessId] = set()
-        self._stale_all = False
-        self._enabled: Set[ProcessId] = self._scan()
+        self._stale_all = True
+        self._enabled: Set[ProcessId] = set()
         self._list: Optional[Tuple[ProcessId, ...]] = None
-
-    def rebind_network(self, protocol, network, config, specs_of) -> None:
-        """Base rebind plus a fresh influence map for the new topology
-        (the old map would route invalidations to stale neighborhoods)."""
-        super().rebind_network(protocol, network, config, specs_of)
-        self._n = network.n
-        influence: Dict[ProcessId, list] = {p: [] for p in network.processes}
-        for p in network.processes:
-            for q in protocol.reads(network, p):
-                influence[q].append(p)
-        self._influence = {q: tuple(ps) for q, ps in influence.items()}
 
     # ------------------------------------------------------------------
     def note_step(self, activated, comm_changed) -> None:

@@ -19,10 +19,11 @@ The simulator feeds the collector through one of three *metrics tiers*
 * ``"full"`` — one :class:`StepRecord` per step, exactly the historical
   behavior; required by traces and the replay tests.
 * ``"aggregate"`` — the paper's measures are folded straight off the
-  step's pooled contexts (:meth:`MetricsCollector.record_lean`) without
-  materializing a ``StepRecord``; every aggregate reported by
-  :meth:`MetricsCollector.summary` and the suffix machinery is
-  identical to the ``full`` tier's, at a fraction of the per-step cost.
+  step's pooled contexts (:meth:`MetricsCollector.record_lean`) or
+  columns without materializing a ``StepRecord``; every aggregate
+  reported by :meth:`MetricsCollector.summary` and the suffix
+  machinery is identical to the ``full`` tier's, at a fraction of the
+  per-step cost.
 * ``"off"`` — the collector is never touched; only
   ``Simulator.step_index`` and the round tracker advance.
 
@@ -161,15 +162,13 @@ class MetricsCollector:
     def record_lean(self, executions, closed_round: bool) -> None:
         """Fold one step straight off the step contexts (``aggregate``).
 
-        ``executions`` is the simulator's ``(pid, ctx, action)`` list
-        for the step; the fold reads each context's ``ports_read`` /
+        ``executions`` is the engine's ``(pid, ctx, action)`` list for
+        the step, one entry per selected process (a selection is a
+        set); the fold reads each context's ``ports_read`` /
         ``bits_read`` in place and produces aggregates identical to
         feeding :meth:`record` the equivalent :class:`StepRecord` —
         the metrics-tier property tests pin that equivalence — without
-        ever building the record's frozensets and dicts.  A process
-        appearing twice in one selection (a scripted
-        ``FixedSequenceScheduler`` step can repeat pids) is folded
-        once, matching the ``full`` tier's frozenset/dict dedup.
+        ever building the record's frozensets and dicts.
         """
         self.steps += 1
         if closed_round:
@@ -181,12 +180,7 @@ class MetricsCollector:
         max_bits = self.max_bits_in_step
         total_reads = self.total_reads
         total_bits = self.total_bits
-        seen = set()
-        seen_add = seen.add
         for p, ctx, _action in executions:
-            if p in seen:
-                continue
-            seen_add(p)
             activations[p] += 1
             ports = ctx.ports_read
             count = len(ports)

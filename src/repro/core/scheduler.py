@@ -46,7 +46,9 @@ class Scheduler(ABC):
     Subclass contract: :meth:`select` receives the selection pool (all
     processes, or only the enabled ones when :attr:`draws_from` is
     ``"enabled"``) in canonical network order plus the run's rng, and
-    must return a non-empty subset.  Stateful schedulers additionally
+    must return a non-empty subset — the paper's step activates a
+    *set*, so no process may appear twice.  The simulator hands the
+    selection to the engine as is.  Stateful schedulers additionally
     override :meth:`reset` so a reused instance cannot leak pacing
     state between runs.
     """
@@ -57,13 +59,6 @@ class Scheduler(ABC):
     #: processes (footnote semantics) or only the ``"enabled"`` ones
     #: (engine-maintained; see the module docstring).
     draws_from: str = "all"
-
-    #: Whether :meth:`select` can never return the same process twice
-    #: within one step.  Every daemon here selects subsets except the
-    #: fixed-sequence one, whose scripts may repeat a pid; schedulers
-    #: that can repeat must set this ``False`` so the batch step path
-    #: (which folds each selected process exactly once) steps aside.
-    selects_distinct: bool = True
 
     @abstractmethod
     def select(self, processes: Sequence[ProcessId], rng: random.Random) -> List[ProcessId]:
@@ -207,14 +202,23 @@ class FixedSequenceScheduler(Scheduler):
     """Replays an explicit list of activation sets (for targeted tests).
 
     After the scripted prefix is exhausted it falls back to synchronous
-    steps so fairness still holds on the infinite suffix.
+    steps so fairness still holds on the infinite suffix.  A scripted
+    step is a set: naming a process twice raises :class:`ValueError`.
     """
 
     name = "fixed-sequence"
-    selects_distinct = False  # a scripted step may repeat a pid
 
     def __init__(self, sequence: Sequence[Sequence[ProcessId]]):
         self._sequence = [list(s) for s in sequence]
+        for i, step in enumerate(self._sequence):
+            seen = set()
+            for p in step:
+                if p in seen:
+                    raise ValueError(
+                        f"fixed-sequence step {i} activates {p!r} twice; "
+                        "a step's selection is a set"
+                    )
+                seen.add(p)
         self._i = 0
 
     def select(self, processes: Sequence[ProcessId], rng: random.Random) -> List[ProcessId]:

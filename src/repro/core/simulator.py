@@ -11,21 +11,20 @@ Implements the computation model of paper §2 faithfully:
 * rounds are counted with :class:`~repro.core.rounds.RoundTracker`;
 * every neighbor read (guards included) is tracked for the
   communication-efficiency metrics;
-* the set of enabled processes is maintained across steps by an
-  :class:`~repro.core.engine.EnabledSetEngine` (incremental dirty-set
+* each step is executed by the run's
+  :class:`~repro.core.engine.EnabledSetEngine`, which also maintains
+  the set of enabled processes across steps (incremental dirty-set
   updates by default, with a full-scan fallback and a self-auditing
-  debug mode), which powers :meth:`Simulator.enabled_processes` and the
+  debug mode) for :meth:`Simulator.enabled_processes` and the
   enabled-drawing daemons.
 
-Hot-path design: the scalar step loop addresses process state as
-``row[slot]`` through the indexed
-:class:`~repro.core.state.Configuration`, reuses one pooled
-:class:`~repro.core.context.StepContext` per process per run instead of
-allocating one per activation, and — under ``metrics="aggregate"`` —
-folds the paper's measures straight off the contexts without
-materializing per-step :class:`~repro.core.metrics.StepRecord` objects.
-An active columnar engine runs whole steps over columns instead; both
-forms produce the same ``γi+1`` bit for bit.
+The simulator schedules and accounts; the engine executes.  The scalar
+engines run a loop over one pooled
+:class:`~repro.core.context.StepContext` per process, and an active
+columnar engine runs whole steps over columns; both produce the same
+``γi+1`` bit for bit.  Under ``metrics="aggregate"`` the step's outcome
+folds the paper's measures into the collector without materializing a
+per-step :class:`~repro.core.metrics.StepRecord`.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Union
 
-from .actions import first_enabled
-from .context import StepContextPool
 from .engine import EnabledSetEngine, make_engine
 from .exceptions import ConvergenceError
 from ..obs.registry import TELEMETRY
@@ -89,7 +86,7 @@ class Simulator:
         self-stabilization starting point.  A given configuration is
         copied: the run never mutates the caller's object.
     engine:
-        Enabled-set maintenance strategy: a name from
+        Step execution and enabled-set maintenance: a name from
         :data:`~repro.core.engine.ENGINE_NAMES` (``"incremental"`` by
         default; ``"batch-resident"`` runs whole steps over columns) or
         a ready :class:`~repro.core.engine.EnabledSetEngine` instance.
@@ -155,7 +152,6 @@ class Simulator:
         self.rngs = RngStreams(seed)
         self.rng = self.rngs.root
         self.specs_of = protocol.specs_of(network)
-        self._actions = protocol.actions()
         self.metrics_tier = metrics
         if config is None:
             config = protocol.arbitrary_configuration(network, self.rng)
@@ -174,17 +170,7 @@ class Simulator:
         self.step_index = 0
         self.engine = make_engine(engine)
         self.engine.bind(protocol, network, self.config, self.specs_of)
-        # Batch-capable engines accumulate aggregate counts in vectors;
-        # the ``metrics`` property drains them before any external read.
-        self._metrics_flush = getattr(
-            self.engine, "flush_pending_metrics", None
-        )
         self._enabled_pool = self.scheduler.draws_from == "enabled"
-        self._sched_distinct = getattr(
-            self.scheduler, "selects_distinct", False
-        )
-        self._derive_batch()
-        self._ctx_pool = StepContextPool(network, config, self.specs_of)
         # Telemetry handles, fetched once: the step loop pays a single
         # ``enabled`` attribute check per step, and allocation-free
         # ``inc`` calls only while the registry is switched on.
@@ -208,25 +194,13 @@ class Simulator:
     def metrics(self) -> MetricsCollector:
         """The run's metrics collector.
 
-        A batch engine folds aggregate-tier counts into engine-side
+        A columnar engine folds aggregate-tier counts into engine-side
         vectors between reads; accessing the collector through this
         property drains them first, so external readers (summaries,
         scenario hooks, the warehouse) always see exact totals.
         """
-        flush = self._metrics_flush
-        if flush is not None:
-            flush()
+        self.engine.flush_pending_metrics()
         return self._metrics
-
-    def _derive_batch(self) -> None:
-        """Route the step loop through the engine's batch path when the
-        engine is batch-capable *and* currently active (a registered
-        kernel and a column store; re-derived after every engine
-        rebind)."""
-        engine = self.engine
-        self._batch = (
-            engine if getattr(engine, "batch_active", False) else None
-        )
 
     # ------------------------------------------------------------------
     # Configuration access
@@ -240,10 +214,10 @@ class Simulator:
         validated like a constructor argument (an out-of-domain value
         raises :class:`~repro.core.exceptions.DomainError` and keeps
         the old state; the caller's object is never mutated by the
-        run), every pooled context is rebuilt (their cached rows
-        address the old storage), and the enabled-set engine is
-        rebound and fully invalidated.  In-place mutation via
-        :meth:`invalidate_enabled` remains the cheaper path for faults.
+        run), and the engine is rebound and fully invalidated: its
+        pooled contexts cache rows of the old storage.  In-place
+        mutation via :meth:`invalidate_enabled` remains the cheaper
+        path for faults.
         """
         return self._config
 
@@ -253,11 +227,7 @@ class Simulator:
         self.protocol.validate_configuration(self.network, new_config,
                                              specs_of=self.specs_of)
         self._config = new_config
-        self._ctx_pool = StepContextPool(
-            self.network, new_config, self.specs_of
-        )
         self.engine.rebind_config(new_config)
-        self._derive_batch()
         if self.scenario_runtime is not None:
             self.scenario_runtime.silence_cache = None
 
@@ -296,7 +266,6 @@ class Simulator:
         scheduler.reset()
         self.scheduler = scheduler
         self._enabled_pool = scheduler.draws_from == "enabled"
-        self._sched_distinct = getattr(scheduler, "selects_distinct", False)
 
     def rebind_network(self, network, rng=None) -> None:
         """Adopt a mutated topology mid-run (scenario churn events).
@@ -312,9 +281,9 @@ class Simulator:
           the affected processes;
         * joined processes start from arbitrary (corrupted) states;
         * communication constants are re-derived by the new protocol;
-        * the engine, context pools, round tracker, metrics keys and
-          (network-aware) scheduler are all rebound; the whole enabled
-          set is distrusted.
+        * the engine (with its context pools), round tracker, metrics
+          keys and (network-aware) scheduler are all rebound; the whole
+          enabled set is distrusted.
         """
         if self._protocol_factory is None:
             raise ValueError(
@@ -353,14 +322,11 @@ class Simulator:
         self.protocol = protocol
         self.network = network
         self.specs_of = specs_of
-        self._actions = protocol.actions()
         self._config = config
         self._processes = tuple(network.processes)
         self.round_tracker.rebind(self._processes)
         self.metrics.rebind_processes(list(self._processes))
-        self._ctx_pool = StepContextPool(network, config, specs_of)
         self.engine.rebind_network(protocol, network, config, specs_of)
-        self._derive_batch()
         self.scheduler.rebind_network(network)
         if self.scenario_runtime is not None:
             self.scenario_runtime.silence_cache = None
@@ -391,10 +357,11 @@ class Simulator:
         topology, or the daemon, and the engine is invalidated before
         the pool is drawn) and again after the step's accounting.
 
-        Execution takes one of two forms — whole columns on an active
-        columnar engine, pooled per-process contexts otherwise — that
-        produce the same γi+1 bit for bit; round accounting, metrics
-        and the after-step hook are shared.
+        The engine executes the selection
+        (:meth:`EnabledSetEngine.execute_step
+        <repro.core.engine.EnabledSetEngine.execute_step>`); round
+        accounting, metrics and the after-step hook are the
+        simulator's.
         """
         runtime = self.scenario_runtime
         if runtime is not None:
@@ -407,56 +374,9 @@ class Simulator:
         selected = self.scheduler.select(pool, self.rngs.scheduler)
         if not selected:
             raise ConvergenceError("scheduler selected an empty set")
-        action_rng = self.rngs.protocol if self.protocol.randomized else None
-
-        batch = self._batch
-        if batch is not None and not (
-            self._sched_distinct or len(set(selected)) == len(selected)
-        ):
-            # A scripted daemon repeated a pid, which the columnar step
-            # cannot fold: this step runs the scalar loop.  Its pooled
-            # contexts cache raw row references that bypass the config
-            # sync hook, so the columns are decoded first.
-            batch.materialize_rows()
-            batch = None
-        if batch is not None:
-            outcome = batch.execute_step(selected, action_rng)
-        else:
-            executions = []
-            append = executions.append
-            actions = self._actions
-            # Inlined StepContextPool.acquire / StepContext.reset: two
-            # function calls per activation are measurable at 10k
-            # activations per synchronous step.
-            ctx_pool = self._ctx_pool
-            ctxs = ctx_pool._ctxs
-            acquire = ctx_pool.acquire
-            for p in selected:
-                ctx = ctxs.get(p)
-                if ctx is None:
-                    ctx = acquire(p, action_rng)
-                else:
-                    ctx._rng = action_rng
-                    ctx._stamp += 1
-                    ctx.ports_read.clear()
-                    ctx.bits_read = 0.0
-                    ctx.writes.clear()
-                    ctx.used_randomness = False
-                action = first_enabled(actions, ctx)
-                if action is not None:
-                    action.effect(ctx)
-                append((p, ctx, action))
-
-            # Simultaneous writes: γi+1 is built only after every activated
-            # process has computed its action against γi.  Processes whose
-            # communication variables take a *new* value are collected for
-            # the engine — only they can flip a neighbor's enabled-status.
-            comm_changed = []
-            for p, ctx, _action in executions:
-                if ctx.flush_writes():
-                    comm_changed.append(p)
-            engine.note_step(selected, comm_changed)
-
+        outcome = engine.execute_step(
+            selected, self.rngs.protocol if self.protocol.randomized else None
+        )
         if self._enabled_pool:
             closed = self.round_tracker.record_step(
                 selected, still_enabled=engine.enabled_view()
@@ -471,31 +391,12 @@ class Simulator:
             self._obs_activations.inc(len(selected))
         tier = self.metrics_tier
         if tier == "full":
-            if batch is not None:
-                record = batch.make_step_record(index, outcome, closed)
-            else:
-                record = StepRecord(
-                    index=index,
-                    activated=frozenset(selected),
-                    executed={
-                        p: (action.name if action else None)
-                        for p, _ctx, action in executions
-                    },
-                    ports_read={
-                        p: frozenset(ctx.ports_read)
-                        for p, ctx, _ in executions
-                    },
-                    bits_read={p: ctx.bits_read for p, ctx, _ in executions},
-                    closed_round=closed,
-                )
+            record = outcome.record(index, closed)
             self._metrics.record(record)
         else:
             record = LeanStepRecord(index, len(selected), closed)
             if tier == "aggregate":
-                if batch is not None:
-                    batch.fold_aggregate(outcome, self._metrics, closed)
-                else:
-                    self._metrics.record_lean(executions, closed)
+                outcome.fold(self._metrics, closed)
         if runtime is not None:
             runtime.after_step(self, closed)
         return record
@@ -509,15 +410,15 @@ class Simulator:
         hooks, ``enabled_only`` and other daemons — keeps the per-step
         loop, which handles the columns via the materialization hook.
         """
-        batch = self._batch
+        engine = self.engine
         if (
-            batch is not None
+            engine.batch_active
             and self.scenario_runtime is None
             and self.metrics_tier != "full"
             and type(self.scheduler) is SynchronousScheduler
             and not self._enabled_pool
         ):
-            return batch
+            return engine
         return None
 
     def run_steps(self, count: int) -> None:
@@ -597,16 +498,15 @@ class Simulator:
                                **self._walk_args())
 
     def _walk_args(self) -> dict:
-        """The run's spec map and execution pool for a silence walk.
+        """The run's spec map and the engine's execution pool for a
+        silence walk.
 
         Pooled contexts read raw rows, so pending column writes are
         decoded first.  The walk only overlays buffered writes, which
         the next step's context reset clears.
         """
-        batch = self._batch
-        if batch is not None:
-            batch.materialize_rows()
-        return {"specs_of": self.specs_of, "pool": self._ctx_pool}
+        self.engine.materialize_rows()
+        return {"specs_of": self.specs_of, "pool": self.engine.exec_pool}
 
     def enabled_processes(self) -> List[ProcessId]:
         """Processes with at least one enabled action in the current γ.

@@ -254,11 +254,19 @@ class Configuration:
         return new
 
     def validate(self, specs_of) -> None:
-        """Check every value sits in its declared domain (over the flat
-        rows directly, without per-name dict lookups)."""
+        """Check the configuration holds exactly the processes of
+        ``specs_of``, then that every value sits in its declared domain
+        (over the flat rows directly, without per-name dict lookups)."""
         pindex = self._pindex
         rows = self._rows
         layouts = self._layouts
+        if pindex.keys() != specs_of.keys():
+            missing = [p for p in specs_of if p not in pindex]
+            extra = [p for p in pindex if p not in specs_of]
+            raise DomainError(
+                "configuration does not match the network's processes "
+                f"(missing: {missing[:5]!r}, extra: {extra[:5]!r})"
+            )
         if self._sync is not None:
             self._sync()
         for p, specs in specs_of.items():

@@ -758,3 +758,9 @@ class ResultStore:
                 "ORDER BY id", (bench, mode),
             )
         ]
+
+    def bench_pairs(self) -> List[Tuple[str, str]]:
+        """Every ``(bench, mode)`` pair with a recorded emission."""
+        return list(self._conn.execute(
+            "SELECT DISTINCT bench, mode FROM bench ORDER BY bench, mode"
+        ))

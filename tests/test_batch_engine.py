@@ -9,8 +9,9 @@ against the scalar oracles byte for byte *through* those observation
 boundaries — traces, final configurations, metrics (both tiers),
 per-step enabled sets, mid-run reads forcing materialization, scenario
 corruption and churn store rebuilds.  It also pins the fallback ladder
-(kernel-less protocols, an interpreter without NumPy, duplicate-pid
-selections), the fused loop's eligibility rules, and
+(kernel-less protocols, an interpreter without NumPy), the refusal of
+scripted selections that repeat a pid, the fused loop's eligibility
+rules, and
 the self-auditing ``batch-debug`` engine on both the per-step and the
 fused path, on its silence and legitimacy verdicts, and on its scalar
 fallback.
@@ -159,25 +160,25 @@ class TestTraceByteIdentity:
             assert sim.engine.batch_active
             assert states[0] == states[1], (protocol, scheduler)
 
-    def test_duplicate_pid_selection_takes_the_scalar_path(self):
-        """Scripted daemons may activate a pid twice in one step; the
-        columnar step folds each process once, so such steps must
-        divert to the scalar loop — and stay trace-identical doing so."""
+    def test_scripted_repeated_pid_is_rejected(self):
+        """A step's selection is a set: a script that activates a pid
+        twice in one step fails when its scheduler is built — directly
+        and through a spec, on the scalar and the columnar engine —
+        instead of reaching either step path."""
         net = topology_registry.build("ring", n=8)
         p0, p1 = net.processes[0], net.processes[1]
-        script = [[p0, p0, p1], [p1, p1]]
-        traces = []
+        script = [[p0, p1], [p1, p1]]
+        with pytest.raises(ValueError, match="step 1 activates 1 twice"):
+            FixedSequenceScheduler(script)
         for engine in ("incremental", "batch-resident"):
-            net = topology_registry.build("ring", n=8)
-            sim = Simulator(
-                protocol_registry.build("coloring", net), net,
-                scheduler=FixedSequenceScheduler(script), seed=4,
+            spec = ExperimentSpec(
+                protocol="coloring", topology="ring",
+                topology_params={"n": 8}, scheduler="fixed-sequence",
+                scheduler_params={"sequence": script}, seed=4,
                 engine=engine,
             )
-            recorder = TraceRecorder(sim, seed=4)
-            recorder.run_steps(10)
-            traces.append(recorder.trace.to_jsonl())
-        assert traces[0] == traces[1]
+            with pytest.raises(ValueError, match="twice"):
+                spec.build_simulator()
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.api import engine_registry
+from repro.api import engine_registry, protocol_registry
 from repro.core import (
     CentralScheduler,
     ModelError,
@@ -118,6 +118,50 @@ class TestTraceEquivalence:
         net = ring(6)
         with pytest.raises(ValueError, match="unknown engine"):
             Simulator(ColoringProtocol.for_network(net), net, engine="warp")
+
+
+class TestExecuteStepContract:
+    def test_each_step_executes_the_scheduled_selection_once(self):
+        """The simulator schedules and the engine executes: every
+        ``Simulator.step`` hands the very selection the scheduler
+        returned to ``engine.execute_step``, exactly once, on every
+        registered engine — columnar ones included, with and without a
+        kernel (``coloring-full`` has none)."""
+        for protocol in ("coloring", "coloring-full"):
+            for engine in ALL_ENGINES:
+                for metrics in ("full", "aggregate"):
+                    label = (protocol, engine, metrics)
+                    net = ring(10)
+                    sim = Simulator(
+                        protocol_registry.build(protocol, net), net,
+                        scheduler=RandomSubsetScheduler(0.5), seed=3,
+                        engine=engine, metrics=metrics,
+                    )
+                    if protocol == "coloring-full":
+                        assert not sim.engine.batch_active, label
+                    selections, executed = [], []
+                    select = sim.scheduler.select
+                    execute = sim.engine.execute_step
+
+                    def spy_select(pool, rng, select=select,
+                                   selections=selections):
+                        selections.append(select(pool, rng))
+                        return selections[-1]
+
+                    def spy_execute(selected, rng, execute=execute,
+                                    executed=executed):
+                        executed.append(selected)
+                        return execute(selected, rng)
+
+                    sim.scheduler.select = spy_select
+                    sim.engine.execute_step = spy_execute
+                    for step in range(1, 21):
+                        record = sim.step()
+                        assert len(executed) == step, label
+                        assert executed[-1] is selections[-1], label
+                        if metrics == "full":
+                            assert record.activated == frozenset(
+                                selections[-1]), label
 
 
 class TestEnabledSetMaintenance:

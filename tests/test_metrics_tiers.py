@@ -89,21 +89,23 @@ class TestAggregateEqualsFull:
                 )
             assert results["full"] == results["aggregate"], protocol
 
-    def test_duplicate_selection_folds_once(self):
-        # A scripted scheduler may repeat a pid within one step; the
-        # full tier dedups via frozenset/dict keys, and the lean fold
-        # must agree.
+    def test_repeated_pid_selection_is_rejected(self):
+        # A step's selection is a set, so no tier ever folds a pid
+        # twice: a script repeating one is refused before any step.
         from repro.core import FixedSequenceScheduler
 
-        observables = {}
+        script = [[0, 0], [1, 2]]
+        with pytest.raises(ValueError, match="step 0 activates 0 twice"):
+            FixedSequenceScheduler(script)
         for tier in ("full", "aggregate"):
-            net = topology_registry.build("ring", n=5)
-            proto = protocol_registry.build("mis", net)
-            sched = FixedSequenceScheduler([[0, 0], [1, 1, 2]])
-            sim = Simulator(proto, net, scheduler=sched, seed=2, metrics=tier)
-            sim.run_steps(2)
-            observables[tier] = _observables(sim)
-        assert observables["full"] == observables["aggregate"]
+            spec = ExperimentSpec(
+                protocol="mis", topology="ring", topology_params={"n": 5},
+                scheduler="fixed-sequence",
+                scheduler_params={"sequence": script}, seed=2,
+                metrics=tier,
+            )
+            with pytest.raises(ValueError, match="twice"):
+                spec.run()
 
     def test_suffix_stability_measure_matches(self):
         for tier in ("full", "aggregate"):

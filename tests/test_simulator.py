@@ -1,5 +1,7 @@
 """Unit tests for the step simulator (paper §2 semantics)."""
 
+import re
+
 import pytest
 
 from repro.core import (
@@ -116,6 +118,32 @@ class TestStepSemantics:
             sim.config = Configuration(states)
         assert sim.config is old
         assert sim.config.as_dict() == before
+        assert sim.run_until_silent(max_rounds=100).stabilized
+
+    @pytest.mark.parametrize("engine", ["incremental", "batch-resident"])
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_wrong_process_set_is_one_domain_error(self, engine, change):
+        """A configuration lacking a network process, or carrying one
+        the network does not have, is refused with a DomainError that
+        names the process — by the constructor and by the setter, which
+        keeps the old state."""
+        net = ring(6)
+        proto = ColoringProtocol.for_network(net)
+        states = proto.arbitrary_configuration(net).as_dict()
+        if change == "missing":
+            del states[5]
+            named = "missing: [5]"
+        else:
+            states[99] = dict(states[0])
+            named = "extra: [99]"
+        with pytest.raises(DomainError, match=re.escape(named)):
+            Simulator(proto, net, seed=0, engine=engine,
+                      config=Configuration(states))
+        sim = Simulator(proto, net, seed=0, engine=engine)
+        old = sim.config
+        with pytest.raises(DomainError, match=re.escape(named)):
+            sim.config = Configuration(states)
+        assert sim.config is old
         assert sim.run_until_silent(max_rounds=100).stabilized
 
     @pytest.mark.parametrize("engine", ["incremental", "batch-resident"])
