@@ -263,9 +263,36 @@ def _bounded_fair(network, bound: int = 24, burst: int = 3):
     return BoundedFairScheduler(bound=bound, burst=burst)
 
 
+def _as_pid(value):
+    """A scripted pid as a spec's JSON round-trip left it, with its
+    lists turned back into the tuples ``grid``/``torus`` pids are."""
+    if isinstance(value, list):
+        return tuple(map(_as_pid, value))
+    return value
+
+
 @register_scheduler("fixed-sequence")
 def _fixed_sequence(network, sequence=()):
-    return FixedSequenceScheduler(sequence)
+    own = {p: p for p in network.processes}
+    steps, unknown = [], []
+    for step in sequence:
+        mapped = []
+        for value in step:
+            pid = _as_pid(value)
+            try:
+                mapped.append(own[pid])
+            except (KeyError, TypeError):  # TypeError: unhashable
+                if pid not in unknown:
+                    unknown.append(pid)
+        steps.append(mapped)
+    if unknown:
+        names = ", ".join(map(repr, unknown[:5]))
+        more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
+        raise ValueError(
+            "fixed-sequence names processes the network does not have: "
+            f"{names}{more}"
+        )
+    return FixedSequenceScheduler(steps)
 
 
 @register_scheduler("locally-central")

@@ -12,10 +12,11 @@ register-width tables every kernel needs:
   through; finite-set values are mapped to their index in the domain's
   value tuple, so ``Dominator``/``dominated`` and ``False``/``True``
   become ``0``/``1``);
-* ``nbr`` / ``deg`` — a padded neighbor-index matrix built from the
-  port-ordered :meth:`Network.neighbors` tuples (``nbr[i, port-1]`` is
-  the column index of the neighbor behind port ``port`` of process
-  ``i``), and :attr:`ColumnStore.port_mask`, which tells its real ports
+* ``nbr`` / ``deg`` — a padded neighbor-index matrix scattered from the
+  network's index-space port tables (:meth:`Network.port_arrays`,
+  wrapped without a copy; ``nbr[i, port-1]`` is the column index of
+  the neighbor behind port ``port`` of process ``i``), and
+  :attr:`ColumnStore.port_mask`, which tells its real ports
   from the padding — whole-network reductions over edges (the
   columnar silence and legitimacy verdicts) gather through ``nbr``
   and mask;
@@ -51,7 +52,6 @@ engine falls back to the scalar path.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..obs.registry import TELEMETRY
@@ -239,23 +239,17 @@ class ColumnStore:
             for values in codec_values
         ]
         pindex = {p: i for i, p in enumerate(pids)}
-        port_lists = [network.neighbors(p) for p in pids]
-        degs = list(map(len, port_lists))
-        max_degree = max(degs) if degs else 0
+        # The network's index-space port tables, wrapped without a copy;
+        # the padded (n, Δ) table is one scatter of them.
+        offsets, flat = (np.frombuffer(a, dtype=np.int64)
+                         for a in network.port_arrays())
+        deg = np.diff(offsets)
+        max_degree = int(deg.max())
         if max_degree == 0:
             return None
-        # Padded (n, Δ) table built by scatter instead of a Python
-        # per-neighbor append loop — at 1M processes the loop was most
-        # of the store build.
-        flat_pids = list(chain.from_iterable(port_lists))
-        flat = np.fromiter(
-            map(pindex.__getitem__, flat_pids),
-            dtype=np.int64, count=len(flat_pids),
-        )
-        deg = np.asarray(degs, dtype=np.int64)
         rows_rep = np.repeat(np.arange(n, dtype=np.int64), deg)
-        starts = np.repeat(np.cumsum(deg, dtype=np.int64) - deg, deg)
-        cols_rep = np.arange(len(flat_pids), dtype=np.int64) - starts
+        cols_rep = (np.arange(len(flat), dtype=np.int64)
+                    - np.repeat(offsets[:-1], deg))
         nbr = np.zeros((n, max_degree), dtype=np.int64)
         nbr[rows_rep, cols_rep] = flat
         return cls(np, pids, pindex, layout, rows, codecs, bits_raw,

@@ -8,8 +8,10 @@ objects with process ids ``0..n-1`` (or coordinate tuples for grids).
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Optional
+from itertools import chain as _chain
+from typing import List, Optional
 
 import networkx as nx
 
@@ -123,6 +125,59 @@ def random_regular(n: int, d: int, seed: Optional[int] = None) -> Network:
     raise TopologyError(f"could not sample a connected {d}-regular graph on {n}")
 
 
+def _gnp_ports(n: int, p: float, rng: random.Random) -> List[List[int]]:
+    """Port lists of one G(n, p) sample, drawn in O(n + m) by skip
+    sampling (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
+
+    The draws, the edges and their order are those of networkx's
+    ``fast_gnp_random_graph(n, p, seed)`` with ``rng =
+    random.Random(seed)``: each edge is appended to both endpoints as
+    networkx adds it, so ``ports[v]`` is ``v``'s adjacency in that graph.
+    ``p >= 1`` gives the complete graph without a draw, as networkx does.
+    """
+    if p >= 1:
+        return [list(_chain(range(v), range(v + 1, n))) for v in range(n)]
+    ports: List[List[int]] = [[] for _ in range(n)]
+    log, draw = math.log, rng.random
+    lp = log(1.0 - p)
+    v, w = 1, -1
+    while v < n:
+        w = w + 1 + int(log(1.0 - draw()) / lp)
+        while w >= v and v < n:
+            w = w - v
+            v = v + 1
+        if v < n:
+            ports[v].append(w)
+            ports[w].append(v)
+    return ports
+
+
+def _component_lists(ports: List[List[int]]) -> List[List[int]]:
+    """The connected components in networkx's ``connected_components``
+    order — by lowest member — each as ``list(component)`` lists it.
+
+    networkx fills each component's set in breadth-first order from its
+    lowest member; the set is rebuilt here with the same insertions, so
+    it iterates (and the list comes out) in the same order.
+    """
+    marked = bytearray(len(ports))
+    comps = []
+    for v in range(len(ports)):
+        if marked[v]:
+            continue
+        comp = {v}
+        order = [v]
+        for x in order:  # grows while it is walked: a FIFO queue
+            for y in ports[x]:
+                if y not in comp:
+                    comp.add(y)
+                    order.append(y)
+        for x in order:
+            marked[x] = 1
+        comps.append(list(comp))
+    return comps
+
+
 def sparse_random(
     n: int, avg_degree: float = 3.0, seed: Optional[int] = None
 ) -> Network:
@@ -135,6 +190,11 @@ def sparse_random(
     connected components together along a random chain, adding at most
     ``#components - 1`` edges — negligible against ``m ≈ n·avg_degree/2``
     and guaranteeing connectivity without resampling.
+
+    It builds port lists, not a graph: the network equals the one
+    networkx's ``fast_gnp_random_graph`` and ``connected_components``
+    give for the same seed — processes, ports, edges — and builds its
+    networkx graph only when a graph algorithm asks for one.
     """
     if n < 2:
         raise TopologyError("need at least two processes")
@@ -142,12 +202,14 @@ def sparse_random(
         raise TopologyError("avg_degree must be positive")
     rng = random.Random(seed)
     p = min(1.0, avg_degree / max(n - 1, 1))
-    g = nx.fast_gnp_random_graph(n, p, seed=rng.randrange(2**31))
-    comps = [list(c) for c in nx.connected_components(g)]
+    ports = _gnp_ports(n, p, random.Random(rng.randrange(2**31)))
+    comps = _component_lists(ports)
     rng.shuffle(comps)
     for a, b in zip(comps, comps[1:]):
-        g.add_edge(rng.choice(a), rng.choice(b))
-    return Network(g, copy=False)
+        u, v = rng.choice(a), rng.choice(b)
+        ports[u].append(v)
+        ports[v].append(u)
+    return Network._from_index_rows(ports)
 
 
 def random_tree(n: int, seed: Optional[int] = None) -> Network:

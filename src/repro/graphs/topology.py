@@ -7,14 +7,22 @@ several impossibility arguments hinge on choosing it maliciously — so the
 topology object carries an explicit, per-process port map rather than
 relying on any canonical neighbor ordering.
 
-:class:`Network` wraps a :mod:`networkx` graph and exposes the paper's
-notation: ``Γ.p`` (:meth:`Network.neighbors`), ``δ.p``
-(:meth:`Network.degree`), ``Δ`` (:attr:`Network.max_degree`), ``D``
-(:attr:`Network.diameter`), ``n`` and ``m``.
+:class:`Network` holds those port tables and answers the paper's
+notation from them: ``Γ.p`` (:meth:`Network.neighbors`), ``δ.p``
+(:meth:`Network.degree`), ``Δ`` (:attr:`Network.max_degree`), ``n``
+and ``m``.  The columnar engine reads the same tables in index space
+(:meth:`Network.port_arrays`).  Graph algorithms — ``D``
+(:attr:`Network.diameter`), colorings, bridges, cut vertices and the
+``with_*`` mutators — run on a :mod:`networkx` graph, which a network
+built from an edge sequence (:meth:`Network.from_edges`, the
+``sparse`` generator) builds only when one of them first asks.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
+from operator import contains
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -22,6 +30,29 @@ import networkx as nx
 from ..core.exceptions import TopologyError
 
 ProcessId = Hashable
+
+
+def _connected(rows: Sequence[Sequence[int]]) -> bool:
+    """True when index-space port lists span one component."""
+    seen = bytearray(len(rows))
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        for j in rows[stack.pop()]:
+            if not seen[j]:
+                seen[j] = 1
+                reached += 1
+                stack.append(j)
+    return reached == len(rows)
+
+
+def _index_arrays(rows: Sequence[Sequence[int]]) -> Tuple[array, array]:
+    """``(offsets, flat)`` of index-space port lists (see
+    :meth:`Network.port_arrays`)."""
+    # array() converts a list faster than it drains an iterator
+    return (array("q", accumulate(map(len, rows), initial=0)),
+            array("q", list(chain.from_iterable(rows))))
 
 
 class Network:
@@ -42,6 +73,9 @@ class Network:
         hand over a freshly constructed graph nobody else holds pass
         ``copy=False`` to skip the duplication — at million-node scale
         the defensive copy dominates the build.
+
+    :meth:`from_edges` builds a network from an edge sequence instead,
+    without a graph until a graph algorithm needs one.
     """
 
     def __init__(
@@ -57,31 +91,131 @@ class Network:
         if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
             raise TopologyError("network must be connected")
 
-        self._graph = graph.copy() if copy else graph
-        self._ports: Dict[ProcessId, Tuple[ProcessId, ...]] = {}
-        #: ``p -> {q: port}`` inverse tables, built lazily by
-        #: :meth:`port_to` — only scenario churn and debug tooling ask
-        #: for them, so the eager build was pure overhead at scale.
-        self._port_of: Dict[ProcessId, Dict[ProcessId, int]] = {}
-
-        for p in self._graph.nodes:
+        graph = graph.copy() if copy else graph
+        table: Dict[ProcessId, Tuple[ProcessId, ...]] = {}
+        for p in graph.nodes:
             if ports is not None and p in ports:
                 order = tuple(ports[p])
                 if sorted(map(repr, order)) != sorted(
-                    map(repr, self._graph.neighbors(p))
+                    map(repr, graph.neighbors(p))
                 ):
                     raise TopologyError(
                         f"port list of {p!r} does not enumerate its neighbors"
                     )
             else:
-                order = tuple(self._graph.neighbors(p))
-            self._ports[p] = order
+                order = tuple(graph.neighbors(p))
+            table[p] = order
+        self._adopt(table, graph)
 
+    def _adopt(self, ports: Dict[ProcessId, Tuple[ProcessId, ...]],
+               graph: Optional[nx.Graph]) -> None:
+        #: ``p -> (q1, q2, ...)`` in port order, in process order
+        self._ports = ports
+        #: the networkx graph; None until first needed on a network
+        #: built from an edge sequence (see :meth:`_nx`)
+        self._graph = graph
+        #: ``p -> {q: port}`` inverse tables, built lazily by
+        #: :meth:`port_to` — only scenario churn and debug tooling ask
+        #: for them, so the eager build was pure overhead at scale.
+        self._port_of: Dict[ProcessId, Dict[ProcessId, int]] = {}
         # Derived once on first use: a Network never changes after
         # construction (every ``with_*`` mutator returns a new one).
+        self._port_arrays: Optional[Tuple[array, array]] = None
         self._diameter: Optional[int] = None
         self._m: Optional[int] = None
         self._max_degree: Optional[int] = None
+
+    @classmethod
+    def from_edges(
+        cls,
+        processes: Iterable[ProcessId],
+        edges: Iterable[Tuple[ProcessId, ProcessId]],
+    ) -> "Network":
+        """The network on ``processes`` (in that order) with ``edges``.
+
+        Each edge is appended to both endpoints' port lists as it comes,
+        so a process numbers its ports in edge-sequence order — the
+        adjacency order networkx gives a graph built by adding the same
+        edges one by one, and the graph this network builds when a graph
+        algorithm first needs one.  Raises :class:`TopologyError` for no
+        processes, a process listed twice, an edge to an unknown process,
+        a self-loop, a pair joined twice (in either orientation), or a
+        disconnected network.
+        """
+        procs = list(processes)
+        index = {p: i for i, p in enumerate(procs)}
+        if len(index) != len(procs):
+            raise TopologyError("a process is listed twice")
+        rows: List[List[int]] = [[] for _ in procs]
+        for p, q in edges:
+            try:
+                i, j = index[p], index[q]
+            except KeyError:
+                raise TopologyError(
+                    f"edge ({p!r}, {q!r}) names an unknown process"
+                ) from None
+            rows[i].append(j)
+            rows[j].append(i)
+        return cls._from_index_rows(rows, procs)
+
+    @classmethod
+    def _from_index_rows(
+        cls,
+        rows: Sequence[Sequence[int]],
+        processes: Optional[Sequence[ProcessId]] = None,
+    ) -> "Network":
+        """The network whose process ``processes[i]`` sees
+        ``processes[j]`` for each ``j`` of ``rows[i]``, port by port
+        (``processes`` defaults to ``0 .. n-1``).
+
+        ``rows`` must come from appending each edge ``(i, j)`` of a
+        sequence to ``rows[i]`` and ``rows[j]``, as :meth:`from_edges`
+        and the ``sparse`` generator build them, so they are symmetric
+        by construction; every other property a networkx graph and
+        :meth:`__init__` guarantee is checked here.
+        """
+        n = len(rows)
+        if n == 0:
+            raise TopologyError("network must have at least one process")
+        if any(map(contains, rows, range(n))):
+            raise TopologyError("self-loops are not allowed")
+        if any(len(set(row)) != len(row) for row in rows):
+            raise TopologyError("a pair of processes is joined twice")
+        if n > 1 and not _connected(rows):
+            raise TopologyError("network must be connected")
+        if processes is None:
+            ports = dict(zip(range(n), map(tuple, rows)))
+        else:
+            pid = processes.__getitem__
+            ports = {p: tuple(map(pid, row)) for p, row in zip(processes, rows)}
+        net = cls.__new__(cls)
+        net._adopt(ports, None)
+        net._port_arrays = _index_arrays(rows)
+        return net
+
+    def _nx(self) -> nx.Graph:
+        """The networkx graph of this network, built on first use when
+        the network came from an edge sequence.
+
+        Nodes come in process order and each adjacency in port order,
+        which on such a network is edge-sequence order.  The sequence
+        itself is not kept, and re-adding the edges in any per-process
+        order can reorder some adjacency, so the adjacency is written
+        the way ``Graph.add_edge`` writes it: one data dict per edge,
+        shared by both directions.
+        """
+        graph = self._graph
+        if graph is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(self._ports)
+            adj = graph._adj
+            for p, row in self._ports.items():
+                nbrs = adj[p]
+                for q in row:
+                    data = adj[q].get(p)
+                    nbrs[q] = {} if data is None else data
+            self._graph = graph
+        return graph
 
     # ------------------------------------------------------------------
     # Paper notation
@@ -89,12 +223,12 @@ class Network:
     @property
     def processes(self) -> List[ProcessId]:
         """Π — all processes, in a stable order."""
-        return list(self._graph.nodes)
+        return list(self._ports)
 
     @property
     def n(self) -> int:
         """Number of processes."""
-        return self._graph.number_of_nodes()
+        return len(self._ports)
 
     @property
     def m(self) -> int:
@@ -127,7 +261,7 @@ class Network:
             if self.n == 1:
                 self._diameter = 0
             else:
-                self._diameter = nx.diameter(self._graph)
+                self._diameter = nx.diameter(self._nx())
         return self._diameter
 
     # ------------------------------------------------------------------
@@ -155,12 +289,29 @@ class Network:
         except KeyError:
             raise TopologyError(f"{q!r} is not a neighbor of {p!r}") from None
 
+    def port_arrays(self) -> Tuple[array, array]:
+        """``(offsets, flat)`` — the port tables in index space.
+
+        Both are stdlib ``array('q')``: the ports of the ``i``-th process
+        (in :attr:`processes` order) are ``flat[offsets[i]:offsets[i+1]]``,
+        each the index of the neighbor behind it.  A network built from an
+        edge sequence has them from its construction; one built from a
+        graph maps its tables on first use.  Either way they are cached,
+        and the columnar engine wraps them without copying.
+        """
+        if self._port_arrays is None:
+            index = {p: i for i, p in enumerate(self._ports)}.__getitem__
+            self._port_arrays = _index_arrays(
+                [tuple(map(index, row)) for row in self._ports.values()]
+            )
+        return self._port_arrays
+
     def with_ports(self, ports: Mapping[ProcessId, Sequence[ProcessId]]) -> "Network":
         """A copy of this network with (some) port maps replaced."""
-        merged = {p: list(self._ports[p]) for p in self._graph.nodes}
+        merged = {p: list(order) for p, order in self._ports.items()}
         for p, order in ports.items():
             merged[p] = list(order)
-        return Network(self._graph, merged)
+        return Network(self._nx(), merged)
 
     # ------------------------------------------------------------------
     # Safe mutation (functional: every mutator returns a new Network)
@@ -169,7 +320,7 @@ class Network:
         """Build a mutated copy: apply ``mutate`` to a graph copy and
         construct a new :class:`Network` with the given port lists (the
         constructor re-validates connectivity, simplicity, non-emptiness)."""
-        graph = self._graph.copy()
+        graph = self._nx().copy()
         mutate(graph)
         return Network(graph, ports, copy=False)
 
@@ -182,9 +333,9 @@ class Network:
         """
         if p == q:
             raise TopologyError("self-loops are not allowed")
-        if p not in self._graph or q not in self._graph:
+        if p not in self or q not in self:
             raise TopologyError(f"{p!r} or {q!r} is not a process")
-        if self._graph.has_edge(p, q):
+        if self.are_neighbors(p, q):
             raise TopologyError(f"{p!r} and {q!r} are already neighbors")
         ports = {r: list(order) for r, order in self._ports.items()}
         ports[p].append(q)
@@ -198,7 +349,7 @@ class Network:
         its removal would disconnect the network (use
         :func:`non_bridge_edges` to sample safely).
         """
-        if not self._graph.has_edge(p, q):
+        if not self.are_neighbors(p, q):
             raise TopologyError(f"{p!r} and {q!r} are not neighbors")
         ports = {r: list(order) for r, order in self._ports.items()}
         ports[p].remove(q)
@@ -213,7 +364,7 @@ class Network:
         The newcomer needs at least one neighbor (the network must stay
         connected); existing processes see it behind their highest port.
         """
-        if p in self._graph:
+        if p in self:
             raise TopologyError(f"{p!r} is already a process")
         neighbors = list(neighbors)
         if not neighbors:
@@ -221,7 +372,7 @@ class Network:
         if len(set(neighbors)) != len(neighbors):
             raise TopologyError("duplicate neighbors for the joining process")
         for q in neighbors:
-            if q not in self._graph:
+            if q not in self:
                 raise TopologyError(f"{q!r} is not a process")
         ports = {r: list(order) for r, order in self._ports.items()}
         for q in neighbors:
@@ -238,7 +389,7 @@ class Network:
         last process, or is a cut vertex (use :func:`removable_nodes`
         to sample safely).
         """
-        if p not in self._graph:
+        if p not in self:
             raise TopologyError(f"{p!r} is not a process")
         if self.n == 1:
             raise TopologyError("cannot remove the last process")
@@ -254,22 +405,26 @@ class Network:
     # ------------------------------------------------------------------
     def edges(self) -> List[Tuple[ProcessId, ProcessId]]:
         """All edges as (p, q) tuples."""
-        return list(self._graph.edges)
+        return list(self._nx().edges)
 
     def are_neighbors(self, p: ProcessId, q: ProcessId) -> bool:
-        return self._graph.has_edge(p, q)
+        return self._nx().has_edge(p, q)
 
     @property
     def nx_graph(self) -> nx.Graph:
         """A copy of the underlying :mod:`networkx` graph."""
-        return self._graph.copy()
+        return self._nx().copy()
 
     def subgraph_view(self) -> nx.Graph:
         """Read-only view of the underlying graph (no copy)."""
-        return self._graph
+        return self._nx()
 
     def __contains__(self, p: ProcessId) -> bool:
-        return p in self._graph
+        # An unhashable value is no process (as a networkx graph answers).
+        try:
+            return p in self._ports
+        except TypeError:
+            return False
 
     def __len__(self) -> int:
         return self.n

@@ -202,6 +202,35 @@ class TestExperimentSpec:
         assert spec.scheduler_params == {"sequence": [[0, 1], [2]]}
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
+    def test_fixed_sequence_scripts_tuple_pids(self):
+        """JSON turns a grid pid ``(0, 0)`` into ``[0, 0]``; the
+        scheduler maps it back to the network's own pid."""
+        spec = ExperimentSpec(
+            protocol="coloring", topology="grid",
+            topology_params={"rows": 2, "cols": 2},
+            scheduler="fixed-sequence",
+            scheduler_params={"sequence": [[(0, 0)], [(0, 1), (1, 1)]]},
+            metrics="full",
+        )
+        sim = spec.build_simulator()
+        assert sim.step().activated == {(0, 0)}
+        assert sim.step().activated == {(0, 1), (1, 1)}
+        assert spec.run().silent
+
+    def test_fixed_sequence_rejects_unknown_pids_when_built(self):
+        spec = ExperimentSpec(
+            protocol="coloring", topology="ring", topology_params={"n": 5},
+            scheduler="fixed-sequence",
+            scheduler_params={"sequence": [[99], [1]]},
+        )
+        with pytest.raises(ValueError, match="does not have: 99$"):
+            spec.build_scheduler(spec.build_network())
+        many = spec.variant(scheduler_params={
+            "sequence": [[9, 8, 7], [1, 6, 5, 9], [[0, 1]]]})
+        with pytest.raises(ValueError,
+                           match=r"9, 8, 7, 6, 5 and 1 more$"):
+            many.build_simulator()
+
     def test_run_matches_execute_trial(self):
         net = ring(8)
         imperative = execute_trial(ColoringProtocol.for_network(net), net,

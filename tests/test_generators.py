@@ -1,9 +1,13 @@
 """Unit tests for the topology generators."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.core.exceptions import TopologyError
 from repro.graphs import (
+    Network,
     binary_tree,
     caterpillar,
     chain,
@@ -14,6 +18,7 @@ from repro.graphs import (
     random_regular,
     random_tree,
     ring,
+    sparse_random,
     star,
     torus,
 )
@@ -96,3 +101,61 @@ class TestRandomFamilies:
 
     def test_single_node_tree(self):
         assert random_tree(1).n == 1
+
+
+def networkx_sparse_random(n, avg_degree, seed):
+    """``sparse_random`` as it was built on networkx: one
+    ``fast_gnp_random_graph`` sample, its ``connected_components``
+    stitched along a shuffled chain, wrapped as it stands."""
+    rng = random.Random(seed)
+    p = min(1.0, avg_degree / max(n - 1, 1))
+    g = nx.fast_gnp_random_graph(n, p, seed=rng.randrange(2**31))
+    comps = [list(c) for c in nx.connected_components(g)]
+    rng.shuffle(comps)
+    for a, b in zip(comps, comps[1:]):
+        g.add_edge(rng.choice(a), rng.choice(b))
+    return Network(g, copy=False)
+
+
+class TestSparseRandomExact:
+    """``sparse_random`` builds port lists without networkx and must
+    give the very network the networkx construction gives: the same
+    processes, every port in the same place, the same edge order, and a
+    networkx graph (built on demand) with the same adjacency order.
+    The grid covers p >= 1 (n <= avg_degree + 1) and samples with
+    hundreds of stitched components (avg_degree <= 1)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 100, 1000, 10000])
+    @pytest.mark.parametrize("avg_degree", [0.5, 1, 3, 6])
+    def test_equals_networkx_construction(self, n, avg_degree):
+        for seed in range(5):
+            net = sparse_random(n, avg_degree, seed=seed)
+            ref = networkx_sparse_random(n, avg_degree, seed)
+            procs = ref.processes
+            assert net.processes == procs
+            assert [net.neighbors(p) for p in procs] == \
+                [ref.neighbors(p) for p in procs]
+            assert net.edges() == ref.edges()
+            graph, ref_graph = net.subgraph_view(), ref.subgraph_view()
+            assert list(graph.nodes) == list(ref_graph.nodes)
+            assert [list(graph.adj[p]) for p in procs] == \
+                [list(ref_graph.adj[p]) for p in procs]
+            assert (net.m, net.max_degree) == (ref.m, ref.max_degree)
+            if n <= 1000:
+                assert net.diameter == nx.diameter(ref_graph, usebounds=True)
+
+    def test_no_networkx_sampling(self, monkeypatch):
+        """For 0 < p < 1 the generator calls neither networkx sampler."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("networkx called")
+
+        monkeypatch.setattr(nx, "fast_gnp_random_graph", refuse)
+        monkeypatch.setattr(nx, "connected_components", refuse)
+        net = sparse_random(500, 1.0, seed=3)
+        assert net.n == 500 and net.m >= 499
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(TopologyError):
+            sparse_random(1)
+        with pytest.raises(TopologyError):
+            sparse_random(10, avg_degree=0)

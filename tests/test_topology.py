@@ -1,11 +1,15 @@
 """Unit tests for port-numbered networks."""
 
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
 
-from repro.api import topology_registry
+import repro
+from repro.api import ExperimentSpec, drive_simulator, topology_registry
 from repro.core.exceptions import TopologyError
 from repro.graphs import (
     Network,
@@ -177,3 +181,116 @@ class TestQueries:
         g = net.nx_graph
         g.add_edge(0, 2)
         assert not net.are_neighbors(0, 2)
+
+
+class TestFromEdges:
+    """The construction path from an edge sequence keeps every check a
+    networkx graph and the graph constructor give."""
+
+    def test_rejects_empty(self):
+        with pytest.raises(TopologyError, match="at least one"):
+            Network.from_edges([], [])
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(TopologyError, match="self-loop"):
+            Network.from_edges([0, 1], [(0, 1), (1, 1)])
+
+    @pytest.mark.parametrize("again", [(0, 1), (1, 0)])
+    def test_rejects_repeated_pair(self, again):
+        with pytest.raises(TopologyError, match="joined twice"):
+            Network.from_edges([0, 1, 2], [(0, 1), (1, 2), again])
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (2, 3)], [(0, 1), (1, 2)]])
+    def test_rejects_disconnected(self, edges):
+        # two components, and one isolated process
+        with pytest.raises(TopologyError, match="connected"):
+            Network.from_edges([0, 1, 2, 3], edges)
+
+    def test_rejects_unknown_or_repeated_process(self):
+        with pytest.raises(TopologyError, match="unknown"):
+            Network.from_edges([0, 1], [(0, 2)])
+        with pytest.raises(TopologyError, match="listed twice"):
+            Network.from_edges([0, 1, 1], [(0, 1)])
+
+    def test_single_process(self):
+        net = Network.from_edges(["solo"], [])
+        assert net.n == 1 and net.m == 0 and net.diameter == 0
+
+    def test_equals_graph_built_edge_by_edge(self):
+        # a:[c,b], b:[c,a], c:[a,b,d] -- an adjacency order that neither
+        # a graph copy nor re-adding the edges in edge-view order keeps
+        edges = [("a", "c"), ("b", "c"), ("a", "b"), ("c", "d")]
+        net = Network.from_edges("abcd", edges)
+        g = nx.Graph()
+        g.add_nodes_from("abcd")
+        g.add_edges_from(edges)
+        ref = Network(g, copy=False)
+        assert net.processes == ref.processes
+        assert [net.neighbors(p) for p in "abcd"] == \
+            [ref.neighbors(p) for p in "abcd"]
+        assert net.edges() == ref.edges()
+        graph = net.subgraph_view()
+        assert [list(graph.adj[p]) for p in "abcd"] == \
+            [list(g.adj[p]) for p in "abcd"]
+        graph.adj["a"]["b"]["probe"] = 1  # one data dict per edge
+        assert graph.adj["b"]["a"] == {"probe": 1}
+
+    def test_answers_from_port_tables_alone(self):
+        net = Network.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert net.processes == [0, 1, 2, 3] and net.n == len(net) == 4
+        assert 2 in net and 9 not in net and [0] not in net
+        assert net.neighbors(0) == (1, 3) and net.degree(1) == 2
+        assert (net.m, net.max_degree, net.port_to(3, 0)) == (4, 2, 2)
+        offsets, flat = net.port_arrays()
+        assert list(offsets) == [0, 2, 4, 6, 8]
+        assert list(flat) == [1, 3, 0, 2, 1, 3, 2, 0]
+        assert net._graph is None
+        assert net.diameter == 2 and net._graph is not None
+
+    @pytest.mark.parametrize("name,params", GENERATOR_CASES,
+                             ids=[name for name, _ in GENERATOR_CASES])
+    def test_port_arrays_index_the_port_tables(self, name, params):
+        net = topology_registry.build(name, **params)
+        procs = net.processes
+        offsets, flat = net.port_arrays()
+        assert offsets.typecode == flat.typecode == "q"
+        assert len(offsets) == net.n + 1 and len(flat) == 2 * net.m
+        assert [
+            [procs[j] for j in flat[offsets[i]:offsets[i + 1]]]
+            for i in range(net.n)
+        ] == [list(net.neighbors(p)) for p in procs]
+        assert net.port_arrays() is net.port_arrays()
+
+
+class TestNetworkxOnDemand:
+    """A sparse trial on the fused columnar path never needs the
+    networkx graph, and a scalar one never needs NumPy."""
+
+    def test_fused_sparse_coloring_builds_no_graph(self):
+        spec = ExperimentSpec(
+            protocol="coloring", topology="sparse",
+            topology_params={"n": 400, "avg_degree": 3, "seed": 11},
+            seed=4, engine="batch-resident", metrics="aggregate",
+        )
+        sim = spec.build_simulator()
+        assert sim.engine.batch_active
+        report = drive_simulator(sim, max_rounds=spec.max_rounds)
+        assert report.silent and report.legitimate
+        assert sim.network._graph is None
+
+    def test_scalar_sparse_mis_loads_no_numpy(self):
+        script = (
+            "import sys\n"
+            "from repro.api import ExperimentSpec\n"
+            "row = ExperimentSpec(protocol='mis', topology='sparse',"
+            " topology_params={'n': 60, 'avg_degree': 3, 'seed': 2},"
+            " engine='incremental').run()\n"
+            "assert row.silent and row.legitimate\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src_root)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
