@@ -493,13 +493,14 @@ class BatchEngine(EnabledSetEngine):
         :meth:`MetricsCollector.record_lean` exactly.
 
         Per-process activation counts are accumulated in an engine-side
-        vector and flushed into the collector's dict lazily (the
-        simulator's ``metrics`` property triggers the flush before any
-        external read) — the dict update is the one per-step cost that
-        would otherwise erase the batch win.  Read-set folds go through
-        a seen-matrix so only *newly observed* (process, port) pairs
-        touch the per-process sets; ``total_bits`` is summed in
-        selection order because float addition order is observable.
+        vector and drained into the collector's dict only when one of
+        its per-process dicts is read (the engine registers
+        :meth:`_drain_per_process` with the collector) — the dict
+        update is the one per-step cost that would otherwise erase the
+        batch win.  Read-set folds go through a seen-matrix so only
+        *newly observed* (process, port) pairs are kept for that drain;
+        ``total_bits`` is summed in selection order because float
+        addition order is observable.
         """
         collector.steps += 1
         if closed:
@@ -510,7 +511,9 @@ class BatchEngine(EnabledSetEngine):
             self._pending_act = np.zeros(store.n, dtype=np.int64)
         self._pending_act[outcome.idx] += 1
         self._agg_dirty = True
-        self._agg_collector = collector
+        if self._agg_collector is not collector:
+            collector.defer_per_process(self._drain_per_process)
+            self._agg_collector = collector
 
         has_read = outcome.ports != 0
         count = int(has_read.sum())
@@ -522,7 +525,7 @@ class BatchEngine(EnabledSetEngine):
                 # cannot occur here.
                 collector.max_reads_in_step = 1
             self._fold_read_sets(
-                collector.read_sets,
+                None,
                 self._ensure_seen("_seen"),
                 outcome,
                 has_read,
@@ -566,8 +569,8 @@ class BatchEngine(EnabledSetEngine):
 
         With ``defer_to`` (the main fold), the per-process set
         materialization is postponed: the new index pairs are stashed
-        and drained by :meth:`flush_pending_metrics` before any
-        external metrics read.  Each pair is recorded exactly once (the
+        and drained by :meth:`_drain_per_process` when the collector's
+        read sets are read.  Each pair is recorded exactly once (the
         seen matrix dedups at fold time), so the drain's set inserts
         are order-insensitive and byte-equivalent to the eager fold.
         """
@@ -588,14 +591,18 @@ class BatchEngine(EnabledSetEngine):
             read_sets[pids[i]].add(c + 1)
 
     def flush_pending_metrics(self) -> None:
-        """Drain accumulated activation counts into the collector
-        (called by ``Simulator.metrics`` before any external read, and
-        before the engine rebuilds its per-process vectors)."""
+        """Drain accumulated per-process counts into the collector now
+        (before the engine rebuilds its per-process vectors)."""
+        if self._agg_dirty:
+            self._agg_collector._per_process()
+
+    def _drain_per_process(self, activations, read_sets) -> None:
+        """The collector's drain: fold the pending activation counts and
+        newly read (process, port) pairs into its per-process dicts."""
         if not self._agg_dirty:
             return
         self._agg_dirty = False
         pend = self._pending_act
-        activations = self._agg_collector.activations
         pids = self._store.pids
         nz = self._store.np.nonzero(pend)[0]
         for i, c in zip(nz.tolist(), pend[nz].tolist()):
@@ -604,7 +611,6 @@ class BatchEngine(EnabledSetEngine):
         pending_reads = self._unflushed_reads
         if pending_reads:
             self._unflushed_reads = []
-            read_sets = self._agg_collector.read_sets
             for rows, cols in pending_reads:
                 for i, c in zip(rows.tolist(), cols.tolist()):
                     read_sets[pids[i]].add(c + 1)

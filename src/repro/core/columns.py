@@ -43,6 +43,12 @@ mutually exclusive by construction: while columns are dirty,
 :meth:`pull`/:meth:`pull_all` refuse to run, so a row-ahead and a
 column-ahead view can never silently merge.
 
+A store built on a configuration that still holds its drawn columns
+(:class:`~repro.core.state.DrawnColumns`, what
+``Protocol.arbitrary_configuration`` returns) adopts them as its
+columns: no row is built at bind, and the first observation decodes
+the drawn rows and then the dirty slots on top of them.
+
 A store is only *supported* when NumPy imports, for configurations
 whose processes share one interned layout and whose domains are all
 integer ranges or uniform finite value tuples;
@@ -56,7 +62,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..obs.registry import TELEMETRY
 from .exceptions import ModelError
-from .variables import FiniteSet, IntRange
+from .variables import FiniteSet, IntRange, spec_plans
 
 ProcessId = Hashable
 
@@ -111,7 +117,8 @@ class ColumnStore:
         "pids",
         "pindex",
         "layout",
-        "rows",
+        "_config",
+        "_rows",
         "codecs",
         "cols",
         "nbr",
@@ -121,21 +128,26 @@ class ColumnStore:
         "_port_mask",
         "generation",
         "_dirty_slots",
-        "_bits_raw",
+        "_plan_bits",
+        "_plan_ids",
         "_bits_cols",
     )
 
-    def __init__(self, np, pids, pindex, layout, rows, codecs, bits_raw,
-                 nbr, deg, max_degree):
+    def __init__(self, np, pids, pindex, layout, config, rows, codecs,
+                 plan_bits, plan_ids, nbr, deg, max_degree, cols=None):
         #: the NumPy module the columns are built with
         self.np = np
         self.n = len(pids)
         self.pids = pids
         self.pindex = pindex
         self.layout = layout
-        self.rows = rows
+        self._config = config
+        #: the rows in canonical order (None until the configuration's
+        #: drawn columns are first decoded)
+        self._rows = rows
         self.codecs = codecs
-        self._bits_raw = bits_raw
+        self._plan_bits = plan_bits
+        self._plan_ids = plan_ids
         self._bits_cols: Dict[str, Any] = {}
         self.nbr = nbr
         self.deg = deg
@@ -147,8 +159,11 @@ class ColumnStore:
         #: materialized.
         self.generation: List[int] = [0] * len(layout.names)
         self._dirty_slots: set = set()
-        self.cols: List[Any] = [None] * len(layout.names)
-        self.pull_all()
+        if cols is None:
+            self.cols: List[Any] = [None] * len(layout.names)
+            self.pull_all()
+        else:
+            self.cols = cols
 
     # ------------------------------------------------------------------
     @classmethod
@@ -159,32 +174,43 @@ class ColumnStore:
         fallback): NumPy not importable, processes with differing
         layouts, and variable domains that are neither integer ranges
         nor one shared finite value tuple.
+
+        A configuration that still holds its drawn columns hands them
+        over as they are; any other is read row by row.  Codecs and
+        register widths are resolved once per distinct spec tuple.
         """
         np = _load_numpy()
         if np is None:
             return None
-        pids = list(network.processes)
+        pids = network.processes
         n = len(pids)
         if n == 0:
             return None
-        aligned = config.aligned_storage(pids)
-        layout = (aligned[0][0] if aligned is not None
-                  else config.layout_of(pids[0]))
+        pindex = network.process_index()
+        drawn = config.drawn_columns(pindex)
+        if drawn is not None:
+            layout = drawn.layout
+            rows = None
+        else:
+            aligned = config.aligned_storage(pids)
+            if aligned is not None:
+                layouts, rows = aligned
+                rows = list(rows)
+            else:
+                layouts = [config.layout_of(p) for p in pids]
+                rows = [config.row_of(p) for p in pids]
+            layout = layouts[0]
+            if any(other is not layout for other in layouts):
+                return None
+        if drawn is not None and drawn.specs_of is specs_of:
+            plans, plan_ids = drawn.plans, drawn.plan_ids
+        else:
+            plans, plan_ids = spec_plans(specs_of, pids)
         names = layout.names
         nvars = len(names)
-        # One pass over every process resolves layout sharing, slot
-        # codecs, the per-variable register widths, and the row aliases.
-        # Spec tuples repeat heavily (protocols memoize by degree), so
-        # the codec/bits resolution runs once per *distinct* tuple and
-        # the per-process loop degrades to cache hits.
         codec_values: List[Any] = [False] * nvars  # False=int, tuple=enum
-        bits_raw: Dict[str, List[float]] = {name: [0.0] * n for name in names}
-        bits_cols = [bits_raw[name] for name in names]
-        spec_cache: Dict[int, Optional[List[float]]] = {}
-
-        def resolve(specs, first: bool) -> Optional[List[float]]:
-            """Per-slot bit widths of one spec tuple, or None if the
-            tuple cannot share this store's layout/codecs."""
+        plan_bits = []
+        for q, specs in enumerate(plans):
             if len(specs) != nvars:
                 return None
             bits = [0.0] * nvars
@@ -198,7 +224,7 @@ class ColumnStore:
                         return None
                 elif isinstance(dom, FiniteSet):
                     if codec_values[k] is False:
-                        if first:
+                        if q == 0:
                             codec_values[k] = dom.values
                         else:
                             return None
@@ -207,38 +233,18 @@ class ColumnStore:
                 else:
                     return None
                 bits[k] = dom.bits
-            return bits
-
-        if aligned is not None:
-            layouts, rows = aligned
-            rows = list(rows)
-        else:
-            layouts = None
-            rows = [None] * n
-        bits_refs: List[Optional[List[float]]] = [None] * n
-        for i, p in enumerate(pids):
-            if aligned is not None:
-                if layouts[i] is not layout:
-                    return None
-            else:
-                if config.layout_of(p) is not layout:
-                    return None
-                rows[i] = config.row_of(p)
-            specs = specs_of[p]
-            bits = spec_cache.get(id(specs))
-            if bits is None and id(specs) not in spec_cache:
-                bits = resolve(specs, first=(i == 0))
-                spec_cache[id(specs)] = bits
-            if bits is None:
-                return None
-            bits_refs[i] = bits
-        for k in range(nvars):
-            bits_cols[k][:] = [b[k] for b in bits_refs]
+            plan_bits.append(bits)
         codecs = [
             _SlotCodec(None if values is False else tuple(values))
             for values in codec_values
         ]
-        pindex = {p: i for i, p in enumerate(pids)}
+        cols = None
+        if drawn is not None:
+            if all(values == codec.values
+                   for values, codec in zip(drawn.codecs, codecs)):
+                cols = [np.asarray(col, dtype=np.int64) for col in drawn.data]
+            else:  # a slot drawn as values where the store keeps codes
+                rows = config.row_storage()
         # The network's index-space port tables, wrapped without a copy;
         # the padded (n, Δ) table is one scatter of them.
         offsets, flat = (np.frombuffer(a, dtype=np.int64)
@@ -252,8 +258,8 @@ class ColumnStore:
                     - np.repeat(offsets[:-1], deg))
         nbr = np.zeros((n, max_degree), dtype=np.int64)
         nbr[rows_rep, cols_rep] = flat
-        return cls(np, pids, pindex, layout, rows, codecs, bits_raw,
-                   nbr, deg, max_degree)
+        return cls(np, pids, pindex, layout, config, rows, codecs,
+                   plan_bits, plan_ids, nbr, deg, max_degree, cols)
 
     # ------------------------------------------------------------------
     # Column access
@@ -290,10 +296,25 @@ class ColumnStore:
         index to charge a read)."""
         col = self._bits_cols.get(name)
         if col is None:
-            col = self._bits_cols[name] = self.np.asarray(
-                self._bits_raw[name], dtype=self.np.float64
-            )
+            np = self.np
+            k = self.layout.index[name]
+            widths = [bits[k] for bits in self._plan_bits]
+            if len(set(widths)) == 1:
+                col = np.full(self.n, widths[0], dtype=np.float64)
+            else:
+                col = np.asarray(widths, dtype=np.float64)[
+                    np.asarray(self._plan_ids, dtype=np.intp)]
+            self._bits_cols[name] = col
         return col
+
+    @property
+    def rows(self) -> List[List[Any]]:
+        """The configuration's rows in canonical order (decoded from
+        its drawn columns on first use)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._config.row_storage()
+        return rows
 
     # ------------------------------------------------------------------
     # Row <-> column synchronization

@@ -156,10 +156,9 @@ class EnabledSetEngine(ABC):
         self.exec_pool = StepContextPool(network, config, specs_of)
         #: canonical position of each process — every engine presents
         #: the enabled pool in network-process order so that daemons
-        #: drawing from it behave identically across engines.
-        self._order: Dict[ProcessId, int] = {
-            p: i for i, p in enumerate(network.processes)
-        }
+        #: drawing from it behave identically across engines (the
+        #: network's own cached map).
+        self._order: Dict[ProcessId, int] = network.process_index()
 
     # ------------------------------------------------------------------
     # Step execution
@@ -205,10 +204,6 @@ class EnabledSetEngine(ABC):
         """Decode state the engine keeps outside the configuration's
         rows, before scalar code reads them (no-op: scalar engines
         write the rows directly)."""
-
-    def flush_pending_metrics(self) -> None:
-        """Drain metric folds the engine defers into the collector
-        (no-op: scalar outcomes fold eagerly)."""
 
     # ------------------------------------------------------------------
     # Queries

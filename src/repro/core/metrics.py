@@ -28,7 +28,12 @@ The simulator feeds the collector through one of three *metrics tiers*
   ``Simulator.step_index`` and the round tracker advance.
 
 Memory contract: the collector itself is ``O(n + Σ|read sets|)`` —
-aggregates and per-process read sets, independent of run length.  Step
+aggregates and per-process read sets, independent of run length.  The
+per-process dicts (``activations``, ``read_sets``) are built on first
+read: an engine that keeps those counts in its own arrays registers a
+drain (:meth:`MetricsCollector.defer_per_process`) that folds them in
+whenever either dict is read, so a run that only reads the scalar
+measures never builds them.  Step
 records are **not retained** unless explicitly requested via
 ``keep_records=N``, which keeps a bounded deque of the most recent N
 records (``MetricsCollector.records``); unbounded retention is
@@ -104,10 +109,12 @@ class MetricsCollector:
         self.max_bits_in_step = 0.0
         self.total_bits = 0.0
         self.total_reads = 0
-        #: activation counts per process
-        self.activations: Dict[ProcessId, int] = {p: 0 for p in self._processes}
-        #: accumulated neighbor-read sets over the whole run
-        self.read_sets: Dict[ProcessId, Set[int]] = {p: set() for p in self._processes}
+        # The per-process dicts behind ``activations`` / ``read_sets``,
+        # built on first read, and the drain of an engine that defers
+        # its per-process folds (see ``defer_per_process``).
+        self._activations: Optional[Dict[ProcessId, int]] = None
+        self._read_sets: Optional[Dict[ProcessId, Set[int]]] = None
+        self._drain = None
         #: accumulated neighbor-read sets since :meth:`start_suffix`
         self.suffix_read_sets: Optional[Dict[ProcessId, Set[int]]] = None
         self.suffix_start_step: Optional[int] = None
@@ -137,19 +144,47 @@ class MetricsCollector:
         self.legitimate_steps = 0
 
     # ------------------------------------------------------------------
+    # Per-process aggregates
+    # ------------------------------------------------------------------
+    @property
+    def activations(self) -> Dict[ProcessId, int]:
+        """Activation counts per process."""
+        return self._per_process()[0]
+
+    @property
+    def read_sets(self) -> Dict[ProcessId, Set[int]]:
+        """Accumulated neighbor-read sets per process over the whole run."""
+        return self._per_process()[1]
+
+    def defer_per_process(self, drain) -> None:
+        """Register ``drain(activations, read_sets)``, which folds the
+        per-process counts an engine keeps outside the collector into
+        the two dicts; it runs before either is read."""
+        self._drain = drain
+
+    def _per_process(self):
+        if self._activations is None:
+            self._activations = dict.fromkeys(self._processes, 0)
+            self._read_sets = {p: set() for p in self._processes}
+        if self._drain is not None:
+            self._drain(self._activations, self._read_sets)
+        return self._activations, self._read_sets
+
+    # ------------------------------------------------------------------
     def record(self, record: StepRecord) -> None:
         """Fold one step record into the aggregates (``full``-tier hook)."""
         self.steps += 1
         if record.closed_round:
             self.rounds += 1
+        activations, read_sets = self._per_process()
         for p in record.activated:
-            self.activations[p] += 1
+            activations[p] += 1
         for p, ports in record.ports_read.items():
             count = len(ports)
             if count > self.max_reads_in_step:
                 self.max_reads_in_step = count
             self.total_reads += count
-            self.read_sets[p].update(ports)
+            read_sets[p].update(ports)
             if self.suffix_read_sets is not None:
                 self.suffix_read_sets[p].update(ports)
         for p, bits in record.bits_read.items():
@@ -173,8 +208,7 @@ class MetricsCollector:
         self.steps += 1
         if closed_round:
             self.rounds += 1
-        activations = self.activations
-        read_sets = self.read_sets
+        activations, read_sets = self._per_process()
         suffix = self.suffix_read_sets
         max_reads = self.max_reads_in_step
         max_bits = self.max_bits_in_step
@@ -251,10 +285,11 @@ class MetricsCollector:
         stability queries (:meth:`suffix_stable_processes`) answer for
         the *current* process set.
         """
+        activations, read_sets = self._per_process()
         for p in processes:
-            if p not in self.activations:
-                self.activations[p] = 0
-                self.read_sets[p] = set()
+            if p not in activations:
+                activations[p] = 0
+                read_sets[p] = set()
                 if self.suffix_read_sets is not None:
                     self.suffix_read_sets[p] = set()
         self._processes = list(processes)

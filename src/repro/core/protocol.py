@@ -12,13 +12,45 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .actions import Actions
-from .state import Configuration, _intern_layout
-from .variables import VariableSpec
+from .state import Configuration, DrawnColumns, _intern_layout
+from .variables import FiniteSet, IntRange, VariableSpec, spec_plans
 
 ProcessId = Hashable
+
+
+def _shared_values(specs) -> Optional[Tuple[Any, ...]]:
+    """The value tuple a slot draws indices into: set when the slot is
+    a drawn (non-constant) :class:`FiniteSet` with the same values, of
+    the same types, in every spec tuple; else None (values drawn)."""
+    first = specs[0].domain
+    if type(first) is not FiniteSet:
+        return None
+    types = tuple(map(type, first.values))
+    for spec in specs:
+        dom = spec.domain
+        if (spec.kind == "const" or type(dom) is not FiniteSet
+                or dom.values != first.values
+                or tuple(map(type, dom.values)) != types):
+            return None
+    return first.values
+
+
+def _draw_step(spec: VariableSpec, rng, coded):
+    """``(draw, args)`` for one spec: the drawn value is ``draw(*args)``,
+    the very call the domain's ``sample`` makes (an index into
+    ``coded`` when the slot keeps value indices).  A constant draws
+    nothing (its 0 is overwritten)."""
+    if spec.kind == "const":
+        return int, ()
+    dom = spec.domain
+    if coded is not None:
+        return rng.randrange, (len(coded),)
+    if type(dom) is IntRange:
+        return rng.randint, (dom.lo, dom.hi)
+    return dom.sample, (rng,)
 
 
 class Protocol(ABC):
@@ -91,6 +123,13 @@ class Protocol(ABC):
         """Values of ``p``'s communication constants (default: none)."""
         return {}
 
+    def constant_column(self, network, name: str, processes) -> List[Any]:
+        """Constant ``name`` of each of ``processes``, in order: what
+        :meth:`arbitrary_configuration` copies into a constant slot.
+        By default one :meth:`constant_values` call per process; a
+        protocol keeping its constants in a table reads them from it."""
+        return [self.constant_values(network, p)[name] for p in processes]
+
     # ------------------------------------------------------------------
     # Legitimacy
     # ------------------------------------------------------------------
@@ -102,39 +141,68 @@ class Protocol(ABC):
     # Initial configurations
     # ------------------------------------------------------------------
     def arbitrary_configuration(
-        self, network, rng: Optional[random.Random] = None
+        self, network, rng: Optional[random.Random] = None, specs_of=None
     ) -> Configuration:
         """A uniformly random configuration — the model of a transient
         fault that corrupted every variable (self-stabilization starts
-        from *any* configuration, so tests draw many of these)."""
+        from *any* configuration, so tests draw many of these).
+
+        ``specs_of`` is the run's spec map (built here when omitted).
+        The draw goes per process, per spec, in declaration order:
+        ``rng.randint(lo, hi)`` for an integer range, a value's index
+        ``rng.randrange(len(values))`` for a finite set every process
+        shares (else its ``sample``, which makes that same call), and
+        ``domain.sample(rng)`` for any other domain, while constants
+        take :meth:`constant_column`.  Draw steps are resolved once per
+        distinct spec tuple.  When every process shares one layout (and
+        the same constants) the values land straight in one list per slot
+        (:class:`~repro.core.state.DrawnColumns`), and the rows are
+        decoded only when something first reads one.
+        """
         rng = rng or random.Random()
-        # Build the flat storage directly — same sampling sequence as
-        # the classic dict construction (per process, per spec, in
-        # declaration order), without one intermediate dict per
-        # process.  The layout cache is keyed by spec-tuple identity
-        # (protocols memoize their spec tuples per degree); the tuple
-        # is kept in the cache value so the id stays live.
-        pids = []
-        layouts = []
+        if specs_of is None:
+            specs_of = self.specs_of(network)
+        pids = network.processes
+        plans, plan_ids = spec_plans(specs_of, pids)
+        names = [tuple(spec.name for spec in specs) for specs in plans]
+        const = [tuple(spec.kind == "const" for spec in specs)
+                 for specs in plans]
+        # one layout, and each slot a constant everywhere or nowhere
+        uniform = (names.count(names[0]) == len(names)
+                   and const.count(const[0]) == len(const))
+        codecs = [None] * len(names[0])
+        if uniform:
+            for k in range(len(codecs)):
+                codecs[k] = _shared_values([specs[k] for specs in plans])
+        steps = [[_draw_step(spec, rng, codecs[k] if uniform else None)
+                  for k, spec in enumerate(specs)]
+                 for specs in plans]
+        flat = [draw(*args) for q in plan_ids for draw, args in steps[q]]
+        pindex = network.process_index()
+        if uniform:
+            width = len(names[0])
+            data = [flat[k::width] for k in range(width)]
+            for k, name in enumerate(names[0]):
+                if const[0][k]:
+                    data[k] = self.constant_column(network, name, pids)
+            drawn = DrawnColumns(_intern_layout(names[0]), data, codecs,
+                                 specs_of, plans, plan_ids)
+            return Configuration.from_columns(pids, pindex, drawn)
+        layouts = [_intern_layout(n) for n in names]
         rows = []
-        layout_cache: Dict[int, Any] = {}
-        for p in network.processes:
-            specs = self.variables(network, p)
-            cached = layout_cache.get(id(specs))
-            if cached is None:
-                layout = _intern_layout(tuple(s.name for s in specs))
-                layout_cache[id(specs)] = (layout, specs)
-            else:
-                layout = cached[0]
-            consts = self.constant_values(network, p)
-            rows.append([
-                consts[spec.name] if spec.kind == "const"
-                else spec.domain.sample(rng)
-                for spec in specs
-            ])
-            pids.append(p)
-            layouts.append(layout)
-        return Configuration.from_rows(pids, None, layouts, rows)
+        start = 0
+        for p, q in zip(pids, plan_ids):
+            end = start + len(names[q])
+            row = flat[start:end]
+            start = end
+            if any(const[q]):
+                consts = self.constant_values(network, p)
+                for k, is_const in enumerate(const[q]):
+                    if is_const:
+                        row[k] = consts[names[q][k]]
+            rows.append(row)
+        return Configuration.from_rows(
+            pids, pindex, [layouts[q] for q in plan_ids], rows)
 
     def specs_of(self, network) -> Dict[ProcessId, Tuple[VariableSpec, ...]]:
         """Variable declarations for every process, keyed by pid."""
@@ -147,9 +215,16 @@ class Protocol(ABC):
         """Raise :class:`DomainError` unless every value is in-domain and
         every constant carries its declared value.  Callers that already
         hold the run's spec map pass it via ``specs_of`` to skip one
-        full :meth:`specs_of` rebuild."""
-        config.validate(specs_of if specs_of is not None
-                        else self.specs_of(network))
+        full :meth:`specs_of` rebuild.  A configuration still holding
+        the columns drawn for that very map takes one range check per
+        slot (its constants are :meth:`constant_column`'s own); any
+        other is checked row by row."""
+        if specs_of is None:
+            specs_of = self.specs_of(network)
+        drawn = config.drawn_from(specs_of)
+        config.validate(specs_of)
+        if drawn:
+            return
         for p in network.processes:
             for name, value in self.constant_values(network, p).items():
                 actual = config.get(p, name)

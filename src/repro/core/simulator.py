@@ -154,7 +154,8 @@ class Simulator:
         self.specs_of = protocol.specs_of(network)
         self.metrics_tier = metrics
         if config is None:
-            config = protocol.arbitrary_configuration(network, self.rng)
+            config = protocol.arbitrary_configuration(
+                network, self.rng, specs_of=self.specs_of)
         else:
             config = Configuration(config.as_dict())
         protocol.validate_configuration(network, config,
@@ -194,12 +195,12 @@ class Simulator:
     def metrics(self) -> MetricsCollector:
         """The run's metrics collector.
 
-        A columnar engine folds aggregate-tier counts into engine-side
-        vectors between reads; accessing the collector through this
-        property drains them first, so external readers (summaries,
-        scenario hooks, the warehouse) always see exact totals.
+        A columnar engine folds per-process aggregate-tier counts into
+        engine-side vectors; the collector drains them when its
+        ``activations`` or ``read_sets`` are read, so every reader sees
+        exact totals and a reader of the scalar measures (a trial row)
+        never pays for the per-process dicts.
         """
-        self.engine.flush_pending_metrics()
         return self._metrics
 
     # ------------------------------------------------------------------
@@ -309,7 +310,8 @@ class Simulator:
                     prev = old[spec.name]
                     if prev in spec.domain:
                         value = prev
-                    elif isinstance(prev, int) and hasattr(spec.domain, "lo"):
+                    elif (isinstance(prev, int) and not isinstance(prev, bool)
+                          and hasattr(spec.domain, "lo")):
                         value = max(spec.domain.lo,
                                     min(spec.domain.hi, prev))
                 if value is None:

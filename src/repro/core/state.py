@@ -14,6 +14,12 @@ protocols, predicates, faults, and the verification/impossibility
 modules work unchanged.  Layouts are fixed at construction: a process
 cannot grow a new variable.
 
+A configuration drawn by
+:meth:`~repro.core.protocol.Protocol.arbitrary_configuration` is born
+columnar: it holds its :class:`DrawnColumns` — one list per layout
+slot — and decodes its rows only when something first reads one, so a
+run that never reads a row (a fused columnar trial) never builds one.
+
 Configurations are immutable-by-convention with explicit copy helpers
 so the simulator can implement the paper's read-from-``γi`` /
 write-to-``γi+1`` step semantics safely.
@@ -22,10 +28,12 @@ write-to-``γi+1`` step semantics safely.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Tuple
+from operator import contains, le
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
+from ..obs.registry import TELEMETRY
 from .exceptions import DomainError
-from .variables import VariableSpec
+from .variables import IntRange, VariableSpec
 
 ProcessId = Hashable
 ProcessState = Dict[str, Any]
@@ -65,6 +73,91 @@ def _intern_layout(names: Tuple[str, ...]) -> StateLayout:
             _LAYOUTS.clear()
         layout = _LAYOUTS[names] = StateLayout(names)
     return layout
+
+
+class DrawnColumns:
+    """A drawn start configuration, one list per layout slot.
+
+    What :meth:`Protocol.arbitrary_configuration
+    <repro.core.protocol.Protocol.arbitrary_configuration>` draws, and
+    what a :class:`Configuration` holds until a row is first read:
+
+    * ``layout`` — the one layout every process shares;
+    * ``data[k]`` — slot ``k`` over the processes in network order:
+      indices into ``codecs[k]`` when that is a value tuple (finite-set
+      slots drawn as indices), the values themselves when it is None;
+    * ``specs_of``, ``plans`` and ``plan_ids`` — the spec map of the
+      draw, its distinct spec tuples and each process's position among
+      them, so checks and the column store resolve domains and register
+      widths once per tuple instead of once per process.
+    """
+
+    __slots__ = ("layout", "data", "codecs", "specs_of", "plans",
+                 "plan_ids")
+
+    def __init__(self, layout, data, codecs, specs_of, plans, plan_ids):
+        self.layout = layout
+        self.data = data
+        self.codecs = codecs
+        self.specs_of = specs_of
+        self.plans = plans
+        self.plan_ids = plan_ids
+
+    def check(self, pids) -> None:
+        """Raise :class:`DomainError` unless every value lies in its
+        process's domain (the row check's message, for the first such
+        value in process order).
+
+        One range check per slot: a slot of real ints whose domains are
+        integer ranges (a finite set's value indices among them) is
+        compared with the bounds of each process's spec tuple — one
+        ``min``/``max`` pass when every tuple shares the bounds, else a
+        C-level ``map`` over the processes.  Any other slot checks every
+        value for membership.
+        """
+        for k, (col, values) in enumerate(zip(self.data, self.codecs)):
+            domains = [specs[k].domain for specs in self.plans]
+            if values is not None:
+                bounds = [(0, len(values) - 1)]
+            elif all(type(d) is IntRange for d in domains):
+                bounds = [(d.lo, d.hi) for d in domains]
+            else:
+                bounds = None
+            if bounds is not None and set(map(type, col)) == {int}:
+                ok = self._in_bounds(col, bounds)
+            elif values is None:
+                ok = all(map(contains, map(domains.__getitem__,
+                                           self.plan_ids), col))
+            else:
+                ok = False
+            if not ok:
+                self._raise_first_bad(pids)
+
+    def _in_bounds(self, col, bounds) -> bool:
+        if len(set(bounds)) == 1:
+            lo, hi = bounds[0]
+            return lo <= min(col) and max(col) <= hi
+        los, his = zip(*bounds)
+        ids = self.plan_ids
+        return (all(map(le, map(los.__getitem__, ids), col))
+                and all(map(le, col, map(his.__getitem__, ids))))
+
+    def _raise_first_bad(self, pids) -> None:
+        """The row check's error for the first out-of-domain value."""
+        names = self.layout.names
+        for i, q in enumerate(self.plan_ids):
+            for k, spec in enumerate(self.plans[q]):
+                value = self.data[k][i]
+                values = self.codecs[k]
+                if values is not None:
+                    value = (values[value] if type(value) is int
+                             and 0 <= value < len(values)
+                             else f"<index {value}>")
+                if value not in spec.domain:
+                    raise DomainError(
+                        f"value {value!r} of {names[k]}.{pids[i]!r} "
+                        f"outside its domain"
+                    )
 
 
 class StateView(MutableMapping):
@@ -128,9 +221,14 @@ class Configuration:
     stay valid for the configuration's lifetime.  Out-of-band writers
     (fault injection) go through :meth:`set` / :meth:`state_of` and must
     still call ``Simulator.invalidate_enabled`` afterwards.
+
+    A configuration built by :meth:`from_columns` has no rows until the
+    first observation decodes its :class:`DrawnColumns` (counted as a
+    ``columns.materializations`` telemetry event).
     """
 
-    __slots__ = ("_pids", "_pindex", "_layouts", "_rows", "_sync")
+    __slots__ = ("_pids", "_pindex", "_layouts", "_rows", "_sync",
+                 "_hook", "_drawn")
 
     def __init__(self, states: Mapping[ProcessId, Mapping[str, Any]]):
         pids: List[ProcessId] = []
@@ -147,7 +245,7 @@ class Configuration:
         self._pindex = pindex
         self._layouts = layouts
         self._rows = rows
-        self._sync = None
+        self._sync = self._hook = self._drawn = None
 
     @classmethod
     def from_rows(cls, pids, pindex, layouts, rows) -> "Configuration":
@@ -164,7 +262,26 @@ class Configuration:
         }
         new._layouts = layouts
         new._rows = rows
-        new._sync = None
+        new._sync = new._hook = new._drawn = None
+        return new
+
+    @classmethod
+    def from_columns(cls, pids, pindex, drawn: DrawnColumns
+                     ) -> "Configuration":
+        """Adopt a drawn configuration without building its rows.
+
+        ``pids`` and ``pindex`` give the processes in the order of
+        ``drawn``'s columns; the rows are decoded from ``drawn`` on the
+        first observation.
+        """
+        new = cls.__new__(cls)
+        new._pids = pids
+        new._pindex = pindex
+        new._layouts = [drawn.layout] * len(pids)
+        new._rows = None
+        new._hook = None
+        new._drawn = drawn
+        new._sync = new._sync_drawn
         return new
 
     # -- resident-backend hook ------------------------------------------
@@ -174,8 +291,52 @@ class Configuration:
         Column-resident engines keep pending writes in columns; the hook
         materializes them into the rows so stray scalar reads (traces,
         predicates, faults, direct ``config.get``) never see stale
-        state.  ``None`` uninstalls."""
-        self._sync = hook
+        state.  ``None`` uninstalls.  On a configuration whose rows are
+        not decoded yet, the first observation decodes them, then runs
+        the hook."""
+        self._hook = hook
+        self._sync = hook if self._drawn is None else self._sync_drawn
+
+    def _sync_drawn(self) -> None:
+        self._decode_drawn()
+        if self._hook is not None:
+            self._hook()
+
+    def _decode_drawn(self) -> None:
+        """Build the rows from the drawn columns (once)."""
+        drawn = self._drawn
+        cols = [col if values is None else list(map(values.__getitem__, col))
+                for col, values in zip(drawn.data, drawn.codecs)]
+        self._rows = list(map(list, zip(*cols)))
+        self._drawn = None
+        self._sync = self._hook
+        if TELEMETRY.enabled:
+            TELEMETRY.counter("columns.materializations").inc()
+            TELEMETRY.counter("columns.materialized_slots").inc(len(cols))
+
+    def drawn_columns(self, pindex) -> Optional[DrawnColumns]:
+        """The drawn columns while no row is decoded yet and the process
+        order is ``pindex``'s (the same map object), else None."""
+        if self._drawn is not None and self._pindex is pindex:
+            return self._drawn
+        return None
+
+    def drawn_from(self, specs_of) -> bool:
+        """Whether this configuration still holds the columns drawn for
+        exactly ``specs_of`` (the same map object, every process) and
+        they are its state: no engine has adopted them, so no write can
+        have moved past them."""
+        drawn = self._drawn
+        return (drawn is not None and self._hook is None
+                and drawn.specs_of is specs_of
+                and len(specs_of) == len(self._pids))
+
+    def row_storage(self) -> List[List[Any]]:
+        """The live rows in process order, decoded if need be, without
+        running the sync hook (the column store's own access)."""
+        if self._drawn is not None:
+            self._decode_drawn()
+        return self._rows
 
     # -- access (compatibility view) ------------------------------------
     def state_of(self, p: ProcessId) -> StateView:
@@ -250,15 +411,20 @@ class Configuration:
         new._pindex = self._pindex
         new._layouts = self._layouts
         new._rows = [list(row) for row in self._rows]
-        new._sync = None
+        new._sync = new._hook = new._drawn = None
         return new
 
     def validate(self, specs_of) -> None:
         """Check the configuration holds exactly the processes of
         ``specs_of``, then that every value sits in its declared domain
-        (over the flat rows directly, without per-name dict lookups)."""
+        (over the flat rows directly, without per-name dict lookups).
+        Columns drawn for this very spec map, and not yet adopted by an
+        engine, take :meth:`DrawnColumns.check` instead, and stay
+        undecoded."""
+        if self.drawn_from(specs_of):
+            self._drawn.check(self._pids)
+            return
         pindex = self._pindex
-        rows = self._rows
         layouts = self._layouts
         if pindex.keys() != specs_of.keys():
             missing = [p for p in specs_of if p not in pindex]
@@ -269,6 +435,7 @@ class Configuration:
             )
         if self._sync is not None:
             self._sync()
+        rows = self._rows
         for p, specs in specs_of.items():
             i = pindex[p]
             row = rows[i]

@@ -61,7 +61,11 @@ class IntRange(Domain):
             raise ValueError(f"empty IntRange [{self.lo}, {self.hi}]")
 
     def __contains__(self, value: Any) -> bool:
-        return isinstance(value, int) and self.lo <= value <= self.hi
+        # bool is an int subclass, but True is no value of {lo..hi}: a
+        # row holding it would step differently on engines that store
+        # the int 1.
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and self.lo <= value <= self.hi)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.lo, self.hi + 1))
@@ -75,7 +79,11 @@ class IntRange(Domain):
 
 @dataclass(frozen=True)
 class FiniteSet(Domain):
-    """Explicit finite domain, e.g. ``S.p ∈ {Dominator, dominated}``."""
+    """Explicit finite domain, e.g. ``S.p ∈ {Dominator, dominated}``.
+
+    Membership matches a value's type as well as its equality: ``1`` is
+    no member of ``{False, True}``, although ``1 == True``.
+    """
 
     values: Tuple[Any, ...]
 
@@ -83,9 +91,16 @@ class FiniteSet(Domain):
         object.__setattr__(self, "values", tuple(values))
         if not self.values:
             raise ValueError("empty FiniteSet domain")
+        types = {type(v) for v in self.values}
+        # the one type of every value, or None for a mixed-type set
+        object.__setattr__(
+            self, "_type", types.pop() if len(types) == 1 else None)
 
     def __contains__(self, value: Any) -> bool:
-        return value in self.values
+        if self._type is not None:
+            return type(value) is self._type and value in self.values
+        return any(type(v) is type(value) and v == value
+                   for v in self.values)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values)
@@ -132,6 +147,22 @@ class VariableSpec:
     @property
     def writable(self) -> bool:
         return self.kind != "const"
+
+
+def spec_plans(specs_of, pids):
+    """``(plans, plan_ids)``: the distinct spec tuples of ``pids`` in
+    first-seen order, and each process's position among them.
+
+    Protocols memoize their spec tuples (per degree), so a large network
+    has a handful of them, and whatever is derived from a tuple — draw
+    steps, domain bounds, register widths — is derived once per tuple.
+    Tuples are told apart by identity.
+    """
+    specs = list(map(specs_of.__getitem__, pids))
+    ids = list(map(id, specs))
+    first = dict(zip(ids, specs))
+    position = {key: k for k, key in enumerate(first)}
+    return list(first.values()), list(map(position.__getitem__, ids))
 
 
 def comm(name: str, domain: Domain) -> VariableSpec:

@@ -41,6 +41,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.exceptions import DomainError
 from ..core.simulator import Simulator
 
 ProcessId = Hashable
@@ -169,15 +170,17 @@ def adversarial_reset(
     """Force one fixed state onto every victim (default: all processes).
 
     Values are clamped per process: a variable absent from ``state`` is
-    left untouched, and out-of-domain values raise.  Returns the
-    :class:`FaultReport` of what was actually written.
+    left untouched, an out-of-range int is clamped into an integer
+    range, and any other out-of-domain value (a bool for an integer
+    range, ``1`` for a boolean) raises
+    :class:`~repro.core.exceptions.DomainError` before anything is
+    written.  Returns the :class:`FaultReport` of what was actually
+    written.
     """
-    writes: Dict[ProcessId, Tuple[str, ...]] = {}
-    kinds_hit: set = set()
     chosen = list(victims) if victims is not None else list(sim.network.processes)
+    planned = []
     for p in chosen:
-        target = sim.config.state_of(p)
-        written = []
+        values = []
         for spec in _writable_specs(sim, p, ("comm", "internal")):
             if spec.name not in state:
                 continue
@@ -185,15 +188,23 @@ def adversarial_reset(
             if value not in spec.domain:
                 # Per-process domains differ (cur ranges over 1..δ.p);
                 # clamp pointer-like values rather than failing.
-                if hasattr(spec.domain, "lo") and isinstance(value, int):
+                if (hasattr(spec.domain, "lo") and isinstance(value, int)
+                        and not isinstance(value, bool)):
                     value = max(spec.domain.lo, min(spec.domain.hi, value))
                 else:
-                    raise ValueError(
+                    raise DomainError(
                         f"value {value!r} invalid for {spec.name}.{p!r}"
                     )
+            values.append((spec, value))
+        planned.append((p, values))
+    writes: Dict[ProcessId, Tuple[str, ...]] = {}
+    kinds_hit: set = set()
+    for p, values in planned:
+        if not values:
+            continue
+        target = sim.config.state_of(p)
+        for spec, value in values:
             target[spec.name] = value
-            written.append(spec.name)
             kinds_hit.add(spec.kind)
-        if written:
-            writes[p] = tuple(written)
+        writes[p] = tuple(spec.name for spec, _value in values)
     return _finish(sim, "reset", writes, kinds_hit)

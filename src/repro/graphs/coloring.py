@@ -13,7 +13,7 @@ the substrate; see :mod:`repro.protocols.composite`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable, List, Optional
 
 import networkx as nx
 
@@ -35,6 +35,23 @@ def assert_local_identifiers(network: Network, colors: Coloring) -> None:
     """Raise unless ``colors`` is a valid local-identifier assignment."""
     if not is_proper_coloring(network, colors):
         raise TopologyError("colors are not a proper (local-identifier) coloring")
+
+
+class ColorConstant:
+    """Protocol mixin: each process's communication constant ``C`` is
+    its color in the protocol's local-identifier coloring
+    (``self.colors``), served per process and as a whole column."""
+
+    colors: Coloring
+
+    def constant_values(self, network: Network, p: ProcessId) -> Dict[str, int]:
+        return {"C": self.colors[p]}
+
+    def constant_column(self, network: Network, name: str,
+                        processes) -> List[int]:
+        if name != "C":
+            raise KeyError(name)
+        return list(map(self.colors.__getitem__, processes))
 
 
 def color_count(colors: Coloring) -> int:

@@ -209,7 +209,9 @@ def sparse_random(
         u, v = rng.choice(a), rng.choice(b)
         ports[u].append(v)
         ports[v].append(u)
-    return Network._from_index_rows(ports)
+    # k components joined by k - 1 stitch edges along a chain: the
+    # component search above is the connectivity verdict.
+    return Network._from_index_rows(ports, connected=True)
 
 
 def random_tree(n: int, seed: Optional[int] = None) -> Network:

@@ -121,6 +121,7 @@ class Network:
         # Derived once on first use: a Network never changes after
         # construction (every ``with_*`` mutator returns a new one).
         self._port_arrays: Optional[Tuple[array, array]] = None
+        self._index: Optional[Dict[ProcessId, int]] = None
         self._diameter: Optional[int] = None
         self._m: Optional[int] = None
         self._max_degree: Optional[int] = None
@@ -163,6 +164,7 @@ class Network:
         cls,
         rows: Sequence[Sequence[int]],
         processes: Optional[Sequence[ProcessId]] = None,
+        connected: Optional[bool] = None,
     ) -> "Network":
         """The network whose process ``processes[i]`` sees
         ``processes[j]`` for each ``j`` of ``rows[i]``, port by port
@@ -172,7 +174,9 @@ class Network:
         sequence to ``rows[i]`` and ``rows[j]``, as :meth:`from_edges`
         and the ``sparse`` generator build them, so they are symmetric
         by construction; every other property a networkx graph and
-        :meth:`__init__` guarantee is checked here.
+        :meth:`__init__` guarantee is checked here.  A generator that
+        has already searched the components passes its verdict as
+        ``connected``; otherwise one search decides it.
         """
         n = len(rows)
         if n == 0:
@@ -181,7 +185,9 @@ class Network:
             raise TopologyError("self-loops are not allowed")
         if any(len(set(row)) != len(row) for row in rows):
             raise TopologyError("a pair of processes is joined twice")
-        if n > 1 and not _connected(rows):
+        if connected is None:
+            connected = n == 1 or _connected(rows)
+        if not connected:
             raise TopologyError("network must be connected")
         if processes is None:
             ports = dict(zip(range(n), map(tuple, rows)))
@@ -256,12 +262,14 @@ class Network:
 
     @property
     def diameter(self) -> int:
-        """D — the diameter (computed lazily, cached)."""
+        """D — the diameter (computed lazily, cached).  networkx's
+        bounding eccentricity search gives the exact value with far
+        fewer breadth-first searches than one per process."""
         if self._diameter is None:
             if self.n == 1:
                 self._diameter = 0
             else:
-                self._diameter = nx.diameter(self._nx())
+                self._diameter = nx.diameter(self._nx(), usebounds=True)
         return self._diameter
 
     # ------------------------------------------------------------------
@@ -289,6 +297,15 @@ class Network:
         except KeyError:
             raise TopologyError(f"{q!r} is not a neighbor of {p!r}") from None
 
+    def process_index(self) -> Dict[ProcessId, int]:
+        """``p -> i``, the position of each process in :attr:`processes`
+        (built once, cached).  Configurations drawn on this network,
+        the engines' canonical order and the column store all share
+        this one map, so callers must not mutate it."""
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self._ports)}
+        return self._index
+
     def port_arrays(self) -> Tuple[array, array]:
         """``(offsets, flat)`` — the port tables in index space.
 
@@ -300,7 +317,7 @@ class Network:
         and the columnar engine wraps them without copying.
         """
         if self._port_arrays is None:
-            index = {p: i for i, p in enumerate(self._ports)}.__getitem__
+            index = self.process_index().__getitem__
             self._port_arrays = _index_arrays(
                 [tuple(map(index, row)) for row in self._ports.values()]
             )

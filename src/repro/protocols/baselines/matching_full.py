@@ -16,14 +16,14 @@ from ...core.exceptions import TopologyError
 from ...core.protocol import Protocol
 from ...core.state import Configuration
 from ...core.variables import BOOL, IntRange, VariableSpec, const, comm
-from ...graphs.coloring import Coloring, assert_local_identifiers
+from ...graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
 from ...graphs.topology import Network
 from ...predicates.matching import matching_predicate
 
 ProcessId = Hashable
 
 
-class FullReadMatching(Protocol):
+class FullReadMatching(ColorConstant, Protocol):
     """Deterministic Δ-efficient maximal matching protocol."""
 
     name = "MATCHING-full"
@@ -45,9 +45,6 @@ class FullReadMatching(Protocol):
             comm("PR", IntRange(0, degree)),
             const("C", self._color_domain),
         )
-
-    def constant_values(self, network: Network, p: ProcessId) -> Dict[str, int]:
-        return {"C": self.colors[p]}
 
     # ------------------------------------------------------------------
     @staticmethod

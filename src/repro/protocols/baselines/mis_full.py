@@ -21,7 +21,7 @@ from ...core.exceptions import TopologyError
 from ...core.protocol import Protocol
 from ...core.state import Configuration
 from ...core.variables import IntRange, VariableSpec, const, comm
-from ...graphs.coloring import Coloring, assert_local_identifiers
+from ...graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
 from ...graphs.topology import Network
 from ...predicates.mis import DOMINATED, DOMINATOR, mis_predicate
 from ..mis import S_DOMAIN
@@ -29,7 +29,7 @@ from ..mis import S_DOMAIN
 ProcessId = Hashable
 
 
-class FullReadMIS(Protocol):
+class FullReadMIS(ColorConstant, Protocol):
     """Deterministic Δ-efficient MIS over a local-identifier coloring."""
 
     name = "MIS-full"
@@ -46,9 +46,6 @@ class FullReadMIS(Protocol):
         if network.degree(p) < 1:
             raise TopologyError("MIS requires every process to have a neighbor")
         return (comm("S", S_DOMAIN), const("C", self._color_domain))
-
-    def constant_values(self, network: Network, p: ProcessId) -> Dict[str, int]:
-        return {"C": self.colors[p]}
 
     def actions(self) -> Tuple[GuardedAction, ...]:
         def scan(ctx):

@@ -19,7 +19,7 @@ from ..core.protocol import Protocol
 from ..core.state import Configuration
 from ..core.variables import IntRange, VariableSpec, comm, internal
 from ..graphs.topology import Network
-from ..graphs.coloring import Coloring, assert_local_identifiers
+from ..graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
 from ..predicates.coloring import coloring_predicate
 from ..predicates.mis import DOMINATED, DOMINATOR, mis_predicate
 
@@ -99,7 +99,7 @@ class WindowColoringProtocol(Protocol):
         return coloring_predicate(network, config, var="C")
 
 
-class WindowMISProtocol(Protocol):
+class WindowMISProtocol(ColorConstant, Protocol):
     """MIS over a k-neighbor scanning window (deterministic).
 
     The window generalisation of protocol MIS: *yield* when any window
@@ -136,9 +136,6 @@ class WindowMISProtocol(Protocol):
             const("C", self._color_domain),
             internal("cur", IntRange(1, degree)),
         )
-
-    def constant_values(self, network: Network, p: ProcessId):
-        return {"C": self.colors[p]}
 
     def _window(self, ctx) -> List[int]:
         degree = ctx.degree

@@ -38,14 +38,14 @@ from ..core.exceptions import TopologyError
 from ..core.protocol import Protocol
 from ..core.state import Configuration
 from ..core.variables import BOOL, IntRange, VariableSpec, const, comm, internal
-from ..graphs.coloring import Coloring, assert_local_identifiers
+from ..graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
 from ..graphs.topology import Network
 from ..predicates.matching import matched_edges, matching_predicate
 
 ProcessId = Hashable
 
 
-class MatchingProtocol(Protocol):
+class MatchingProtocol(ColorConstant, Protocol):
     """The paper's Protocol MATCHING over a local-identifier coloring."""
 
     name = "MATCHING"
@@ -78,9 +78,6 @@ class MatchingProtocol(Protocol):
                 internal("cur", IntRange(1, degree)),
             )
         return specs
-
-    def constant_values(self, network: Network, p: ProcessId) -> Dict[str, int]:
-        return {"C": self.colors[p]}
 
     # ------------------------------------------------------------------
     @staticmethod

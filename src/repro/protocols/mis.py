@@ -30,7 +30,7 @@ from ..core.exceptions import TopologyError
 from ..core.protocol import Protocol
 from ..core.state import Configuration
 from ..core.variables import FiniteSet, IntRange, VariableSpec, const, comm, internal
-from ..graphs.coloring import Coloring, assert_local_identifiers
+from ..graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
 from ..graphs.topology import Network
 from ..predicates.mis import DOMINATED, DOMINATOR, mis_predicate
 
@@ -39,7 +39,7 @@ ProcessId = Hashable
 S_DOMAIN = FiniteSet((DOMINATOR, DOMINATED))
 
 
-class MISProtocol(Protocol):
+class MISProtocol(ColorConstant, Protocol):
     """The paper's Protocol MIS over a given local-identifier coloring."""
 
     name = "MIS"
@@ -71,9 +71,6 @@ class MISProtocol(Protocol):
                 internal("cur", IntRange(1, degree)),
             )
         return specs
-
-    def constant_values(self, network: Network, p: ProcessId) -> Dict[str, int]:
-        return {"C": self.colors[p]}
 
     def actions(self) -> Tuple[GuardedAction, ...]:
         def yield_guard(ctx) -> bool:

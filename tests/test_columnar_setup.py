@@ -1,0 +1,413 @@
+"""Trial setup in columns: the drawn start configuration.
+
+``Protocol.arbitrary_configuration`` draws straight into one list per
+layout slot; the configuration decodes its rows only when something
+first reads one, and the column store adopts the drawn columns.  These
+suites pin:
+
+* the draw against a copy of the row-by-row draw it replaced — the
+  same rows, value types included, and the same generator state after
+  it — for every registered protocol;
+* validation: the engines refuse the same bad configurations with the
+  same :class:`DomainError`, through the constructor, the setter and
+  fault injection, and drawn columns take a range check per slot;
+* per-process metrics, built and drained only when read, equal to the
+  scalar engine's;
+* a fused sparse COLORING trial that builds no row and no per-process
+  dict.
+"""
+
+import random
+import re
+
+import pytest
+
+from repro.api import ExperimentSpec, protocol_registry, topology_registry
+from repro.api.spec import drive_simulator
+from repro.core import Configuration, DomainError, Simulator
+from repro.core.actions import GuardedAction
+from repro.core.columns import ColumnStore
+from repro.core.protocol import Protocol
+from repro.core.state import _intern_layout
+from repro.core.variables import Domain, FiniteSet, IntRange, comm, const
+from repro.faults import adversarial_reset
+from repro.graphs.coloring import greedy_coloring
+from repro.graphs.generators import ring, star
+from repro.obs.registry import TELEMETRY
+from repro.protocols.coloring import ColoringProtocol
+from repro.protocols.matching import MatchingProtocol
+from repro.protocols.mis import MISProtocol
+
+ENGINES = ("incremental", "batch-resident", "batch-debug")
+
+TOPOLOGIES = {
+    "ring": ("ring", {"n": 9}),
+    "sparse": ("sparse", {"n": 40, "avg_degree": 3, "seed": 4}),
+    "grid": ("grid", {"rows": 3, "cols": 4}),
+    "star": ("star", {"leaves": 6}),
+    "tree": ("tree", {"n": 12, "seed": 5}),
+}
+
+
+def reference_arbitrary_configuration(protocol, network, rng):
+    """The row-by-row draw — per process, per spec, in declaration
+    order, one ``variables``/``constant_values`` call per process — as
+    ``Protocol.arbitrary_configuration`` drew before it drew into
+    columns."""
+    pids, layouts, rows = [], [], []
+    for p in network.processes:
+        specs = protocol.variables(network, p)
+        consts = protocol.constant_values(network, p)
+        rows.append([
+            consts[spec.name] if spec.kind == "const"
+            else spec.domain.sample(rng)
+            for spec in specs
+        ])
+        pids.append(p)
+        layouts.append(_intern_layout(tuple(s.name for s in specs)))
+    return Configuration.from_rows(pids, None, layouts, rows)
+
+
+def assert_same_draw(protocol, network, seed, make_rng=random.Random):
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    drawn = protocol.arbitrary_configuration(network, rng)
+    expected = reference_arbitrary_configuration(protocol, network, ref_rng)
+    assert rng.getstate() == ref_rng.getstate(), seed
+    assert list(drawn.processes) == list(expected.processes)
+    for p in network.processes:
+        assert drawn.layout_of(p) is expected.layout_of(p), (p, seed)
+        row, ref = drawn.row_of(p), expected.row_of(p)
+        assert row == ref, (p, seed)
+        assert list(map(type, row)) == list(map(type, ref)), (p, seed)
+
+
+# ----------------------------------------------------------------------
+# The draw
+# ----------------------------------------------------------------------
+class TestDrawMatchesTheRowDraw:
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("protocol", sorted(protocol_registry))
+    def test_registered_protocols(self, protocol, topology):
+        name, params = TOPOLOGIES[topology]
+        net = topology_registry.build(name, **params)
+        proto = protocol_registry.build(protocol, net)
+        for seed in (0, 1, 2):
+            assert_same_draw(proto, net, seed)
+
+    def test_rng_with_its_own_randint(self):
+        """A generator overriding ``randint`` is called as the row draw
+        called it."""
+
+        class Skewed(random.Random):
+            def randint(self, a, b):
+                return b if self.random() < 0.5 else a
+
+        net = topology_registry.build("sparse", n=30, avg_degree=3, seed=1)
+        for protocol in ("coloring", "matching"):
+            proto = protocol_registry.build(protocol, net)
+            for seed in (0, 1):
+                assert_same_draw(proto, net, seed, make_rng=Skewed)
+            # The drawn columns reach the column store as the codes a
+            # row configuration gives.
+            specs_of = proto.specs_of(net)
+            drawn, copied = (
+                proto.arbitrary_configuration(net, Skewed(3),
+                                              specs_of=specs_of)
+                for _ in range(2))
+            stores = [ColumnStore.try_build(net, config, specs_of)
+                      for config in (drawn, Configuration(copied.as_dict()))]
+            assert ([col.tolist() for col in stores[0].cols]
+                    == [col.tolist() for col in stores[1].cols])
+
+    def test_mixed_layouts_and_custom_domains(self):
+        """Processes with different variable sets get rows, drawn in the
+        same order; a domain of its own draws through its ``sample``,
+        and a constant kept only per process reaches the columns of a
+        shared layout through ``constant_values``."""
+        proto = _Mixed()
+        for net in (star(5), ring(5)):
+            for seed in (0, 1, 2):
+                assert_same_draw(proto, net, seed)
+        drawn = proto.arbitrary_configuration(star(5), random.Random(0))
+        assert drawn.layout_of(0) is not drawn.layout_of(1)
+        net = ring(5)
+        specs_of = proto.specs_of(net)
+        assert proto.arbitrary_configuration(
+            net, random.Random(0), specs_of=specs_of).drawn_from(specs_of)
+
+
+class _Parity(Domain):
+    """A domain of its own: even numbers below 8."""
+
+    def __contains__(self, value):
+        return isinstance(value, int) and value in (0, 2, 4, 6)
+
+    def __iter__(self):
+        return iter((0, 2, 4, 6))
+
+    def __len__(self):
+        return 4
+
+
+class _Mixed(Protocol):
+    """The center of a star carries a flag its leaves lack."""
+
+    name = "mixed"
+
+    def variables(self, network, p):
+        specs = (comm("C", IntRange(1, 4)), comm("E", _Parity()),
+                 const("K", IntRange(0, 9)))
+        if network.degree(p) > 1:
+            specs += (comm("F", FiniteSet(("x", "y", "z"))),)
+        return specs
+
+    def constant_values(self, network, p):
+        return {"K": network.degree(p)}
+
+    def actions(self):
+        return (GuardedAction("noop", lambda ctx: False, lambda ctx: None),)
+
+    def is_legitimate(self, network, config):
+        return True
+
+
+# ----------------------------------------------------------------------
+# Validation
+# ----------------------------------------------------------------------
+def _bad_configuration(case):
+    """``(protocol, network, states, message)`` of one refused start."""
+    net = ring(8)
+    if case in ("out-of-set", "wrong-constant"):
+        proto = MISProtocol(net, greedy_coloring(net))
+    elif case == "int-flag":
+        proto = MatchingProtocol(net, greedy_coloring(net))
+    else:
+        proto = ColoringProtocol.for_network(net)
+    states = proto.arbitrary_configuration(net, random.Random(3)).as_dict()
+    if case == "out-of-range":
+        states[0]["C"] = 99
+        message = "value 99 of C.0 outside its domain"
+    elif case == "out-of-set":
+        states[0]["S"] = "bogus"
+        message = "value 'bogus' of S.0 outside its domain"
+    elif case == "wrong-constant":
+        held = states[0]["C"]
+        states[0]["C"] = next(c for c in proto.colors.values() if c != held)
+        message = (f"constant C.0 holds {states[0]['C']!r}, "
+                   f"expected {held!r}")
+    elif case == "missing":
+        del states[5]
+        message = "missing: [5]"
+    elif case == "extra":
+        states[99] = dict(states[0])
+        message = "extra: [99]"
+    elif case == "bool-color":
+        states[0]["C"] = True
+        message = "value True of C.0 outside its domain"
+    else:  # int-flag
+        states[0]["M"] = 1
+        message = "value 1 of M.0 outside its domain"
+    return proto, net, states, message
+
+
+CASES = ("out-of-range", "out-of-set", "wrong-constant", "missing", "extra",
+         "bool-color", "int-flag")
+
+
+class TestValidationParity:
+    @pytest.mark.parametrize("case", CASES)
+    def test_constructor_and_setter_refuse_alike(self, case):
+        """Every engine refuses the same start with the same message,
+        and an assignment leaves the run on its old state."""
+        proto, net, states, message = _bad_configuration(case)
+        errors = set()
+        for engine in ENGINES:
+            with pytest.raises(DomainError, match=re.escape(message)) as err:
+                Simulator(proto, net, seed=3, engine=engine,
+                          config=Configuration(states))
+            errors.add(str(err.value))
+            sim = Simulator(proto, net, seed=3, engine=engine)
+            old = sim.config
+            before = old.as_dict()
+            with pytest.raises(DomainError, match=re.escape(message)) as err:
+                sim.config = Configuration(states)
+            errors.add(str(err.value))
+            assert sim.config is old and old.as_dict() == before
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("protocol, state", [
+        ("coloring", {"C": True}),
+        ("matching", {"M": 1}),
+    ], ids=["bool-color", "int-flag"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fault_injection_refuses_the_type_cases(self, protocol, state,
+                                                    engine):
+        net = ring(8)
+        sim = Simulator(protocol_registry.build(protocol, net), net,
+                        seed=3, engine=engine)
+        before = sim.config.as_dict()
+        (name, value), = state.items()
+        with pytest.raises(DomainError,
+                           match=re.escape(f"value {value!r} invalid for "
+                                           f"{name}.0")):
+            adversarial_reset(sim, state)
+        assert sim.config.as_dict() == before
+        assert sim.fault_log == []
+
+    @pytest.mark.parametrize("slot, value, message", [
+        (1, 7, "value 7 of cur.3 outside its domain"),
+        (0, 0, "value 0 of C.3 outside its domain"),
+        (0, True, "value True of C.3 outside its domain"),
+        (1, 1.0, "value 1.0 of cur.3 outside its domain"),
+    ], ids=["varying-bounds", "shared-bounds", "bool", "float"])
+    def test_drawn_columns_take_a_range_check(self, slot, value, message):
+        """Columns drawn for the run's own spec map are range-checked
+        per slot and refused with the row check's message."""
+        net = ring(8)
+        proto = ColoringProtocol.for_network(net)
+        specs_of = proto.specs_of(net)
+        config = proto.arbitrary_configuration(net, random.Random(1),
+                                               specs_of=specs_of)
+        proto.validate_configuration(net, config, specs_of=specs_of)
+        assert config.drawn_from(specs_of)  # checked without a decode
+        config.drawn_columns(net.process_index()).data[slot][3] = value
+        with pytest.raises(DomainError, match=re.escape(message)):
+            proto.validate_configuration(net, config, specs_of=specs_of)
+
+    def test_drawn_codes_and_constants_are_checked(self):
+        net = ring(8)
+        proto = MatchingProtocol(net, greedy_coloring(net))
+        specs_of = proto.specs_of(net)
+        slots = proto.arbitrary_configuration(
+            net, random.Random(1), specs_of=specs_of).layout_of(0).index
+        for name, value, message in [
+                ("M", 2, "value '<index 2>' of M.4"),
+                ("C", True, "value True of C.4")]:
+            config = proto.arbitrary_configuration(
+                net, random.Random(1), specs_of=specs_of)
+            config.drawn_columns(net.process_index()).data[
+                slots[name]][4] = value
+            with pytest.raises(DomainError, match=re.escape(message)):
+                proto.validate_configuration(net, config,
+                                             specs_of=specs_of)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_adopted_columns_are_checked_in_their_current_state(self,
+                                                                 engine):
+        """Once an engine has run from the drawn columns, validating
+        with the run's own spec map checks the state the run holds now,
+        not the drawn start."""
+        spec = ExperimentSpec(
+            protocol="coloring", topology="sparse",
+            topology_params={"n": 60, "avg_degree": 3, "seed": 9},
+            scheduler="synchronous", seed=5, engine=engine,
+        )
+        sim = spec.build_simulator()
+        drive_simulator(sim, max_rounds=spec.max_rounds)
+        p = sim.network.processes[3]
+        if engine == "batch-resident":
+            assert sim.engine.batch_active
+            store = sim.engine._store
+            slot = store.layout.index["C"]
+            held = int(store.cols[slot][3])
+
+            def put(value):
+                store.write(slot, [3], [value])
+        else:
+            held = sim.config.get(p, "C")
+
+            def put(value):
+                sim.config.set(p, "C", value)
+        put(99)
+        with pytest.raises(DomainError,
+                           match=re.escape(f"value 99 of C.{p!r} outside")):
+            sim.protocol.validate_configuration(sim.network, sim.config,
+                                                specs_of=sim.specs_of)
+        put(held)
+        sim.protocol.validate_configuration(sim.network, sim.config,
+                                            specs_of=sim.specs_of)
+        oracle = spec.variant(engine="incremental").build_simulator()
+        drive_simulator(oracle, max_rounds=spec.max_rounds)
+        assert sim.config == oracle.config
+
+    def test_drawn_for_another_spec_map_is_checked_by_row(self):
+        net = ring(8)
+        proto = ColoringProtocol.for_network(net)
+        config = proto.arbitrary_configuration(net, random.Random(1))
+        specs_of = proto.specs_of(net)
+        assert not config.drawn_from(specs_of)
+        del specs_of[7]
+        with pytest.raises(DomainError, match=re.escape("extra: [7]")):
+            proto.validate_configuration(net, config, specs_of=specs_of)
+
+
+# ----------------------------------------------------------------------
+# Per-process metrics, drained when read
+# ----------------------------------------------------------------------
+class TestPerProcessMetrics:
+    @pytest.mark.parametrize("scheduler", ["synchronous", "central"])
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_equal_to_incremental(self, protocol, scheduler):
+        """Read after a fused run (synchronous) or a per-step one
+        (central), then again after more steps, the columnar engine's
+        per-process metrics equal the scalar engine's."""
+        sims = []
+        for engine in ("incremental", "batch-resident"):
+            spec = ExperimentSpec(
+                protocol=protocol, topology="sparse",
+                topology_params={"n": 60, "avg_degree": 3, "seed": 9},
+                scheduler=scheduler, seed=5, engine=engine,
+                metrics="aggregate",
+            )
+            sim = spec.build_simulator()
+            drive_simulator(sim, max_rounds=spec.max_rounds)
+            sims.append(sim)
+        for extra in (0, 7):
+            for sim in sims:
+                sim.run_steps(extra)
+            scalar, columnar = (sim.metrics for sim in sims)
+            assert columnar.activations == scalar.activations
+            assert columnar.read_sets == scalar.read_sets
+            assert (columnar.observed_stability()
+                    == scalar.observed_stability())
+            assert columnar.summary() == scalar.summary()
+
+
+# ----------------------------------------------------------------------
+# A fused trial builds neither rows nor per-process dicts
+# ----------------------------------------------------------------------
+@pytest.fixture
+def telemetry_on():
+    was = TELEMETRY.enabled
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    yield TELEMETRY
+    TELEMETRY.enabled = was
+    TELEMETRY.reset()
+
+
+def _row(sim, report):
+    return report, sim.metrics.trial_measures()
+
+
+def test_fused_coloring_trial_builds_no_row_and_no_dict(telemetry_on):
+    spec = ExperimentSpec(
+        protocol="coloring", topology="sparse",
+        topology_params={"n": 2000, "avg_degree": 3, "seed": 11},
+        scheduler="synchronous", seed=3,
+        engine="batch-resident", metrics="aggregate",
+    )
+    sim = spec.build_simulator()
+    index = sim.network.process_index()
+    assert sim.engine._order is index and sim.engine._store.pindex is index
+    row = _row(sim, drive_simulator(sim, max_rounds=spec.max_rounds))
+    assert sim.config.drawn_columns(index) is not None, "a row was decoded"
+    assert sim.metrics._activations is None
+    assert sim.metrics._read_sets is None
+    counters = telemetry_on.snapshot()["counters"]
+    assert counters.get("columns.materializations", 0) == 0
+    oracle = spec.variant(engine="incremental").build_simulator()
+    assert row == _row(oracle, drive_simulator(oracle,
+                                               max_rounds=spec.max_rounds))
+    assert telemetry_on.snapshot()["counters"][
+        "columns.materializations"] == 1  # the scalar run's first read

@@ -144,6 +144,26 @@ class TestSparseRandomExact:
             if n <= 1000:
                 assert net.diameter == nx.diameter(ref_graph, usebounds=True)
 
+    def test_one_component_search(self, monkeypatch):
+        """The generator's own component search is its connectivity
+        verdict: the network constructor searches no second time, while
+        an edge sequence is still searched and a split one refused."""
+        from repro.graphs import topology
+
+        calls = []
+        search = topology._connected
+
+        def counting(rows):
+            calls.append(len(rows))
+            return search(rows)
+
+        monkeypatch.setattr(topology, "_connected", counting)
+        net = sparse_random(2000, 0.5, seed=4)
+        assert net.n == 2000 and calls == []
+        with pytest.raises(TopologyError, match="connected"):
+            topology.Network.from_edges(range(4), [(0, 1), (2, 3)])
+        assert calls == [4]
+
     def test_no_networkx_sampling(self, monkeypatch):
         """For 0 < p < 1 the generator calls neither networkx sampler."""
         def refuse(*_args, **_kwargs):

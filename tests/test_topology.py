@@ -85,6 +85,29 @@ class TestPaperNotation:
         assert chain(5).diameter == 4
         assert ring(6).diameter == 3
 
+    @pytest.mark.parametrize("name,params", [
+        ("ring", {"n": 11}),
+        ("chain", {"n": 9}),
+        ("grid", {"rows": 4, "cols": 7}),
+        ("tree", {"n": 60, "seed": 3}),
+        ("star", {"leaves": 8}),
+        ("clique", {"n": 7}),
+        ("gnp", {"n": 40, "p": 0.1, "seed": 5}),
+        ("sparse", {"n": 300, "avg_degree": 0.5, "seed": 1}),
+        ("sparse", {"n": 300, "avg_degree": 3, "seed": 2}),
+        ("sparse", {"n": 300, "avg_degree": 6, "seed": 3}),
+    ])
+    def test_diameter_is_the_all_pairs_value(self, name, params):
+        """The bounded eccentricity search gives the largest distance
+        over all pairs, as one BFS per process measures it."""
+        net = topology_registry.build(name, **params)
+        graph = net.subgraph_view()
+        all_pairs = max(
+            max(nx.single_source_shortest_path_length(graph, v).values())
+            for v in graph
+        )
+        assert net.diameter == all_pairs
+
     @pytest.mark.parametrize("name,params", GENERATOR_CASES,
                              ids=[name for name, _ in GENERATOR_CASES])
     def test_cached_counts_match_networkx(self, name, params):
