@@ -29,13 +29,24 @@ from .registry import (
 )
 
 
-def _frozen_params(params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    """A JSON-clean private copy of a parameter mapping."""
+def _frozen_params(field_name: str,
+                   params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
+    """A JSON-clean private copy of the parameter mapping ``field_name``."""
     params = dict(params or {})
     # Round-trip through JSON now so that a spec equals its re-parsed
     # self (tuples become lists, keys become strings) and unserializable
     # parameters fail loudly at construction, not at campaign time.
-    return json.loads(json.dumps(params, sort_keys=True))
+    # NaN and the infinities are no JSON (the default would write bare
+    # ``NaN``/``Infinity`` tokens), and a NaN passes every ``<`` bound
+    # check a builder makes.
+    try:
+        text = json.dumps(params, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(
+            f"ExperimentSpec.{field_name} is not JSON data "
+            f"(NaN and infinity are refused): {exc}"
+        ) from None
+    return json.loads(text)
 
 
 def _is_int(value: Any) -> bool:
@@ -73,7 +84,8 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in ("protocol_params", "topology_params",
                      "scheduler_params", "scenario_params"):
-            object.__setattr__(self, name, _frozen_params(getattr(self, name)))
+            object.__setattr__(self, name,
+                               _frozen_params(name, getattr(self, name)))
         if self.metrics not in METRICS_TIERS:
             raise ValueError(
                 f"unknown metrics tier {self.metrics!r}; "

@@ -497,9 +497,11 @@ class BatchEngine(EnabledSetEngine):
         its per-process dicts is read (the engine registers
         :meth:`_drain_per_process` with the collector) — the dict
         update is the one per-step cost that would otherwise erase the
-        batch win.  Read-set folds go through a seen-matrix so only
-        *newly observed* (process, port) pairs are kept for that drain;
-        ``total_bits`` is summed in selection order because float
+        batch win.  A step that activates the whole network (selections
+        are sets, so ``n`` indices are every process once) adds 1 to
+        every count.  Read-set folds go through one seen flag per port
+        so only *newly observed* (process, port) pairs are kept for that
+        drain; ``total_bits`` is summed in selection order because float
         addition order is observable.
         """
         collector.steps += 1
@@ -509,7 +511,10 @@ class BatchEngine(EnabledSetEngine):
         np = store.np
         if self._pending_act is None:
             self._pending_act = np.zeros(store.n, dtype=np.int64)
-        self._pending_act[outcome.idx] += 1
+        if len(outcome.idx) == store.n:
+            self._pending_act += 1
+        else:
+            self._pending_act[outcome.idx] += 1
         self._agg_dirty = True
         if self._agg_collector is not collector:
             collector.defer_per_process(self._drain_per_process)
@@ -524,11 +529,15 @@ class BatchEngine(EnabledSetEngine):
                 # scalar fold's per-process max over larger read sets
                 # cannot occur here.
                 collector.max_reads_in_step = 1
+            if count == len(has_read):
+                rows, ports = outcome.idx, outcome.ports
+            else:
+                rows, ports = outcome.idx[has_read], outcome.ports[has_read]
+            pos = store.port_pos(rows, ports)
             self._fold_read_sets(
                 None,
                 self._ensure_seen("_seen"),
-                outcome,
-                has_read,
+                rows, ports, pos,
                 defer_to=self._unflushed_reads,
             )
             if collector.suffix_read_sets is not None:
@@ -538,8 +547,7 @@ class BatchEngine(EnabledSetEngine):
                 self._fold_read_sets(
                     collector.suffix_read_sets,
                     self._ensure_seen("_suffix_seen"),
-                    outcome,
-                    has_read,
+                    rows, ports, pos,
                 )
         bits = outcome.bits
         if len(bits):
@@ -559,36 +567,38 @@ class BatchEngine(EnabledSetEngine):
         seen = getattr(self, attr)
         if seen is None:
             store = self._store
-            seen = store.np.zeros((store.n, store.max_degree), dtype=bool)
+            seen = store.np.zeros(len(store.flat), dtype=bool)
             setattr(self, attr, seen)
         return seen
 
-    def _fold_read_sets(self, read_sets, seen, outcome, has_read,
+    def _fold_read_sets(self, read_sets, seen, rows, ports, pos,
                         defer_to=None) -> None:
         """Fold newly observed (process, port) reads into ``read_sets``.
 
-        With ``defer_to`` (the main fold), the per-process set
-        materialization is postponed: the new index pairs are stashed
-        and drained by :meth:`_drain_per_process` when the collector's
-        read sets are read.  Each pair is recorded exactly once (the
-        seen matrix dedups at fold time), so the drain's set inserts
-        are order-insensitive and byte-equivalent to the eager fold.
+        ``seen`` holds one flag per port, indexed like the store's
+        ``flat``: ``pos`` is where port ``ports[j]`` of process
+        ``rows[j]`` sits (:meth:`ColumnStore.port_pos`).  With
+        ``defer_to`` (the main fold), the per-process set
+        materialization is postponed: the new (process, port) pairs are
+        stashed and drained by :meth:`_drain_per_process` when the
+        collector's read sets are read.  Each pair is recorded exactly
+        once (the seen flags dedup at fold time), so the drain's set
+        inserts are order-insensitive and byte-equivalent to the eager
+        fold.
         """
-        rows = outcome.idx[has_read]
-        cols = outcome.ports[has_read] - 1
-        hit = seen[rows, cols]
+        hit = seen[pos]
         if hit.all():
             return
         new = ~hit
+        seen[pos[new]] = True
         new_rows = rows[new]
-        new_cols = cols[new]
-        seen[new_rows, new_cols] = True
+        new_ports = ports[new]
         if defer_to is not None:
-            defer_to.append((new_rows, new_cols))
+            defer_to.append((new_rows, new_ports))
             return
         pids = self._store.pids
-        for i, c in zip(new_rows.tolist(), new_cols.tolist()):
-            read_sets[pids[i]].add(c + 1)
+        for i, port in zip(new_rows.tolist(), new_ports.tolist()):
+            read_sets[pids[i]].add(port)
 
     def flush_pending_metrics(self) -> None:
         """Drain accumulated per-process counts into the collector now
@@ -611,9 +621,9 @@ class BatchEngine(EnabledSetEngine):
         pending_reads = self._unflushed_reads
         if pending_reads:
             self._unflushed_reads = []
-            for rows, cols in pending_reads:
-                for i, c in zip(rows.tolist(), cols.tolist()):
-                    read_sets[pids[i]].add(c + 1)
+            for rows, ports in pending_reads:
+                for i, port in zip(rows.tolist(), ports.tolist()):
+                    read_sets[pids[i]].add(port)
 
     # ------------------------------------------------------------------
     # Introspection (property tests, debugging)

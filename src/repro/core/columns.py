@@ -12,14 +12,15 @@ register-width tables every kernel needs:
   through; finite-set values are mapped to their index in the domain's
   value tuple, so ``Dominator``/``dominated`` and ``False``/``True``
   become ``0``/``1``);
-* ``nbr`` / ``deg`` — a padded neighbor-index matrix scattered from the
-  network's index-space port tables (:meth:`Network.port_arrays`,
-  wrapped without a copy; ``nbr[i, port-1]`` is the column index of
-  the neighbor behind port ``port`` of process ``i``), and
-  :attr:`ColumnStore.port_mask`, which tells its real ports
-  from the padding — whole-network reductions over edges (the
-  columnar silence and legitimacy verdicts) gather through ``nbr``
-  and mask;
+* ``start`` / ``flat`` / ``deg`` — the network's adjacency in CSR
+  ("compressed sparse row") form: its index-space port tables
+  (:meth:`Network.port_arrays`, wrapped without a copy), so the
+  neighbor behind port ``k`` of process ``i`` is
+  ``flat[start[i] + k - 1]`` (:meth:`ColumnStore.neighbor_at`) and
+  ``deg`` is ``np.diff(start)``;
+* ``edges`` — every undirected edge once, as two index arrays
+  ``(u, v)`` with ``u < v``: whole-network verdicts (the columnar
+  silence and legitimacy checks) are one reduction over them;
 * ``reg_bits(name)`` — per-process register widths in bits, gathered by
   neighbor index to charge reads exactly like
   :class:`~repro.core.context.StepContext` does.
@@ -121,11 +122,11 @@ class ColumnStore:
         "_rows",
         "codecs",
         "cols",
-        "nbr",
+        "start",
+        "flat",
         "deg",
-        "max_degree",
+        "edges",
         "all_idx",
-        "_port_mask",
         "generation",
         "_dirty_slots",
         "_plan_bits",
@@ -134,7 +135,7 @@ class ColumnStore:
     )
 
     def __init__(self, np, pids, pindex, layout, config, rows, codecs,
-                 plan_bits, plan_ids, nbr, deg, max_degree, cols=None):
+                 plan_bits, plan_ids, start, flat, cols=None):
         #: the NumPy module the columns are built with
         self.np = np
         self.n = len(pids)
@@ -149,11 +150,14 @@ class ColumnStore:
         self._plan_bits = plan_bits
         self._plan_ids = plan_ids
         self._bits_cols: Dict[str, Any] = {}
-        self.nbr = nbr
-        self.deg = deg
-        self.max_degree = max_degree
+        self.start = start
+        self.flat = flat
+        self.deg = np.diff(start)
         self.all_idx = np.arange(self.n, dtype=np.int64)
-        self._port_mask = None
+        # Each edge appears once from each end; keep the u < v copy.
+        owner = np.repeat(self.all_idx, self.deg)
+        lower = owner < flat
+        self.edges = (owner[lower], flat[lower])
         #: per-slot column generation stamp; advances on every write,
         #: so observers can tell whether a slot moved since they last
         #: materialized.
@@ -245,21 +249,13 @@ class ColumnStore:
                 cols = [np.asarray(col, dtype=np.int64) for col in drawn.data]
             else:  # a slot drawn as values where the store keeps codes
                 rows = config.row_storage()
-        # The network's index-space port tables, wrapped without a copy;
-        # the padded (n, Δ) table is one scatter of them.
-        offsets, flat = (np.frombuffer(a, dtype=np.int64)
-                         for a in network.port_arrays())
-        deg = np.diff(offsets)
-        max_degree = int(deg.max())
-        if max_degree == 0:
+        # The network's index-space port tables, wrapped without a copy.
+        start, flat = (np.frombuffer(a, dtype=np.int64)
+                       for a in network.port_arrays())
+        if not len(flat):
             return None
-        rows_rep = np.repeat(np.arange(n, dtype=np.int64), deg)
-        cols_rep = (np.arange(len(flat), dtype=np.int64)
-                    - np.repeat(offsets[:-1], deg))
-        nbr = np.zeros((n, max_degree), dtype=np.int64)
-        nbr[rows_rep, cols_rep] = flat
         return cls(np, pids, pindex, layout, config, rows, codecs,
-                   plan_bits, plan_ids, nbr, deg, max_degree, cols)
+                   plan_bits, plan_ids, start, flat, cols)
 
     # ------------------------------------------------------------------
     # Column access
@@ -273,18 +269,25 @@ class ColumnStore:
         ``slot``."""
         return self.cols[slot]
 
-    @property
-    def port_mask(self):
-        """``(n, Δ)`` bool matrix, True where ``nbr[i, j]`` is a real
-        port of process ``i`` (``j < deg[i]``) and False on the padding
-        (built on first use)."""
-        mask = self._port_mask
-        if mask is None:
-            np = self.np
-            mask = self._port_mask = (
-                np.arange(self.max_degree)[None, :] < self.deg[:, None]
-            )
-        return mask
+    def gather(self, col, idx):
+        """``col[idx]`` as a fresh array; for the whole network in
+        canonical order (``idx is all_idx``) a plain copy, not a
+        gather."""
+        return col.copy() if idx is self.all_idx else col[idx]
+
+    def port_pos(self, idx, ports):
+        """Where port ``ports[j]`` of process ``idx[j]`` sits in
+        ``flat``: ``start[i] + port - 1``.  A null port ``0`` lands on
+        the entry before ``i``'s first port (the previous process's
+        last, or the last entry of ``flat`` for ``i = 0``), so callers
+        mask it out."""
+        first = self.start[:-1] if idx is self.all_idx else self.start[idx]
+        return first + ports - 1
+
+    def neighbor_at(self, idx, ports):
+        """The index of the neighbor behind port ``ports[j]`` of process
+        ``idx[j]`` (see :meth:`port_pos` for a null port)."""
+        return self.flat[self.port_pos(idx, ports)]
 
     def encode(self, slot: int, value) -> int:
         """The column code of one row value (for kernel constants)."""

@@ -13,11 +13,15 @@ the substrate; see :mod:`repro.protocols.composite`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from abc import abstractmethod
+from operator import sub
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
 from ..core.exceptions import TopologyError
+from ..core.protocol import Protocol
+from ..core.variables import VariableSpec
 from .topology import Network
 
 ProcessId = Hashable
@@ -52,6 +56,46 @@ class ColorConstant:
         if name != "C":
             raise KeyError(name)
         return list(map(self.colors.__getitem__, processes))
+
+
+class DegreeSpecs(Protocol):
+    """Protocol base for spec tuples that depend on the degree only.
+
+    A subclass supplies :meth:`specs_for_degree`; each distinct degree
+    gets one tuple, built once and shared by every process of that
+    degree, so :meth:`specs_of` costs one build per distinct degree and
+    ``spec_plans`` and the column store, which group processes by tuple
+    identity, resolve once per degree.
+    """
+
+    @abstractmethod
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
+        """The spec tuple of a process with ``degree`` >= 1 neighbors."""
+
+    def _degree_specs(self, degree: int) -> Tuple[VariableSpec, ...]:
+        memo = vars(self).setdefault("_specs_by_degree", {})
+        specs = memo.get(degree)
+        if specs is None:
+            if degree < 1:
+                raise TopologyError(
+                    f"{self.name} requires every process to have a neighbor"
+                )
+            specs = memo[degree] = self.specs_for_degree(degree)
+        return specs
+
+    def variables(self, network: Network,
+                  p: ProcessId) -> Tuple[VariableSpec, ...]:
+        return self._degree_specs(network.degree(p))
+
+    def specs_of(self, network: Network
+                 ) -> Dict[ProcessId, Tuple[VariableSpec, ...]]:
+        """The spec map, read off the degree sequence (the port-array
+        offsets): one tuple per distinct degree."""
+        offsets = network.port_arrays()[0]
+        degrees = list(map(sub, offsets[1:], offsets))
+        by_degree = {d: self._degree_specs(d) for d in set(degrees)}
+        return dict(zip(network.processes,
+                        map(by_degree.__getitem__, degrees)))
 
 
 def color_count(colors: Coloring) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain as _chain
+from numbers import Real
 from typing import List, Optional
 
 import networkx as nx
@@ -198,6 +199,13 @@ def sparse_random(
     """
     if n < 2:
         raise TopologyError("need at least two processes")
+    # A bool is an int to Python, and NaN passes the positivity check
+    # below (then ``min(1.0, nan)`` asks for the complete graph).
+    if (isinstance(avg_degree, bool) or not isinstance(avg_degree, Real)
+            or not math.isfinite(avg_degree)):
+        raise TopologyError(
+            f"avg_degree must be a finite number, got {avg_degree!r}"
+        )
     if avg_degree <= 0:
         raise TopologyError("avg_degree must be positive")
     rng = random.Random(seed)

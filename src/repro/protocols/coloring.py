@@ -19,17 +19,16 @@ from __future__ import annotations
 from typing import Hashable, Tuple
 
 from ..core.actions import GuardedAction
-from ..core.exceptions import TopologyError
-from ..core.protocol import Protocol
 from ..core.state import Configuration
 from ..core.variables import IntRange, VariableSpec, comm, internal
+from ..graphs.coloring import DegreeSpecs
 from ..graphs.topology import Network
 from ..predicates.coloring import coloring_predicate
 
 ProcessId = Hashable
 
 
-class ColoringProtocol(Protocol):
+class ColoringProtocol(DegreeSpecs):
     """The paper's Protocol COLORING, parameterised by the palette size.
 
     Parameters
@@ -47,11 +46,6 @@ class ColoringProtocol(Protocol):
         if palette_size < 2:
             raise ValueError("palette must contain at least 2 colors")
         self.palette = IntRange(1, palette_size)
-        # Spec tuples are degree-determined; memoizing them makes
-        # specs_of/arbitrary_configuration O(distinct degrees) instead
-        # of one dataclass pair per process, and lets the column store
-        # resolve codecs once per distinct tuple.
-        self._specs_by_degree = {}
 
     @classmethod
     def for_network(cls, network: Network, extra_colors: int = 0) -> "ColoringProtocol":
@@ -59,19 +53,11 @@ class ColoringProtocol(Protocol):
         return cls(network.max_degree + 1 + extra_colors)
 
     # ------------------------------------------------------------------
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        degree = network.degree(p)
-        specs = self._specs_by_degree.get(degree)
-        if specs is None:
-            if degree < 1:
-                raise TopologyError(
-                    "COLORING requires every process to have a neighbor"
-                )
-            specs = self._specs_by_degree[degree] = (
-                comm("C", self.palette),
-                internal("cur", IntRange(1, degree)),
-            )
-        return specs
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
+        return (
+            comm("C", self.palette),
+            internal("cur", IntRange(1, degree)),
+        )
 
     def actions(self) -> Tuple[GuardedAction, ...]:
         def clash(ctx) -> bool:
@@ -128,9 +114,9 @@ class ColoringBatchKernel(BatchKernel):
     def classify(self, idx):
         store = self.store
         c_col = store.col(self._c)
-        cur = store.col(self._cur)[idx]
-        q = store.nbr[idx, cur - 1]
-        clash = c_col[idx] == c_col[q]
+        cur = store.gather(store.col(self._cur), idx)
+        q = store.neighbor_at(idx, cur)
+        clash = store.gather(c_col, idx) == c_col[q]
         codes = store.np.where(clash, 0, 1)
         bits = self._cbits[q]
         return codes, cur, bits, (cur, clash)
@@ -161,12 +147,11 @@ class ColoringBatchKernel(BatchKernel):
             store.write(self._c, rec_idx, [sample(rng) for _ in rec_idx])
 
     def legitimate_cols(self) -> bool:
-        """The coloring predicate straight from the columns: no port
-        leads to a neighbor of the same color."""
-        store = self.store
-        c = store.col(self._c)
-        clash = c[store.nbr] == c[:, None]
-        return not bool((clash & store.port_mask).any())
+        """The coloring predicate straight from the columns: no edge
+        joins two processes of the same color."""
+        c = self.store.col(self._c)
+        u, v = self.store.edges
+        return not bool((c[u] == c[v]).any())
 
     #: Silence straight from the columns: COLORING is silent exactly
     #: when the coloring is proper — a clashing edge keeps ``recolor``

@@ -34,18 +34,21 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from ..core.actions import GuardedAction
-from ..core.exceptions import TopologyError
-from ..core.protocol import Protocol
 from ..core.state import Configuration
 from ..core.variables import BOOL, IntRange, VariableSpec, const, comm, internal
-from ..graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
+from ..graphs.coloring import (
+    ColorConstant,
+    Coloring,
+    DegreeSpecs,
+    assert_local_identifiers,
+)
 from ..graphs.topology import Network
 from ..predicates.matching import matched_edges, matching_predicate
 
 ProcessId = Hashable
 
 
-class MatchingProtocol(ColorConstant, Protocol):
+class MatchingProtocol(ColorConstant, DegreeSpecs):
     """The paper's Protocol MATCHING over a local-identifier coloring."""
 
     name = "MATCHING"
@@ -57,27 +60,17 @@ class MatchingProtocol(ColorConstant, Protocol):
         self._color_domain = IntRange(
             min(self.colors.values()), max(self.colors.values())
         )
-        # Spec tuples are degree-determined (the color constant's
-        # per-process *value* lives in constant_values); memoized so
-        # specs_of costs O(distinct degrees) dataclass builds.
-        self._specs_by_degree: Dict[int, Tuple[VariableSpec, ...]] = {}
 
     # ------------------------------------------------------------------
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        degree = network.degree(p)
-        specs = self._specs_by_degree.get(degree)
-        if specs is None:
-            if degree < 1:
-                raise TopologyError(
-                    "MATCHING requires every process to have a neighbor"
-                )
-            specs = self._specs_by_degree[degree] = (
-                comm("M", BOOL),
-                comm("PR", IntRange(0, degree)),
-                const("C", self._color_domain),
-                internal("cur", IntRange(1, degree)),
-            )
-        return specs
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
+        # The color constant's per-process *value* lives in
+        # constant_values; its domain is shared.
+        return (
+            comm("M", BOOL),
+            comm("PR", IntRange(0, degree)),
+            const("C", self._color_domain),
+            internal("cur", IntRange(1, degree)),
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -203,7 +196,7 @@ class MatchingBatchKernel(BatchKernel):
     null (``publish`` / ``accept`` / ``propose`` / ``seek`` / disabled
     — PR, C, M order), exactly the scalar guards' short-circuit walk.
     ``PR.(cur.p) = p`` resolves through both endpoints' port maps via
-    the store's neighbor-index matrix.
+    the store's CSR port arrays.
     """
 
     rule_names = ("realign", "publish", "accept", "abandon", "propose", "seek")
@@ -224,17 +217,19 @@ class MatchingBatchKernel(BatchKernel):
         m_col = store.col(self._m)
         pr_col = store.col(self._pr)
         c_col = store.col(self._c)
-        m = m_col[idx]
-        pr = pr_col[idx]
-        c = c_col[idx]
-        cur = store.col(self._cur)[idx]
-        q = store.nbr[idx, cur - 1]
+        gather = store.gather
+        m = gather(m_col, idx)
+        pr = gather(pr_col, idx)
+        c = gather(c_col, idx)
+        cur = gather(store.col(self._cur), idx)
+        q = store.neighbor_at(idx, cur)
         prq = pr_col[q]
         mq = m_col[q] == 1
         cq = c_col[q]
         # PR.(cur.p) = p: q's pointed port leads back across the edge.
-        # A null PR.q gathers the wrapped column harmlessly — masked out.
-        back = store.nbr[q, prq - 1]
+        # A null PR.q gathers the port before q's first harmlessly —
+        # masked out.
+        back = store.neighbor_at(q, prq)
         pb = (prq != 0) & (back == idx)
 
         case_a = (pr != 0) & (pr != cur)
@@ -300,7 +295,7 @@ class MatchingBatchKernel(BatchKernel):
         is_seek = codes == 5
         seek_idx = idx[is_seek].tolist()
         if seek_idx:
-            new_cur = cur % store.deg[idx] + 1
+            new_cur = cur % store.gather(store.deg, idx) + 1
             writes.append((self._cur, seek_idx, new_cur[is_seek].tolist()))
         return writes
 
@@ -311,13 +306,14 @@ class MatchingBatchKernel(BatchKernel):
         Each process has one pointer, so the married pairs are always
         a matching; only maximality needs checking."""
         store = self.store
-        nbr = store.nbr
         idx = store.all_idx
         pr = store.col(self._pr)
-        # A null PR gathers the wrapped last column harmlessly; the
-        # ``!= 0`` terms mask it out.
-        q = nbr[idx, pr - 1]
+        # A null PR.i gathers flat[start[i] - 1] (the previous process's
+        # last port; the last entry of ``flat`` for i = 0) harmlessly;
+        # the ``!= 0`` terms mask it out.
+        q = store.neighbor_at(idx, pr)
         prq = pr[q]
-        married = (pr != 0) & (prq != 0) & (nbr[q, prq - 1] == idx)
-        uncovered = ~(married[:, None] | married[nbr])
-        return not bool((uncovered & store.port_mask).any())
+        married = ((pr != 0) & (prq != 0)
+                   & (store.neighbor_at(q, prq) == idx))
+        u, v = store.edges
+        return bool((married[u] | married[v]).all())

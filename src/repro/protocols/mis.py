@@ -26,11 +26,14 @@ from __future__ import annotations
 from typing import Dict, Hashable, Set, Tuple
 
 from ..core.actions import GuardedAction
-from ..core.exceptions import TopologyError
-from ..core.protocol import Protocol
 from ..core.state import Configuration
 from ..core.variables import FiniteSet, IntRange, VariableSpec, const, comm, internal
-from ..graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
+from ..graphs.coloring import (
+    ColorConstant,
+    Coloring,
+    DegreeSpecs,
+    assert_local_identifiers,
+)
 from ..graphs.topology import Network
 from ..predicates.mis import DOMINATED, DOMINATOR, mis_predicate
 
@@ -39,7 +42,7 @@ ProcessId = Hashable
 S_DOMAIN = FiniteSet((DOMINATOR, DOMINATED))
 
 
-class MISProtocol(ColorConstant, Protocol):
+class MISProtocol(ColorConstant, DegreeSpecs):
     """The paper's Protocol MIS over a given local-identifier coloring."""
 
     name = "MIS"
@@ -51,26 +54,16 @@ class MISProtocol(ColorConstant, Protocol):
         self._color_domain = IntRange(
             min(self.colors.values()), max(self.colors.values())
         )
-        # Spec tuples are degree-determined (the color constant's
-        # per-process *value* lives in constant_values); memoized so
-        # specs_of costs O(distinct degrees) dataclass builds.
-        self._specs_by_degree: Dict[int, Tuple[VariableSpec, ...]] = {}
 
     # ------------------------------------------------------------------
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        degree = network.degree(p)
-        specs = self._specs_by_degree.get(degree)
-        if specs is None:
-            if degree < 1:
-                raise TopologyError(
-                    "MIS requires every process to have a neighbor"
-                )
-            specs = self._specs_by_degree[degree] = (
-                comm("S", S_DOMAIN),
-                const("C", self._color_domain),
-                internal("cur", IntRange(1, degree)),
-            )
-        return specs
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
+        # The color constant's per-process *value* lives in
+        # constant_values; its domain is shared.
+        return (
+            comm("S", S_DOMAIN),
+            const("C", self._color_domain),
+            internal("cur", IntRange(1, degree)),
+        )
 
     def actions(self) -> Tuple[GuardedAction, ...]:
         def yield_guard(ctx) -> bool:
@@ -155,15 +148,15 @@ class MISBatchKernel(BatchKernel):
         where = store.np.where
         s_col = store.col(self._s)
         c_col = store.col(self._c)
-        c = c_col[idx]
-        cur = store.col(self._cur)[idx]
-        q = store.nbr[idx, cur - 1]
+        c = store.gather(c_col, idx)
+        cur = store.gather(store.col(self._cur), idx)
+        q = store.neighbor_at(idx, cur)
         sq_dom = s_col[q] == self._dom
         cq = c_col[q]
         yields = sq_dom & (cq < c)
         claims = ~sq_dom | (c < cq)
         codes = where(
-            s_col[idx] == self._dom,
+            store.gather(s_col, idx) == self._dom,
             where(yields, 0, 2),
             where(claims, 1, -1),
         )
@@ -185,7 +178,7 @@ class MISBatchKernel(BatchKernel):
         moves = is_claim | (codes == 2)
         m_idx = idx[moves].tolist()
         if m_idx:
-            new_cur = cur % store.deg[idx] + 1
+            new_cur = cur % store.gather(store.deg, idx) + 1
             writes.append((self._cur, m_idx, new_cur[moves].tolist()))
         return writes
 
@@ -196,5 +189,8 @@ class MISBatchKernel(BatchKernel):
         Dominator exactly when it has no Dominator neighbor."""
         store = self.store
         dom = store.col(self._s) == self._dom
-        dom_nbr = (dom[store.nbr] & store.port_mask).any(axis=1)
+        u, v = store.edges
+        dom_nbr = store.np.zeros(store.n, dtype=bool)
+        dom_nbr[u[dom[v]]] = True
+        dom_nbr[v[dom[u]]] = True
         return bool((dom != dom_nbr).all())

@@ -23,6 +23,7 @@ from repro.core import (
     Scheduler,
     Simulator,
     SynchronousScheduler,
+    TopologyError,
     make_scheduler,
 )
 from repro.core.scheduler import DEFAULT_SCHEDULERS, RoundRobinScheduler
@@ -182,6 +183,41 @@ class TestExperimentSpec:
         data[field] = value
         with pytest.raises(ValueError, match=f"ExperimentSpec.{field}"):
             ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field", [
+        "protocol_params", "topology_params", "scheduler_params",
+    ])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), [1.0, float("nan")],
+    ], ids=["nan", "inf", "-inf", "nested-nan"])
+    def test_rejects_non_finite_params(self, field, value):
+        """NaN and the infinities are no JSON: a spec holding one would
+        write a bare ``NaN`` token from ``to_json``, and a NaN
+        ``avg_degree`` passed the generator's bounds and built the
+        complete graph.  One ``ValueError`` names the field."""
+        with pytest.raises(ValueError, match=f"ExperimentSpec.{field}"):
+            ExperimentSpec(protocol="coloring", topology="ring",
+                           **{field: {"x": value}})
+
+    def test_bad_avg_degree_builds_no_graph(self):
+        """A NaN ``avg_degree`` built the complete graph (m = 1770 at
+        n = 60) and ``True`` a graph of average degree 1."""
+        def spec(avg_degree):
+            return ExperimentSpec(
+                protocol="coloring", topology="sparse",
+                topology_params={"n": 60, "avg_degree": avg_degree,
+                                 "seed": 1})
+
+        with pytest.raises(ValueError,
+                           match="ExperimentSpec.topology_params"):
+            spec(float("nan"))
+        with pytest.raises(ValueError,
+                           match="ExperimentSpec.topology_params"):
+            ExperimentSpec.from_json(
+                '{"protocol": "coloring", "topology": "sparse", '
+                '"topology_params": {"n": 60, "avg_degree": NaN}}')
+        with pytest.raises(TopologyError, match="avg_degree"):
+            spec(True).run()
 
     def test_key_distinguishes_params_and_seed(self):
         base = ExperimentSpec(protocol="coloring", topology="ring",

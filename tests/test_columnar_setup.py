@@ -24,7 +24,7 @@ import pytest
 
 from repro.api import ExperimentSpec, protocol_registry, topology_registry
 from repro.api.spec import drive_simulator
-from repro.core import Configuration, DomainError, Simulator
+from repro.core import Configuration, DomainError, Simulator, TopologyError
 from repro.core.actions import GuardedAction
 from repro.core.columns import ColumnStore
 from repro.core.protocol import Protocol
@@ -32,7 +32,7 @@ from repro.core.state import _intern_layout
 from repro.core.variables import Domain, FiniteSet, IntRange, comm, const
 from repro.faults import adversarial_reset
 from repro.graphs.coloring import greedy_coloring
-from repro.graphs.generators import ring, star
+from repro.graphs.generators import chain, ring, star
 from repro.obs.registry import TELEMETRY
 from repro.protocols.coloring import ColoringProtocol
 from repro.protocols.matching import MatchingProtocol
@@ -339,6 +339,46 @@ class TestValidationParity:
         del specs_of[7]
         with pytest.raises(DomainError, match=re.escape("extra: [7]")):
             proto.validate_configuration(net, config, specs_of=specs_of)
+
+
+# ----------------------------------------------------------------------
+# The spec map: one tuple per distinct degree
+# ----------------------------------------------------------------------
+class TestDegreeSpecs:
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_spec_map_equals_the_per_process_declarations(self, protocol,
+                                                          topology):
+        """``specs_of`` maps the degree sequence: in process order, the
+        very tuple ``variables`` returns, one object per degree (the
+        draw and the column store group processes by tuple identity)."""
+        name, params = TOPOLOGIES[topology]
+        net = topology_registry.build(name, **params)
+        proto = protocol_registry.build(protocol, net)
+        specs_of = proto.specs_of(net)
+        assert list(specs_of) == net.processes
+        per_degree = {}
+        for p in net.processes:
+            specs = specs_of[p]
+            assert specs is proto.variables(net, p)
+            assert per_degree.setdefault(net.degree(p), specs) is specs
+        assert all(a is b for a, b in zip(proto.specs_of(net).values(),
+                                          specs_of.values()))
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda net: ColoringProtocol(2), "COLORING"),
+        (lambda net: MISProtocol(net, {0: 1}), "MIS"),
+        (lambda net: MatchingProtocol(net, {0: 1}), "MATCHING"),
+    ])
+    def test_a_process_without_neighbors_is_one_topology_error(self, make,
+                                                                name):
+        net = chain(1)
+        proto = make(net)
+        message = f"{name} requires every process to have a neighbor"
+        for declare in (lambda: proto.specs_of(net),
+                        lambda: proto.variables(net, 0)):
+            with pytest.raises(TopologyError, match=message):
+                declare()
 
 
 # ----------------------------------------------------------------------

@@ -179,3 +179,14 @@ class TestSparseRandomExact:
             sparse_random(1)
         with pytest.raises(TopologyError):
             sparse_random(10, avg_degree=0)
+
+    @pytest.mark.parametrize("avg_degree", [
+        float("nan"), float("inf"), True, False, "3", None,
+    ])
+    def test_rejects_non_finite_or_non_numeric_avg_degree(self,
+                                                          avg_degree):
+        """``min(1.0, nan / 59)`` is 1.0, so a NaN average degree built
+        the complete graph, and ``True`` built a graph of average
+        degree 1."""
+        with pytest.raises(TopologyError, match="avg_degree"):
+            sparse_random(60, avg_degree=avg_degree, seed=1)

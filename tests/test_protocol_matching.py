@@ -11,6 +11,7 @@ from repro.analysis import (
 )
 from repro.core import Simulator
 from repro.graphs import (
+    Network,
     chain,
     clique,
     figure11_graph,
@@ -223,22 +224,38 @@ class TestEfficiencyAndStability:
 
 
 class TestColumnarVerdict:
-    """The batch kernel's ``legitimate_cols`` gathers ``nbr[i, PR.i−1]``
-    and ``nbr[q, PR.q−1]``: a null pointer wraps to the last column, and
-    rows shorter than Δ are padded.  These configurations sit next to
-    legitimacy, so a verdict that let a wrapped or padded entry count
-    as a marriage or an edge would flip."""
+    """The batch kernel's ``legitimate_cols`` gathers ``PR.i``'s target
+    as ``flat[start[i] + PR.i − 1]`` and its pointer back as
+    ``flat[start[q] + PR.q − 1]``.  A null pointer wraps to
+    ``flat[start[i] − 1]``: the previous process's last port, or the
+    last entry of ``flat`` for the first process.  In each case below
+    that wrapped entry leads to a process whose pointer would close a
+    marriage, and the false marriage would cover every uncovered edge,
+    so dropping the ``!= 0`` term that masks it flips the verdict.  A
+    wrapped null source is also a wrapped null target seen from the
+    other end (the process pointing at it wraps back onto itself), so
+    the first two cases flip without either term."""
 
-    @pytest.mark.parametrize("net,pr,expected", [
-        # 0 points at 3, whose null PR wraps to its last port, 0.
-        (ring(4), {0: 2, 1: 2, 2: 1, 3: 0}, False),
-        # 0's null PR wraps to its last port, 3, which points at 0.
-        (ring(4), {0: 0, 1: 2, 2: 1, 3: 2}, False),
-        # The padded rows of the endpoints 0 and 4 are no edges.
-        (chain(5), {0: 0, 1: 2, 2: 1, 3: 2, 4: 1}, True),
-    ], ids=["null-target", "null-source", "padding"])
-    def test_verdict_masks_null_pointers_and_padding(self, net, pr,
-                                                     expected):
+    @pytest.mark.parametrize("net,pr", [
+        # 0's null PR wraps to the last entry of flat, 3's last port,
+        # which leads to 2; 2 points at 0.  Masked by PR.i != 0 (and,
+        # from 2's end, by PR.q != 0).
+        (Network.from_edges(range(4), [(0, 2), (1, 3), (3, 0), (3, 2)]),
+         {0: 0, 1: 1, 2: 1, 3: 1}),
+        # 1's null PR wraps to 0's last port, which leads to 3; 3
+        # points at 1.  Masked by PR.i != 0 (and, from 3's end, by
+        # PR.q != 0).
+        (Network.from_edges(range(4), [(0, 2), (0, 3), (1, 3)]),
+         {0: 1, 1: 0, 2: 1, 3: 2}),
+        # 1 points at 0, whose null PR wraps to the last entry of flat,
+        # 2's port to 1.  Masked by PR.q != 0.
+        (chain(3), {0: 0, 1: 1, 2: 0}),
+        # 0 points at 2, whose null PR wraps to 1's last port, to 0.
+        # Masked by PR.q != 0.
+        (star(2), {0: 2, 1: 0, 2: 0}),
+    ], ids=["null-source-first", "null-source-later", "null-target-first",
+            "null-target-later"])
+    def test_verdict_masks_wrapped_null_pointers(self, net, pr):
         proto = make(net)
         config = proto.arbitrary_configuration(net, random.Random(0))
         for p, port in pr.items():
@@ -246,5 +263,5 @@ class TestColumnarVerdict:
         sim = Simulator(proto, net, config=config, seed=0,
                         engine="batch-resident")
         assert sim.engine.batch_active
-        assert sim.engine.legitimate() is expected
-        assert proto.is_legitimate(net, sim.config) is expected
+        assert sim.engine.legitimate() is False
+        assert proto.is_legitimate(net, sim.config) is False
