@@ -45,12 +45,14 @@ The 10k-node scale tier.  Two families of measurements:
   stops being linear in n.  It writes no BENCH file.
 
 Every other run (pytest or script) appends machine-readable results to
-``BENCH_3.json`` at the repo root — steps/sec per topology × protocol
-× engine × metrics tier plus the two hot-loop rates — the scenario case to
+``BENCH_3.json`` — steps/sec per topology × protocol × engine × metrics
+tier plus the two hot-loop rates — the scenario case to
 ``BENCH_4.json``, the batch-engine case (with the 1M-node tier at
 full scale) to ``BENCH_5.json``, and the resident case to
-``BENCH_6.json``; all are keyed by mode (``full`` / ``tiny``) so CI
-smoke numbers never shadow scale-tier ones.
+``BENCH_6.json``, each keyed by mode (``full`` / ``tiny``).  Full runs
+write the committed files at the repo root; ``--tiny`` runs write the
+same files under the git-ignored ``bench-tiny/`` there, so smoke
+numbers never land in the recorded trajectories.
 
 Run as a pytest bench::
 
@@ -95,6 +97,9 @@ MIN_SPEEDUP = 3.0
 
 #: the repo root, where ``BENCH_<k>.json`` files live
 BENCH_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: the git-ignored folder under :data:`BENCH_ROOT` that ``tiny`` emissions
+#: go to
+TINY_DIR = "bench-tiny"
 
 #: BENCH_5 acceptance floor: the columnar engine, one step at a time, over
 #: the scalar incremental loop on 10k-node synchronous coloring,
@@ -585,13 +590,16 @@ def emit_bench(mode: str, sections: Dict[str, Dict], write_json: bool = True,
     """The one writer of bench sections (``{"BENCH_3": section, ...}``).
 
     Each section's keys are merged into the ``mode`` entry of its
-    ``BENCH_<k>.json`` at the repo root (``full`` and ``tiny`` coexist,
-    and the pytest cases may each write part of one section), and the
-    same section is appended to the ``(bench, mode)`` trajectory of the
+    ``BENCH_<k>.json`` (the pytest cases may each write part of one
+    section): at the repo root for ``full``, under :data:`TINY_DIR` for
+    ``tiny``, which leaves the committed files as they are.  The same
+    section is appended to the ``(bench, mode)`` trajectory of the
     results store at ``store``, if given.
     """
+    folder = BENCH_ROOT / TINY_DIR if mode == "tiny" else BENCH_ROOT
     for bench, section in sections.items() if write_json else ():
-        path = BENCH_ROOT / f"{bench}.json"
+        folder.mkdir(exist_ok=True)
+        path = folder / f"{bench}.json"
         payload: Dict = {}
         if path.exists():
             try:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import inspect
 from functools import partial
-from typing import Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Mapping
 
 from ..core.engine import ENGINE_NAMES, make_engine
 from ..core.scheduler import (
@@ -116,7 +116,9 @@ class Registry:
                 f"unknown {self.kind} {name!r}; known: {self.names()}"
             ) from None
 
-    def build(self, name: str, *args, **params):
+    def checked(self, name: str, *args, **params) -> Callable:
+        """The builder of ``name``, once ``args`` and ``params`` bind to
+        its signature (:class:`ValueError` when they do not)."""
         builder = self.get(name)
         try:
             inspect.signature(builder).bind(*args, **params)
@@ -124,9 +126,12 @@ class Registry:
             raise ValueError(
                 f"bad parameters for {self.kind} {name!r}: {exc}"
             ) from None
+        return builder
+
+    def build(self, name: str, *args, **params):
         # The arguments bind, so any TypeError past this point is a bug
         # inside the builder and propagates with its real traceback.
-        return builder(*args, **params)
+        return self.checked(name, *args, **params)(*args, **params)
 
     def names(self) -> List[str]:
         return sorted(self._builders)
@@ -232,6 +237,25 @@ register_topology("gnp", random_connected)
 register_topology("regular", random_regular)
 register_topology("sparse", sparse_random)
 register_topology("tree", random_tree)
+
+
+def build_topology(name: str, params: Mapping[str, Any],
+                   columnar: bool = False) -> Network:
+    """The network of topology ``name`` built with ``params``.
+
+    A columnar engine's trial passes ``columnar=True``: ``sparse`` is
+    then built as port arrays by :func:`repro.graphs.columnar.sparse_random`
+    when NumPy imports — the same network, without per-process neighbor
+    tuples — and by its registered builder otherwise.  Scalar trials
+    always take the registered builder, so they never import NumPy.
+    """
+    builder = topology_registry.checked(name, **params)
+    if columnar and name == "sparse":
+        try:
+            from ..graphs.columnar import sparse_random as builder
+        except ImportError:
+            pass
+    return builder(**params)
 
 
 # ----------------------------------------------------------------------

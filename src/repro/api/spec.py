@@ -17,15 +17,16 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
+from ..core.engine import COLUMNAR_ENGINE_NAMES
 from ..core.metrics import METRICS_TIERS
 from ..obs.registry import TELEMETRY
 from ..core.simulator import Simulator
 from ..experiments.runner import TrialResult
 from .registry import (
+    build_topology,
     engine_registry,
     protocol_registry,
     scheduler_registry,
-    topology_registry,
 )
 
 
@@ -184,7 +185,10 @@ class ExperimentSpec:
     # Construction of live objects
     # ------------------------------------------------------------------
     def build_network(self):
-        return topology_registry.build(self.topology, **self.topology_params)
+        """The spec's network; on a columnar engine, ``sparse`` is built
+        as port arrays (:func:`~repro.api.registry.build_topology`)."""
+        return build_topology(self.topology, self.topology_params,
+                              columnar=self.engine in COLUMNAR_ENGINE_NAMES)
 
     def build_protocol(self, network):
         return protocol_registry.build(

@@ -63,6 +63,9 @@ ProcessId = Hashable
 #: to keep this module import-light.
 ENGINE_NAMES = ("incremental", "scan", "debug", "batch-resident", "batch-debug")
 
+#: the engines that run whole steps over NumPy columns
+COLUMNAR_ENGINE_NAMES = ("batch-resident", "batch-debug")
+
 
 class ScalarOutcome:
     """One scalar step's ``(pid, ctx, action)`` executions, in selection

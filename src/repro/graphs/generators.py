@@ -135,12 +135,17 @@ def _gnp_ports(n: int, p: float, rng: random.Random) -> List[List[int]]:
     random.Random(seed)``: each edge is appended to both endpoints as
     networkx adds it, so ``ports[v]`` is ``v``'s adjacency in that graph.
     ``p >= 1`` gives the complete graph without a draw, as networkx does.
+    A ``p`` so small that ``1.0 - p == 1.0`` leaves ``log(1 - p)`` at 0,
+    where networkx divides by zero: every skip lands past the last pair,
+    so the sample is empty, again without a draw.
     """
     if p >= 1:
         return [list(_chain(range(v), range(v + 1, n))) for v in range(n)]
     ports: List[List[int]] = [[] for _ in range(n)]
     log, draw = math.log, rng.random
     lp = log(1.0 - p)
+    if lp == 0.0:
+        return ports
     v, w = 1, -1
     while v < n:
         w = w + 1 + int(log(1.0 - draw()) / lp)
@@ -179,6 +184,23 @@ def _component_lists(ports: List[List[int]]) -> List[List[int]]:
     return comps
 
 
+def sparse_edge_probability(n: int, avg_degree: float) -> float:
+    """The G(n, p) edge probability of a ``sparse`` network,
+    ``min(1, avg_degree / (n - 1))``, after checking both parameters."""
+    if n < 2:
+        raise TopologyError("need at least two processes")
+    # A bool is an int to Python, and NaN passes the positivity check
+    # below (then ``min(1.0, nan)`` asks for the complete graph).
+    if (isinstance(avg_degree, bool) or not isinstance(avg_degree, Real)
+            or not math.isfinite(avg_degree)):
+        raise TopologyError(
+            f"avg_degree must be a finite number, got {avg_degree!r}"
+        )
+    if avg_degree <= 0:
+        raise TopologyError("avg_degree must be positive")
+    return min(1.0, avg_degree / max(n - 1, 1))
+
+
 def sparse_random(
     n: int, avg_degree: float = 3.0, seed: Optional[int] = None
 ) -> Network:
@@ -195,21 +217,13 @@ def sparse_random(
     It builds port lists, not a graph: the network equals the one
     networkx's ``fast_gnp_random_graph`` and ``connected_components``
     give for the same seed — processes, ports, edges — and builds its
-    networkx graph only when a graph algorithm asks for one.
+    networkx graph only when a graph algorithm asks for one.  Its NumPy
+    twin, :func:`repro.graphs.columnar.sparse_random`, builds the same
+    network as port arrays for the columnar engines; this one is the
+    oracle, and the only one a scalar trial runs.
     """
-    if n < 2:
-        raise TopologyError("need at least two processes")
-    # A bool is an int to Python, and NaN passes the positivity check
-    # below (then ``min(1.0, nan)`` asks for the complete graph).
-    if (isinstance(avg_degree, bool) or not isinstance(avg_degree, Real)
-            or not math.isfinite(avg_degree)):
-        raise TopologyError(
-            f"avg_degree must be a finite number, got {avg_degree!r}"
-        )
-    if avg_degree <= 0:
-        raise TopologyError("avg_degree must be positive")
+    p = sparse_edge_probability(n, avg_degree)
     rng = random.Random(seed)
-    p = min(1.0, avg_degree / max(n - 1, 1))
     ports = _gnp_ports(n, p, random.Random(rng.randrange(2**31)))
     comps = _component_lists(ports)
     rng.shuffle(comps)

@@ -11,19 +11,25 @@ relying on any canonical neighbor ordering.
 notation from them: ``Γ.p`` (:meth:`Network.neighbors`), ``δ.p``
 (:meth:`Network.degree`), ``Δ`` (:attr:`Network.max_degree`), ``n``
 and ``m``.  The columnar engine reads the same tables in index space
-(:meth:`Network.port_arrays`).  Graph algorithms — ``D``
-(:attr:`Network.diameter`), colorings, bridges, cut vertices and the
-``with_*`` mutators — run on a :mod:`networkx` graph, which a network
-built from an edge sequence (:meth:`Network.from_edges`, the
-``sparse`` generator) builds only when one of them first asks.
+(:meth:`Network.port_arrays`); a network built from those arrays (the
+NumPy ``sparse`` sampler of :mod:`repro.graphs.columnar`) answers
+``n``, ``m``, ``Δ`` and the process order from them and builds its
+per-process tables only when a scalar query first asks.  Graph
+algorithms — ``D`` (:attr:`Network.diameter`), colorings, bridges, cut
+vertices and the ``with_*`` mutators — run on a :mod:`networkx` graph,
+which a network built from an edge sequence (:meth:`Network.from_edges`,
+the ``sparse`` generator) or from port arrays builds only when one of
+them first asks.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain
-from operator import contains
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import accumulate, chain, islice
+from operator import contains, sub
+from typing import (Collection, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import networkx as nx
 
@@ -53,6 +59,14 @@ def _index_arrays(rows: Sequence[Sequence[int]]) -> Tuple[array, array]:
     # array() converts a list faster than it drains an iterator
     return (array("q", accumulate(map(len, rows), initial=0)),
             array("q", list(chain.from_iterable(rows))))
+
+
+def _array_q(values) -> array:
+    """An ``array('q')`` copy of a NumPy integer array (one memcpy)."""
+    out = array("q")
+    out.frombytes(memoryview(
+        values.astype("=i8", order="C", copy=False)).cast("B"))
+    return out
 
 
 class Network:
@@ -105,12 +119,15 @@ class Network:
             else:
                 order = tuple(graph.neighbors(p))
             table[p] = order
+        #: ``p -> (q1, q2, ...)`` in port order, in process order (built
+        #: on first use on a network made from port arrays)
+        self._ports = table
         self._adopt(table, graph)
 
-    def _adopt(self, ports: Dict[ProcessId, Tuple[ProcessId, ...]],
+    def _adopt(self, pids: Collection[ProcessId],
                graph: Optional[nx.Graph]) -> None:
-        #: ``p -> (q1, q2, ...)`` in port order, in process order
-        self._ports = ports
+        #: the processes in order: the keys of ``_ports``, or ``range(n)``
+        self._pids = pids
         #: the networkx graph; None until first needed on a network
         #: built from an edge sequence (see :meth:`_nx`)
         self._graph = graph
@@ -195,9 +212,49 @@ class Network:
             pid = processes.__getitem__
             ports = {p: tuple(map(pid, row)) for p, row in zip(processes, rows)}
         net = cls.__new__(cls)
+        net._ports = ports
         net._adopt(ports, None)
         net._port_arrays = _index_arrays(rows)
         return net
+
+    @classmethod
+    def _from_port_arrays(cls, offsets, flat, *,
+                          connected: bool) -> "Network":
+        """The network on processes ``0 .. n-1`` whose process ``i`` sees
+        ``flat[offsets[i]:offsets[i+1]]``, port by port, from NumPy int64
+        arrays (``len(offsets) == n + 1``).
+
+        The checks :meth:`_from_index_rows` makes run over the arrays,
+        plus one that rows built edge by edge pass by construction: each
+        port has its reverse.  ``n``, ``m``, ``Δ``, :attr:`processes` and
+        :meth:`process_index` come from the arrays, which are kept as the
+        stdlib arrays :meth:`port_arrays` returns; the per-process
+        neighbor tuples are built on first scalar use.  The caller has
+        searched the components and passes its verdict as ``connected``.
+        """
+        from .columnar import check_port_arrays
+
+        n = len(offsets) - 1
+        max_degree = check_port_arrays(offsets, flat)
+        if not connected:
+            raise TopologyError("network must be connected")
+        net = cls.__new__(cls)
+        net._adopt(range(n), None)
+        net._m = len(flat) // 2
+        net._max_degree = max_degree
+        net._port_arrays = (_array_q(offsets), _array_q(flat))
+        return net
+
+    @cached_property
+    def _ports(self) -> Dict[ProcessId, Tuple[ProcessId, ...]]:
+        """The neighbor tuples of a network built from port arrays, made
+        on first use (every other network sets them at construction)."""
+        offsets, flat = self._port_arrays
+        entries = iter(flat.tolist())
+        return dict(zip(self._pids, [
+            tuple(islice(entries, degree))
+            for degree in map(sub, offsets[1:], offsets)
+        ]))
 
     def _nx(self) -> nx.Graph:
         """The networkx graph of this network, built on first use when
@@ -229,12 +286,12 @@ class Network:
     @property
     def processes(self) -> List[ProcessId]:
         """Π — all processes, in a stable order."""
-        return list(self._ports)
+        return list(self._pids)
 
     @property
     def n(self) -> int:
         """Number of processes."""
-        return len(self._ports)
+        return len(self._pids)
 
     @property
     def m(self) -> int:
@@ -303,7 +360,7 @@ class Network:
         the engines' canonical order and the column store all share
         this one map, so callers must not mutate it."""
         if self._index is None:
-            self._index = {p: i for i, p in enumerate(self._ports)}
+            self._index = dict(zip(self._pids, range(self.n)))
         return self._index
 
     def port_arrays(self) -> Tuple[array, array]:
@@ -439,7 +496,7 @@ class Network:
     def __contains__(self, p: ProcessId) -> bool:
         # An unhashable value is no process (as a networkx graph answers).
         try:
-            return p in self._ports
+            return p in self.process_index()
         except TypeError:
             return False
 

@@ -1,11 +1,14 @@
 """Unit tests for the topology generators."""
 
+import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.exceptions import TopologyError
+from repro.graphs import columnar, generators, topology
 from repro.graphs import (
     Network,
     binary_tree,
@@ -117,32 +120,42 @@ def networkx_sparse_random(n, avg_degree, seed):
     return Network(g, copy=False)
 
 
+#: the NumPy-free ``sparse`` generator (the oracle) and the NumPy one
+SAMPLERS = (generators.sparse_random, columnar.sparse_random)
+
+
 class TestSparseRandomExact:
-    """``sparse_random`` builds port lists without networkx and must
-    give the very network the networkx construction gives: the same
-    processes, every port in the same place, the same edge order, and a
-    networkx graph (built on demand) with the same adjacency order.
-    The grid covers p >= 1 (n <= avg_degree + 1) and samples with
-    hundreds of stitched components (avg_degree <= 1)."""
+    """``sparse_random`` builds port lists without networkx, and its
+    NumPy twin builds port arrays; both must give the very network the
+    networkx construction gives: the same processes, every port in the
+    same place, the same edge order, and a networkx graph (built on
+    demand) with the same adjacency order.  The grid covers p >= 1
+    (n <= avg_degree + 1) and samples with hundreds of stitched
+    components (avg_degree <= 1)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 100, 1000, 10000])
     @pytest.mark.parametrize("avg_degree", [0.5, 1, 3, 6])
     def test_equals_networkx_construction(self, n, avg_degree):
         for seed in range(5):
-            net = sparse_random(n, avg_degree, seed=seed)
             ref = networkx_sparse_random(n, avg_degree, seed)
             procs = ref.processes
-            assert net.processes == procs
-            assert [net.neighbors(p) for p in procs] == \
-                [ref.neighbors(p) for p in procs]
-            assert net.edges() == ref.edges()
-            graph, ref_graph = net.subgraph_view(), ref.subgraph_view()
-            assert list(graph.nodes) == list(ref_graph.nodes)
-            assert [list(graph.adj[p]) for p in procs] == \
-                [list(ref_graph.adj[p]) for p in procs]
-            assert (net.m, net.max_degree) == (ref.m, ref.max_degree)
-            if n <= 1000:
-                assert net.diameter == nx.diameter(ref_graph, usebounds=True)
+            ref_graph = ref.subgraph_view()
+            diameter = nx.diameter(ref_graph, usebounds=True) \
+                if n <= 1000 else None
+            for sampler in SAMPLERS:
+                net = sampler(n, avg_degree, seed=seed)
+                assert net.processes == procs
+                assert net.port_arrays() == ref.port_arrays()
+                assert (net.m, net.max_degree) == (ref.m, ref.max_degree)
+                assert [net.neighbors(p) for p in procs] == \
+                    [ref.neighbors(p) for p in procs]
+                assert net.edges() == ref.edges()
+                graph = net.subgraph_view()
+                assert list(graph.nodes) == list(ref_graph.nodes)
+                assert [list(graph.adj[p]) for p in procs] == \
+                    [list(ref_graph.adj[p]) for p in procs]
+                if diameter is not None:
+                    assert net.diameter == diameter
 
     def test_one_component_search(self, monkeypatch):
         """The generator's own component search is its connectivity
@@ -188,5 +201,89 @@ class TestSparseRandomExact:
         """``min(1.0, nan / 59)`` is 1.0, so a NaN average degree built
         the complete graph, and ``True`` built a graph of average
         degree 1."""
-        with pytest.raises(TopologyError, match="avg_degree"):
-            sparse_random(60, avg_degree=avg_degree, seed=1)
+        for sampler in SAMPLERS:
+            with pytest.raises(TopologyError, match="avg_degree"):
+                sampler(60, avg_degree=avg_degree, seed=1)
+
+    @pytest.mark.parametrize("n,avg_degree", [
+        (10, 1e-17), (100_000, 1e-12), (10, 5e-324),
+    ])
+    def test_vanishing_avg_degree_gives_a_stitched_chain(self, n,
+                                                         avg_degree):
+        """A positive ``avg_degree`` small enough that ``1.0 - p ==
+        1.0`` put ``log(1 - p)`` at 0 and divided by zero; the sample is
+        empty instead, so the network is the random chain that stitches
+        the n singletons, the same from both samplers."""
+        a, b = (sampler(n, avg_degree, seed=1) for sampler in SAMPLERS)
+        assert a.m == b.m == n - 1 and a.max_degree == b.max_degree == 2
+        assert a.port_arrays() == b.port_arrays()
+
+    @pytest.mark.parametrize("avg_degree", [1e-9, 1e-6, 2e-3])
+    def test_samplers_agree_where_skips_pass_the_last_pair(self,
+                                                           avg_degree):
+        """Skips of about ``(n - 1) / avg_degree`` pairs against
+        ``n(n - 1)/2`` pairs in all: most land past the last pair, where
+        the NumPy sampler clips them before its int64 cast, and the
+        samples hold a handful of pairs at most."""
+        for seed in range(20):
+            a, b = (sampler(1000, avg_degree, seed=seed)
+                    for sampler in SAMPLERS)
+            assert a.port_arrays() == b.port_arrays()
+
+
+class TestNumpySampler:
+    """The NumPy ``sparse`` sampler step by step against the oracle: the
+    uniforms, the skips, the sampled port tables and the component lists
+    ``rng.shuffle`` and ``rng.choice`` see."""
+
+    def test_uniforms_are_the_generators_draws(self):
+        a, b = random.Random(12), random.Random(12)
+        draws = columnar.uniforms(a, 100_000)
+        assert draws.tolist() == [b.random() for _ in range(100_000)]
+        assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("p", [3e-6, 3e-4, 0.05, 0.5])
+    def test_skips_equal_math_log_over_a_million_draws(self, p):
+        """250k draws at each of four p, and every draw that puts the
+        quotient within an ulp-sized step of an integer."""
+        lp = math.log(1.0 - p)
+        draws = columnar.uniforms(random.Random(p), 250_000)
+        # r = 1 - exp(k * lp) puts log(1 - r) / lp within ulps of k
+        edges = np.array([1.0 - math.exp(k * lp)
+                          for k in range(1, min(3000, int(-30 / lp)))])
+        draws = np.concatenate((draws, edges, np.nextafter(edges, 0),
+                                np.nextafter(edges, 1)))
+        assert draws.max() < 1.0
+        limit = 2**40
+        expected = [min(int(math.log(1.0 - r) / lp), limit)
+                    for r in draws.tolist()]
+        assert columnar.gnp_skips(draws, lp, limit).tolist() == expected
+        clipped = [min(skip, 100) for skip in expected]
+        assert columnar.gnp_skips(draws, lp, 100).tolist() == clipped
+
+    @staticmethod
+    def assert_sample_equals_oracle(n, avg_degree, seed):
+        """Element for element: a component list in another order can
+        give the same stitched network whenever ``rng.choice`` happens
+        to pick the same member."""
+        p = min(1.0, avg_degree / (n - 1))
+        ports = generators._gnp_ports(n, p, random.Random(seed))
+        offsets, flat, minima = columnar.gnp_port_arrays(
+            n, p, random.Random(seed))
+        assert [offsets.tolist(), flat.tolist()] == \
+            [list(a) for a in topology._index_arrays(ports)]
+        assert columnar.component_lists(offsets, flat, minima) == \
+            generators._component_lists(ports)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 100, 1000, 10000])
+    @pytest.mark.parametrize("avg_degree", [0.5, 1, 3, 6])
+    def test_sample_and_component_lists_equal_the_oracle(self, n,
+                                                         avg_degree):
+        for seed in range(5):
+            self.assert_sample_equals_oracle(n, avg_degree, seed)
+
+    def test_one_hundred_thousand_processes(self):
+        self.assert_sample_equals_oracle(100_000, 3, 7)
+        a, b = (sampler(100_000, 3, seed=7) for sampler in SAMPLERS)
+        assert a.port_arrays() == b.port_arrays()
+        assert (b.n, b.m, b.max_degree) == (a.n, a.m, a.max_degree)

@@ -1113,6 +1113,41 @@ class TestBenchStoreGate:
         assert main(["compare", "--bench-store", str(path),
                      "--mode", "tiny"]) == 0
 
+    def test_tiny_emission_leaves_the_root_files(self, tmp_path,
+                                                 monkeypatch):
+        """``--tiny`` figures go under ``bench-tiny/``: the committed
+        BENCH files stay byte-identical, and full runs still write
+        them."""
+        import importlib.util
+        import os
+        import shutil
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "bench_engine_emit", os.path.join(root, "benchmarks",
+                                              "bench_engine.py"))
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        names = [f"BENCH_{k}.json" for k in range(3, 7)]
+        for name in names:
+            shutil.copy(os.path.join(root, name), tmp_path / name)
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        monkeypatch.setattr(bench, "BENCH_ROOT", tmp_path)
+        store = tmp_path / "bench.sqlite"
+        bench.emit_bench("tiny", {name[:-5]: {"probe": {"x": 1.0}}
+                                  for name in names}, store=str(store))
+        assert {name: (tmp_path / name).read_bytes()
+                for name in names} == before
+        for name in names:
+            payload = json.loads(
+                (tmp_path / bench.TINY_DIR / name).read_text())
+            assert payload == {"tiny": {"probe": {"x": 1.0}}}
+        with ResultStore(store, create=False) as results:
+            assert len(results.bench_trajectory("BENCH_3", "tiny")) == 1
+        bench.emit_bench("full", {"BENCH_3": {"probe": {"x": 2.0}}})
+        written = json.loads((tmp_path / "BENCH_3.json").read_text())
+        assert written["full"]["probe"] == {"x": 2.0}
+
     def test_bench_engine_store_flag_records(self, tmp_path):
         import subprocess, sys, os
         env = os.environ.copy()

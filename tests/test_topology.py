@@ -285,6 +285,90 @@ class TestFromEdges:
         assert net.port_arrays() is net.port_arrays()
 
 
+def from_port_lists(rows, connected=True):
+    """``Network._from_port_arrays`` over index-space port lists."""
+    import numpy as np
+
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    flat = np.array([q for row in rows for q in row], dtype=np.int64)
+    return Network._from_port_arrays(offsets, flat, connected=connected)
+
+
+class TestFromPortArrays:
+    """The construction path from NumPy port arrays runs the checks of
+    the edge-sequence path over the arrays, plus a reverse for every
+    port, and builds the neighbor tuples only when a scalar query asks."""
+
+    def test_answers_from_the_arrays_alone(self):
+        net = from_port_lists([[1, 3], [0, 2], [3, 1], [2, 0]])
+        assert "_ports" not in vars(net)
+        assert net.processes == [0, 1, 2, 3] and net.n == len(net) == 4
+        assert (net.m, net.max_degree) == (4, 2)
+        assert net.process_index() == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert 2 in net and 9 not in net and [0] not in net
+        offsets, flat = net.port_arrays()
+        assert offsets.typecode == flat.typecode == "q"
+        assert list(offsets) == [0, 2, 4, 6, 8]
+        assert list(flat) == [1, 3, 0, 2, 3, 1, 2, 0]
+        assert all(type(x) is int for x in flat)
+        assert "_ports" not in vars(net) and net._graph is None
+        assert net.neighbors(2) == (3, 1) and net.degree(0) == 2
+        assert net.port_to(2, 1) == 2 and net.neighbor_at(3, 2) == 0
+        assert "_ports" in vars(net) and net._graph is None
+        assert net.diameter == 2 and net.edges() == \
+            Network.from_edges(range(4), [(0, 1), (0, 3), (1, 2),
+                                          (2, 3)]).edges()
+
+    def test_single_process(self):
+        net = from_port_lists([[]])
+        assert (net.n, net.m, net.max_degree, net.diameter) == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize("rows,match", [
+        ([], "at least one"),
+        ([[1], [0, 1]], "self-loop"),
+        ([[1, 1], [0, 0]], "joined twice"),
+        ([[1, 2], [0], [0, 0]], "joined twice"),
+        ([[1, 2], [0], []], "no reverse"),
+        ([[1], [0], [0]], "no reverse"),
+        ([[1], [2]], "unknown process"),
+        ([[-1], [0]], "unknown process"),
+    ])
+    def test_rejects_bad_tables(self, rows, match):
+        with pytest.raises(TopologyError, match=match):
+            from_port_lists(rows)
+
+    def test_rejects_offsets_that_miss_the_table(self):
+        import numpy as np
+
+        with pytest.raises(TopologyError, match="offsets"):
+            Network._from_port_arrays(np.array([0, 1, 3]),
+                                      np.array([1, 0], dtype=np.int64),
+                                      connected=True)
+
+    def test_takes_the_callers_connectivity_verdict(self):
+        with pytest.raises(TopologyError, match="connected"):
+            from_port_lists([[1], [0], [3], [2]], connected=False)
+
+
+def run_fresh(script, numpy_blocked=False, tmp_path=None):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``
+    (behind a ``numpy`` package whose import fails, if asked) and return
+    its stdout."""
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = [src_root]
+    if numpy_blocked:
+        stub = tmp_path / "numpy"
+        stub.mkdir()
+        (stub / "__init__.py").write_text(
+            "raise ImportError('numpy is blocked')\n")
+        path.insert(0, str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestNetworkxOnDemand:
     """A sparse trial on the fused columnar path never needs the
     networkx graph, and a scalar one never needs NumPy."""
@@ -311,9 +395,47 @@ class TestNetworkxOnDemand:
             "assert row.silent and row.legitimate\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ, PYTHONPATH=src_root)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert run_fresh(script).strip() == "[]"
+
+    def test_columnar_spec_without_numpy_takes_the_list_sampler(self,
+                                                                tmp_path):
+        """With NumPy blocked, a ``batch-resident`` sparse spec builds
+        its network through the NumPy-free sampler: the same network the
+        NumPy sampler builds here."""
+        params = {"n": 300, "avg_degree": 1, "seed": 5}
+        script = (
+            "import sys\n"
+            "from repro.api import ExperimentSpec\n"
+            "net = ExperimentSpec(protocol='coloring', topology='sparse',"
+            f" topology_params={params!r},"
+            " engine='batch-resident').build_network()\n"
+            "assert '_ports' in vars(net)  # the list sampler's tables\n"
+            "assert 'repro.graphs.columnar' not in sys.modules\n"
+            "print([list(a) for a in net.port_arrays()])\n"
+        )
+        out = run_fresh(script, numpy_blocked=True, tmp_path=tmp_path)
+        spec = ExperimentSpec(protocol="coloring", topology="sparse",
+                              topology_params=params,
+                              engine="batch-resident")
+        net = spec.build_network()
+        assert "_ports" not in vars(net)  # the NumPy sampler's arrays
+        assert out.strip() == str([list(a) for a in net.port_arrays()])
+
+    def test_fused_sparse_coloring_reads_only_port_arrays(self):
+        """A fused sparse COLORING trial imports no ``numpy.random``,
+        never builds the per-process neighbor tuples, and builds no
+        networkx graph."""
+        script = (
+            "import sys\n"
+            "from repro.api import ExperimentSpec, drive_simulator\n"
+            "spec = ExperimentSpec(protocol='coloring', topology='sparse',"
+            " topology_params={'n': 2000, 'avg_degree': 3, 'seed': 11},"
+            " seed=4, engine='batch-resident', metrics='aggregate')\n"
+            "sim = spec.build_simulator()\n"
+            "report = drive_simulator(sim, max_rounds=spec.max_rounds)\n"
+            "assert sim.engine.batch_active and report.silent\n"
+            "net = sim.network\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules,"
+            " '_ports' in vars(net), net._graph is None)\n"
+        )
+        assert run_fresh(script).split() == ["True", "False", "False", "True"]
