@@ -6,7 +6,6 @@
 activate most of the network every step, so evaluating guards
 one pooled context at a time leaves an order of magnitude on the
 table.  Like every engine it executes the step the simulator hands it;
-on an active engine (:attr:`BatchEngine.batch_active`)
 :meth:`BatchEngine.execute_step`
 
 1. gathers the step's reads from a :class:`~repro.core.columns.ColumnStore`
@@ -37,13 +36,16 @@ kernel's columnar verdicts through :meth:`BatchEngine.silent` and
 Kernels are registered per *protocol class* with
 :func:`register_batch_kernel` next to the scalar implementations
 (:mod:`repro.protocols.coloring` / ``mis`` / ``matching``) and index
-the store's NumPy columns directly.  A protocol without a kernel, an
-interpreter without NumPy, or state the column store cannot mirror
-(mixed layouts, exotic domains) degrades
-transparently: the engine keeps its enabled set in an internal
-:attr:`BatchEngine.fallback_cls` engine and executes steps through the
-inherited scalar loop, with identical results, so
-``engine="batch-resident"`` is always safe to request.
+the store's NumPy columns directly.  The choice between columns and
+scalar is made once, at :meth:`BatchEngine.bind`: a protocol without
+a kernel, an interpreter without NumPy, or state the column store
+cannot mirror (mixed layouts, exotic domains) binds a fresh
+:attr:`BatchEngine.fallback_cls` engine and returns it, so the run is
+executed — and ``sim.engine`` named — by that scalar engine, with
+identical results, and ``engine="batch-resident"`` is always safe to
+request.  A bound engine is never rebound: the simulator releases it
+(:meth:`BatchEngine.release`) and binds a fresh one when γ or the
+network is replaced.
 
 :class:`BatchCrossCheckEngine` (``engine="batch-debug"``) is the audit
 mode, the columnar analogue of
@@ -54,7 +56,7 @@ scalar guard probes and raises
 choice, ports read, or bits charged; every columnar silence verdict is
 checked against the exact scalar checker and every columnar legitimacy
 verdict against ``Protocol.is_legitimate``; and without a kernel it
-falls back to :class:`~repro.core.engine.CrossCheckEngine` itself.
+binds :class:`~repro.core.engine.CrossCheckEngine` instead.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ _SPAN_BUCKETS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
 ProcessId = Hashable
 
 #: Vectorized kernels per protocol class (exact class match: a subclass
-#: overriding guards must register its own kernel or it falls back to
-#: the scalar path).
+#: overriding guards must register its own kernel or its runs bind a
+#: scalar engine).
 BATCH_KERNELS: Dict[Type, Callable] = {}
 
 
@@ -202,8 +204,7 @@ class BatchEngine(EnabledSetEngine):
 
     ``engine="batch-resident"``: the columns are the live state.  Step
     writes stay columnar and the touched rows go stale-by-design until
-    :meth:`materialize_rows` decodes them (``ColumnStore.generation``
-    stamps which slots moved); the bound
+    :meth:`materialize_rows` decodes them; the bound
     :class:`~repro.core.state.Configuration` gets a sync hook, so *any*
     row observation — traces, predicates, fault injectors, direct
     ``config.get``/``state_of`` reads — transparently materializes
@@ -215,69 +216,54 @@ class BatchEngine(EnabledSetEngine):
     """
 
     name = "batch-resident"
-    #: the scalar engine run when no kernel or column store applies
+    #: the scalar engine :meth:`bind` hands the run to when no kernel or
+    #: column store applies
     fallback_cls: Type[EnabledSetEngine] = IncrementalEngine
+    #: a bound batch engine always runs whole steps over columns
+    batch_active = True
 
-    _hooked_config = None
+    _enabled_cache: Optional[frozenset] = None
+    _enabled_list_cache: Optional[Tuple[ProcessId, ...]] = None
+    _stale_all = False
+    #: the aggregate fold's activation counts and per-port seen flags,
+    #: built on the first fold
+    _pending_act = None
+    _seen = None
+    _suffix_seen = None
+    _suffix_epoch = None
     #: whether ``fold_aggregate`` left counts for the next flush
     _agg_dirty = False
     _agg_collector = None
 
-    def _attach(self, protocol, network, config, specs_of) -> None:
-        super()._attach(protocol, network, config, specs_of)
-        self._activate()
-
-    # ------------------------------------------------------------------
-    # Activation / fallback
-    # ------------------------------------------------------------------
-    def _activate(self) -> None:
-        """(Re)derive the columnar machinery for the current run objects.
-
-        Falls back to a fresh internal :attr:`fallback_cls` engine when
-        the protocol has no registered kernel or the state cannot be
-        mirrored into columns.  The outgoing configuration gets its
-        pending column writes decoded before its sync hook is removed:
-        a caller may still hold and read it.
-        """
-        self.flush_pending_metrics()
-        if self._hooked_config is not None:
-            self._store.materialize()
-            self._hooked_config.install_sync(None)
-            self._hooked_config = None
-        self._store: Optional[ColumnStore] = None
-        self._kernel: Optional[BatchKernel] = None
-        self._fallback: Optional[EnabledSetEngine] = None
-        self._enabled_cache: Optional[frozenset] = None
-        self._enabled_list_cache: Optional[Tuple[ProcessId, ...]] = None
-        self._pull_pending: set = set()
-        self._stale_all = False
-        self._pending_act = None
-        self._seen = None
-        self._suffix_seen = None
-        self._suffix_epoch = None
-        self._unflushed_reads = []
-        kernel_cls = BATCH_KERNELS.get(type(self.protocol))
+    def bind(self, protocol, network, config, specs_of) -> EnabledSetEngine:
+        """Build the run's column store and kernel and return this
+        engine, or return a freshly bound :attr:`fallback_cls` engine
+        when the protocol has no registered kernel or the state cannot
+        be mirrored into columns (this engine then stays bound, unused)."""
+        super().bind(protocol, network, config, specs_of)
+        kernel_cls = BATCH_KERNELS.get(type(protocol))
         store = (
-            ColumnStore.try_build(self.network, self.config, self.specs_of)
+            ColumnStore.try_build(network, config, specs_of)
             if kernel_cls is not None
             else None
         )
-        if store is not None:
-            self._store = store
-            self._kernel = kernel_cls(self.protocol, store)
-            self.config.install_sync(self.materialize_rows)
-            self._hooked_config = self.config
-        else:
-            fallback = self.fallback_cls()
-            fallback.bind(
-                self.protocol, self.network, self.config, self.specs_of
-            )
-            self._fallback = fallback
+        if store is None:
+            return self.fallback_cls().bind(protocol, network, config,
+                                            specs_of)
+        self._store = store
+        self._kernel = kernel_cls(protocol, store)
+        self._pull_pending = set()
+        self._unflushed_reads = []
+        config.install_sync(self.materialize_rows)
+        return self
 
-    @property
-    def batch_active(self) -> bool:
-        """Whether batch execution is live (False = scalar fallback)."""
-        return self._fallback is None
+    def release(self) -> None:
+        """Hand the configuration back: drain pending metrics, decode
+        pending column writes into the outgoing configuration (a caller
+        may still hold and read it), then remove its sync hook."""
+        self.flush_pending_metrics()
+        self._store.materialize()
+        self.config.install_sync(None)
 
     # ------------------------------------------------------------------
     # Column freshness
@@ -316,49 +302,35 @@ class BatchEngine(EnabledSetEngine):
         return self._enabled_cache, self._enabled_list_cache
 
     def enabled_set(self):
-        if self._fallback is not None:
-            return self._fallback.enabled_set()
         return self._compute_enabled()[0]
 
     def enabled_list(self):
-        if self._fallback is not None:
-            return self._fallback.enabled_list()
         return self._compute_enabled()[1]
 
     def enabled_view(self):
-        if self._fallback is not None:
-            return self._fallback.enabled_view()
         return self._compute_enabled()[0]
 
     def note_step(self, activated, comm_changed) -> None:
-        if self._fallback is not None:
-            self._fallback.note_step(activated, comm_changed)
-        else:  # a step noted from outside wrote rows behind the columns
-            self.invalidate(activated)
+        # A step noted from outside wrote rows behind the columns.
+        self.invalidate(activated)
 
     def invalidate(self, processes: Optional[Iterable[ProcessId]] = None) -> None:
-        if self._fallback is not None:
-            self._fallback.invalidate(processes)
-            return
         if processes is None:
             self._stale_all = True
             self._pull_pending.clear()
         elif not self._stale_all:
-            pindex = self._store.pindex
             self._pull_pending.update(
-                pindex[p] for p in processes if p in pindex
-            )
+                map(self._store.pindex.__getitem__, processes))
         self._drop_enabled_cache()
 
     def silent(self) -> Optional[bool]:
         """The kernel's columnar silence verdict (``silent_cols``), or
-        None on the scalar fallback and for kernels without one."""
+        None for kernels without one."""
         return self._kernel_verdict("silent_cols")
 
     def legitimate(self) -> Optional[bool]:
         """The kernel's columnar legitimacy verdict
-        (``legitimate_cols``), or None on the scalar fallback and for
-        kernels without one."""
+        (``legitimate_cols``), or None for kernels without one."""
         return self._kernel_verdict("legitimate_cols")
 
     def _kernel_verdict(self, name: str) -> Optional[bool]:
@@ -372,10 +344,7 @@ class BatchEngine(EnabledSetEngine):
     # Step execution
     # ------------------------------------------------------------------
     def execute_step(self, selected, rng):
-        """Run one whole step over columns, or the inherited scalar
-        loop on the fallback."""
-        if self._fallback is not None:
-            return super().execute_step(selected, rng)
+        """Run one whole step over columns."""
         self._refresh()
         store = self._store
         np = store.np
@@ -408,12 +377,9 @@ class BatchEngine(EnabledSetEngine):
 
         The observation boundary: installed as the configuration's sync
         hook and called explicitly before any scalar code path that
-        bypasses it (pooled contexts cache raw row references).  No-op
-        on the scalar fallback.
+        bypasses it (pooled contexts cache raw row references).
         """
-        store = self._store
-        if store is not None:
-            store.materialize()
+        self._store.materialize()
 
     def run_steps(self, sim, max_steps=None, stop_on_silence=False):
         """Fused resident driver: run whole synchronous steps in columns.
@@ -602,7 +568,7 @@ class BatchEngine(EnabledSetEngine):
 
     def flush_pending_metrics(self) -> None:
         """Drain accumulated per-process counts into the collector now
-        (before the engine rebuilds its per-process vectors)."""
+        (before the engine is released)."""
         if self._agg_dirty:
             self._agg_collector._per_process()
 
@@ -632,8 +598,6 @@ class BatchEngine(EnabledSetEngine):
         """Per-process fired-rule map over the whole network (None =
         disabled), straight from the kernel — the scalar oracle is one
         ``first_enabled`` probe per process."""
-        if self._fallback is not None:
-            raise ModelError("classify_all() requires an active batch kernel")
         self._refresh()
         store = self._store
         codes, _ports, _bits, _aux = self._kernel.classify(store.all_idx)
@@ -655,8 +619,8 @@ class BatchCrossCheckEngine(BatchEngine):
     and inside fused spans alike.  Enabled-set queries are audited
     against a full scalar scan, columnar silence verdicts against the
     exact scalar checker, and columnar legitimacy verdicts against the
-    protocol's predicate.  Without a kernel the scalar fallback is
-    the self-auditing :class:`~repro.core.engine.CrossCheckEngine`.
+    protocol's predicate.  Without a kernel :meth:`bind` hands the run
+    to the self-auditing :class:`~repro.core.engine.CrossCheckEngine`.
     Strictly a debugging mode — every batch step pays the full scalar
     cost on top.
     """

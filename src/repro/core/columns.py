@@ -29,12 +29,11 @@ Columns are NumPy arrays (``int64`` state, ``float64`` widths), and
 kernels index them directly through the store's :attr:`ColumnStore.np`
 module.  NumPy is resolved on every :meth:`ColumnStore.try_build`, never
 cached, so a test can block the import for a single store; without it
-there is no store and the batch engine runs its scalar fallback.
+there is no store and the batch engine binds a scalar engine instead.
 
 The columns are the live state: :meth:`ColumnStore.write` and
-:meth:`ColumnStore.write_col` land in the columns only, record the
-touched slots in ``_dirty_slots``, and advance the per-slot
-``generation`` stamp.  Rows are refreshed only by an explicit
+:meth:`ColumnStore.write_col` land in the columns only and record the
+touched slots in ``_dirty_slots``.  Rows are refreshed only by an explicit
 :meth:`materialize` call at observation boundaries (traces, scenario
 hooks, silence predicates, direct configuration reads — the
 ``Configuration`` sync hook routes all of those here), so every
@@ -54,7 +53,7 @@ A store is only *supported* when NumPy imports, for configurations
 whose processes share one interned layout and whose domains are all
 integer ranges or uniform finite value tuples;
 :meth:`ColumnStore.try_build` returns ``None`` otherwise and the batch
-engine falls back to the scalar path.
+engine binds a scalar engine instead.
 """
 
 from __future__ import annotations
@@ -79,13 +78,14 @@ def _load_numpy():
 
 
 class _SlotCodec:
-    """Encode/decode between a column's integers and row values.
+    """Encode between row values and a column's integers.
 
     ``values is None`` is the identity codec (all-integer-range slots);
     otherwise values are indexed into the shared finite value tuple, and
-    decoding restores the *original* objects — real bools, strings —
-    so written-back rows are indistinguishable from scalar writes
-    (JSON type fidelity matters for byte-identical traces).
+    :meth:`ColumnStore.materialize` decodes by indexing it back, which
+    restores the *original* objects — real bools, strings — so
+    written-back rows are indistinguishable from scalar writes (JSON
+    type fidelity matters for byte-identical traces).
     """
 
     __slots__ = ("values", "encode_map")
@@ -102,11 +102,6 @@ class _SlotCodec:
         if self.values is None:
             return value
         return self.encode_map[value]
-
-    def decode(self, code: int):
-        if self.values is None:
-            return code
-        return self.values[code]
 
 
 class ColumnStore:
@@ -127,7 +122,6 @@ class ColumnStore:
         "deg",
         "edges",
         "all_idx",
-        "generation",
         "_dirty_slots",
         "_plan_bits",
         "_plan_ids",
@@ -158,10 +152,6 @@ class ColumnStore:
         owner = np.repeat(self.all_idx, self.deg)
         lower = owner < flat
         self.edges = (owner[lower], flat[lower])
-        #: per-slot column generation stamp; advances on every write,
-        #: so observers can tell whether a slot moved since they last
-        #: materialized.
-        self.generation: List[int] = [0] * len(layout.names)
         self._dirty_slots: set = set()
         if cols is None:
             self.cols: List[Any] = [None] * len(layout.names)
@@ -174,8 +164,8 @@ class ColumnStore:
     def try_build(cls, network, config, specs_of) -> Optional["ColumnStore"]:
         """A store for this run, or ``None`` when unsupported.
 
-        Unsupported cases (the batch engine then runs its scalar
-        fallback): NumPy not importable, processes with differing
+        Unsupported cases (the batch engine then binds a scalar
+        engine): NumPy not importable, processes with differing
         layouts, and variable domains that are neither integer ranges
         nor one shared finite value tuple.
 
@@ -361,14 +351,12 @@ class ColumnStore:
         """Apply one slot's batch of writes to the column; the rows stay
         stale until :meth:`materialize` decodes them."""
         self.cols[slot][indices] = codes
-        self.generation[slot] += 1
         self._dirty_slots.add(slot)
 
     def write_col(self, slot: int, codes) -> None:
         """Replace one slot's whole column (the rows stay stale until
         :meth:`materialize` decodes them)."""
         self.cols[slot] = codes
-        self.generation[slot] += 1
         self._dirty_slots.add(slot)
 
     @property

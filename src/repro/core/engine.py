@@ -39,6 +39,14 @@ enabled-status pays almost nothing.
 Every engine also executes the steps the simulator hands it
 (:meth:`EnabledSetEngine.execute_step`): the scalar loop here, or the
 columnar one of :mod:`repro.core.batchengine`.
+
+A run's engine is chosen once, at :meth:`EnabledSetEngine.bind`, which
+returns the engine that executes the run (a columnar engine that
+cannot hold the run in columns hands it to a scalar engine), so
+``sim.engine.name`` names the engine that actually runs.  An engine is
+bound to one run and never rebound: when the simulator replaces γ or
+the network, it calls :meth:`~EnabledSetEngine.release` on the engine
+and binds a fresh one.
 """
 
 from __future__ import annotations
@@ -58,9 +66,9 @@ ProcessId = Hashable
 #: Engine names accepted by :func:`make_engine` (and the registry /
 #: CLI / :class:`~repro.api.ExperimentSpec` layers built on top of it).
 #: ``batch-resident`` / ``batch-debug`` live in
-#: :mod:`repro.core.batchengine` (columnar whole-step execution with a
-#: scalar fallback, and its self-auditing form) and are resolved lazily
-#: to keep this module import-light.
+#: :mod:`repro.core.batchengine` (columnar whole-step execution, and its
+#: self-auditing form; each binds a scalar engine where no kernel
+#: applies) and are resolved lazily to keep this module import-light.
 ENGINE_NAMES = ("incremental", "scan", "debug", "batch-resident", "batch-debug")
 
 #: the engines that run whole steps over NumPy columns
@@ -97,9 +105,11 @@ class EnabledSetEngine(ABC):
 
     Lifecycle contract:
 
-    1. The simulator calls :meth:`bind` once with the live run objects;
-       the engine snapshots nothing — it reads the (mutable)
-       configuration on every guard evaluation.
+    1. The simulator calls :meth:`bind` once with the live run objects
+       and keeps the engine it returns; the engine snapshots nothing —
+       it reads the (mutable) configuration on every guard evaluation.
+       Replacing γ or the network wholesale replaces the engine:
+       :meth:`release` on the old one, :meth:`bind` on a fresh one.
     2. Every step, the simulator hands the scheduler's selection to
        :meth:`execute_step`, which applies the step to the
        configuration and notes it itself: the activated set and the
@@ -120,13 +130,15 @@ class EnabledSetEngine(ABC):
     #: loop requires (never, on the scalar engines)
     batch_active: bool = False
 
-    def bind(self, protocol, network, config, specs_of) -> None:
-        """Attach the engine to one run (called by the simulator).
+    def bind(self, protocol, network, config, specs_of) -> "EnabledSetEngine":
+        """Attach the engine to one run and return the engine that
+        executes it (this one, on the scalar engines).
 
         An engine instance is a single-run object: rebinding it would
         leave every earlier holder silently querying the new run's
         state, so a second bind raises — pass an engine *name* (or a
-        fresh instance) per simulator instead.
+        fresh instance) per simulator instead.  Subclasses extend it
+        with their own derived state.
         """
         if getattr(self, "_bound", False):
             raise ValueError(
@@ -135,15 +147,6 @@ class EnabledSetEngine(ABC):
                 "or a fresh instance to each Simulator"
             )
         self._bound = True
-        self._attach(protocol, network, config, specs_of)
-
-    def _attach(self, protocol, network, config, specs_of) -> None:
-        """Derive everything the engine keeps from the run objects.
-
-        The one attach path of :meth:`bind`, :meth:`rebind_config` and
-        :meth:`rebind_network`.  Subclasses extend it with their own
-        derived state and trust nothing from an earlier attach.
-        """
         self.protocol = protocol
         self.network = network
         self.config = config
@@ -162,6 +165,12 @@ class EnabledSetEngine(ABC):
         #: drawing from it behave identically across engines (the
         #: network's own cached map).
         self._order: Dict[ProcessId, int] = network.process_index()
+        return self
+
+    def release(self) -> None:
+        """Detach from the run before the simulator replaces this
+        engine along with γ or the network (no-op: the scalar engines
+        keep nothing outside the configuration's rows)."""
 
     # ------------------------------------------------------------------
     # Step execution
@@ -269,36 +278,6 @@ class EnabledSetEngine(ABC):
         injection, adversarial resets, direct ``config.set`` calls.
         """
 
-    def rebind_config(self, config) -> None:
-        """Point the engine at a *replacement* configuration object.
-
-        Assigning ``Simulator.config`` swaps the storage every cached
-        row references, so both context pools are rebuilt and the whole
-        enabled set distrusted.  This is wholesale replacement, not the
-        in-place mutation path — for that, :meth:`invalidate` alone is
-        enough.
-        """
-        self.invalidate(None)
-        self._attach(self.protocol, self.network, config, self.specs_of)
-
-    def rebind_network(self, protocol, network, config, specs_of) -> None:
-        """Re-attach a bound engine to a *mutated* run (topology churn).
-
-        Scenario churn events replace the network, the protocol built
-        for it, the configuration and the variable specs wholesale.
-        The engine rebuilds everything derived from them — context
-        pools, the canonical process order, and (for the incremental
-        engine) the influence map — and distrusts the entire enabled
-        set.  Only legal on an already-bound engine; fresh engines go
-        through :meth:`bind`.
-        """
-        if not getattr(self, "_bound", False):
-            raise ValueError(
-                f"{type(self).__name__} is not bound yet; call bind() first"
-            )
-        self.invalidate(None)
-        self._attach(protocol, network, config, specs_of)
-
     # ------------------------------------------------------------------
     # Shared guard evaluation
     # ------------------------------------------------------------------
@@ -326,11 +305,12 @@ class ScanEngine(EnabledSetEngine):
 
     name = "scan"
 
-    def _attach(self, protocol, network, config, specs_of) -> None:
-        super()._attach(protocol, network, config, specs_of)
+    def bind(self, protocol, network, config, specs_of) -> "ScanEngine":
+        super().bind(protocol, network, config, specs_of)
         self._stale = True
         self._set: FrozenSet[ProcessId] = frozenset()
         self._list: Tuple[ProcessId, ...] = ()
+        return self
 
     def _refresh(self) -> None:
         if self._stale:
@@ -359,7 +339,7 @@ class ScanEngine(EnabledSetEngine):
 class IncrementalEngine(EnabledSetEngine):
     """Dirty-set maintenance of the enabled set.
 
-    On attach the engine precomputes the *influence map* — for each
+    On bind the engine precomputes the *influence map* — for each
     process ``q``, the processes whose guards may read ``q``'s
     communication variables (the inverse of :meth:`Protocol.reads
     <repro.core.protocol.Protocol.reads>`) — and distrusts the whole
@@ -375,8 +355,8 @@ class IncrementalEngine(EnabledSetEngine):
 
     name = "incremental"
 
-    def _attach(self, protocol, network, config, specs_of) -> None:
-        super()._attach(protocol, network, config, specs_of)
+    def bind(self, protocol, network, config, specs_of) -> "IncrementalEngine":
+        super().bind(protocol, network, config, specs_of)
         self._n = network.n
         # influence[q] = processes (≠ q) whose enabled-status may depend
         # on q's communication variables.
@@ -391,6 +371,7 @@ class IncrementalEngine(EnabledSetEngine):
         self._stale_all = True
         self._enabled: Set[ProcessId] = set()
         self._list: Optional[Tuple[ProcessId, ...]] = None
+        return self
 
     # ------------------------------------------------------------------
     def note_step(self, activated, comm_changed) -> None:

@@ -46,6 +46,13 @@ from .state import Configuration
 ProcessId = Hashable
 
 
+def _check_count(count) -> None:
+    """Refuse a step or round count that is not an int (bool excluded),
+    before any engine sees it."""
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"count must be an int, got {count!r}")
+
+
 @dataclass
 class StabilizationReport:
     """Outcome of a :meth:`Simulator.run_until_silent` run."""
@@ -169,8 +176,13 @@ class Simulator:
             self._processes, keep_records=keep_records
         )
         self.step_index = 0
-        self.engine = make_engine(engine)
-        self.engine.bind(protocol, network, self.config, self.specs_of)
+        engine = make_engine(engine)
+        #: the requested engine class: a replaced γ or network gets a
+        #: fresh engine of this class (:meth:`_replace_engine`)
+        self._engine_cls = type(engine)
+        #: the engine that executes the run — the one ``bind`` returned,
+        #: which for a columnar request without columns is scalar
+        self.engine = engine.bind(protocol, network, config, self.specs_of)
         self._enabled_pool = self.scheduler.draws_from == "enabled"
         # Telemetry handles, fetched once: the step loop pays a single
         # ``enabled`` attribute check per step, and allocation-free
@@ -215,10 +227,10 @@ class Simulator:
         validated like a constructor argument (an out-of-domain value
         raises :class:`~repro.core.exceptions.DomainError` and keeps
         the old state; the caller's object is never mutated by the
-        run), and the engine is rebound and fully invalidated: its
-        pooled contexts cache rows of the old storage.  In-place
-        mutation via :meth:`invalidate_enabled` remains the cheaper
-        path for faults.
+        run), and the engine is released and replaced by a fresh one
+        bound to the new state (the old one's pooled contexts cache
+        rows of the old storage).  In-place mutation via
+        :meth:`invalidate_enabled` remains the cheaper path for faults.
         """
         return self._config
 
@@ -228,7 +240,15 @@ class Simulator:
         self.protocol.validate_configuration(self.network, new_config,
                                              specs_of=self.specs_of)
         self._config = new_config
-        self.engine.rebind_config(new_config)
+        self._replace_engine()
+
+    def _replace_engine(self) -> None:
+        """Release the engine and bind a fresh one of the requested
+        class to the current run objects (γ or the network was
+        replaced wholesale)."""
+        self.engine.release()
+        self.engine = self._engine_cls().bind(
+            self.protocol, self.network, self._config, self.specs_of)
         if self.scenario_runtime is not None:
             self.scenario_runtime.silence_cache = None
 
@@ -282,9 +302,9 @@ class Simulator:
           the affected processes;
         * joined processes start from arbitrary (corrupted) states;
         * communication constants are re-derived by the new protocol;
-        * the engine (with its context pools), round tracker, metrics
-          keys and (network-aware) scheduler are all rebound; the whole
-          enabled set is distrusted.
+        * the round tracker, metrics keys and (network-aware) scheduler
+          are rebound, and the engine is replaced by a fresh one bound
+          to the new run objects.
         """
         if self._protocol_factory is None:
             raise ValueError(
@@ -328,10 +348,8 @@ class Simulator:
         self._processes = tuple(network.processes)
         self.round_tracker.rebind(self._processes)
         self.metrics.rebind_processes(list(self._processes))
-        self.engine.rebind_network(protocol, network, config, specs_of)
         self.scheduler.rebind_network(network)
-        if self.scenario_runtime is not None:
-            self.scenario_runtime.silence_cache = None
+        self._replace_engine()
 
     def report(self) -> StabilizationReport:
         """A report for the *current* configuration (silence checked
@@ -425,6 +443,7 @@ class Simulator:
 
     def run_steps(self, count: int) -> None:
         """Execute exactly ``count`` steps."""
+        _check_count(count)
         engine = self._fused_resident()
         if engine is not None and count > 0:
             engine.run_steps(self, max_steps=count)
@@ -434,6 +453,7 @@ class Simulator:
 
     def run_rounds(self, count: int) -> int:
         """Execute until ``count`` more rounds complete; returns steps used."""
+        _check_count(count)
         target = self.round_tracker.completed_rounds + count
         steps = 0
         while self.round_tracker.completed_rounds < target:
@@ -529,9 +549,19 @@ class Simulator:
         ``processes`` limits the invalidation to the touched processes
         (and, via the protocol's read-set declaration, everyone whose
         guards may observe them); ``None`` distrusts the whole network.
-        The fault-injection helpers in :mod:`repro.faults` call this for
+        A process the network does not hold raises ``ValueError``.  The
+        fault-injection helpers in :mod:`repro.faults` call this for
         you.
         """
+        if processes is not None:
+            processes = list(processes)
+            index = self.network.process_index()
+            unknown = [p for p in processes if p not in index]
+            if unknown:
+                raise ValueError(
+                    f"cannot invalidate {len(unknown)} unknown process(es): "
+                    f"{unknown[:5]!r}"
+                )
         self.engine.invalidate(processes)
 
     # ------------------------------------------------------------------

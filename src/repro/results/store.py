@@ -557,8 +557,8 @@ class ResultStore:
             values (``IN``).  Columns may be axes or measures.
         group_by:
             Axis columns to group on (:data:`AXIS_COLUMNS` minus
-            ``run_id``/``key``, plus ``n``).  Empty sequence = one
-            global group.
+            ``run_id``, plus ``n``); ``key`` makes one group per trial
+            spec.  Empty sequence = one global group.
         run_id:
             Restrict to one run (default: the latest).  Pass the
             sentinel ``"*"`` to aggregate across every stored run.
@@ -569,7 +569,7 @@ class ResultStore:
         """
         if not metrics:
             raise ValueError("query needs at least one metric")
-        groupable = set(AXIS_COLUMNS[2:]) | {"n"}
+        groupable = set(AXIS_COLUMNS[1:]) | {"n"}
         for col in group_by:
             if col not in groupable:
                 raise ValueError(

@@ -17,6 +17,7 @@ fused path, on its silence and legitimacy verdicts, and on its scalar
 fallback.
 """
 
+import random
 import sys
 
 import pytest
@@ -45,7 +46,7 @@ from repro.core.exceptions import ConvergenceError
 from repro.core.protocol import Protocol
 from repro.core.scheduler import FixedSequenceScheduler
 from repro.core.variables import BOOL, comm
-from repro.protocols.coloring import ColoringBatchKernel
+from repro.protocols.coloring import ColoringBatchKernel, ColoringProtocol
 from repro.protocols.matching import MatchingBatchKernel
 from repro.protocols.mis import MISBatchKernel
 from repro.scenarios import build_scenario
@@ -449,15 +450,6 @@ class TestDirtyEpochProtocol:
         sim.run_steps(steps)
         return sim, sim.engine._store
 
-    def test_generation_stamps_advance_per_write(self):
-        sim, store = self.fused_store(steps=5)
-        cur_slot = store.slot("cur")
-        # 'cur' rotates as one whole-column write per fused step
-        assert store.generation[cur_slot] >= 5
-        gen = list(store.generation)
-        sim.run_steps(1)
-        assert store.generation[cur_slot] == gen[cur_slot] + 1
-
     def test_pull_refuses_while_dirty(self):
         _sim, store = self.fused_store()
         assert store.dirty
@@ -562,20 +554,30 @@ class NarrowReads(Protocol):
         return all(config.get(p, "x") for p in network.processes)
 
 
+#: each columnar engine and the scalar engine it binds without columns
+FALLBACKS = (("batch-resident", IncrementalEngine),
+             ("batch-debug", CrossCheckEngine))
+
+
 class TestFallback:
-    def test_kernel_less_protocol_falls_back_transparently(self):
-        net = topology_registry.build("ring", n=6)
-        sim = Simulator(OneShot(), net, seed=0, engine="batch-resident",
-                        metrics="aggregate")
-        assert isinstance(sim.engine, BatchEngine)
+    @pytest.mark.parametrize("engine, fallback_cls", FALLBACKS)
+    def test_kernel_less_protocol_falls_back_transparently(
+            self, engine, fallback_cls):
+        """A kernel-less run gets the scalar engine itself, named as
+        such, and runs it trace-identical to ``incremental``."""
+        traces = []
+        for name in ("incremental", engine):
+            net = topology_registry.build("ring", n=6)
+            sim = Simulator(OneShot(), net, seed=0, engine=name)
+            recorder = TraceRecorder(sim, seed=0)
+            recorder.run_steps(8)
+            traces.append(recorder.trace.to_jsonl())
+        assert type(sim.engine) is fallback_cls
+        assert sim.engine.name == fallback_cls.name
         assert not sim.engine.batch_active
         assert sim._fused_resident() is None
-        assert sim.engine.silent() is None
-        assert sim.engine.legitimate() is None
-        with pytest.raises(ModelError, match="active batch kernel"):
-            sim.engine.classify_all()
-        report = sim.run_until_silent(max_rounds=50)
-        assert report.stabilized
+        assert traces[0] == traces[1]
+        assert sim.run_until_silent(max_rounds=50).stabilized
 
     @pytest.mark.parametrize("engine", ["incremental", "scan", "debug"])
     def test_scalar_engines_give_no_verdicts(self, engine):
@@ -592,12 +594,11 @@ class TestFallback:
         monkeypatch.setitem(sys.modules, "numpy", None)
         scalar, _ = run_recorded(protocol, ("synchronous", {}), 3,
                                  "incremental")
-        for engine, fallback_cls in (("batch-resident", IncrementalEngine),
-                                     ("batch-debug", CrossCheckEngine)):
+        for engine, fallback_cls in FALLBACKS:
             trace, sim = run_recorded(protocol, ("synchronous", {}), 3,
                                       engine)
-            assert not sim.engine.batch_active, engine
-            assert type(sim.engine._fallback) is fallback_cls, engine
+            assert type(sim.engine) is fallback_cls, engine
+            assert sim.engine.name == fallback_cls.name, engine
             assert trace == scalar, engine
         sim = build_sim(protocol, engine="batch-resident",
                         metrics="aggregate")
@@ -661,6 +662,55 @@ class TestFallback:
         assert isinstance(build(), ColumnStore)
         assert build_sim("coloring",
                          engine="batch-resident").engine.batch_active
+
+    def test_replacing_state_binds_a_fresh_engine(self):
+        """Assigning ``sim.config`` and a churn event each release the
+        engine and bind a fresh, active one: the outgoing configuration
+        is unhooked and reads the decoded state, and the full-tier
+        trace stays ``scan``'s."""
+        def assign_config(sim):
+            sim.config = sim.protocol.arbitrary_configuration(
+                sim.network, random.Random(5), specs_of=sim.specs_of)
+
+        def add_edge(sim):
+            sim.rebind_network(sim.network.with_edge_added(0, 6))
+
+        sims = [build_sim("mis", seed=4, engine=engine,
+                          topology=("ring", {"n": 12}))
+                for engine in ("scan", "batch-resident")]
+        recorders = [TraceRecorder(sim, seed=4) for sim in sims]
+        oracle, resident = sims
+        for replace in (assign_config, add_edge):
+            for recorder in recorders:
+                recorder.run_steps(5)
+                recorder.sim.run_steps(3)  # untraced: no row decode
+            assert resident.engine._store.dirty
+            outgoing, old = resident.engine, resident.config
+            expect = oracle.config
+            for sim in sims:
+                replace(sim)
+            assert type(resident.engine) is BatchEngine
+            assert resident.engine.batch_active
+            assert resident.engine is not outgoing
+            assert old._hook is None
+            assert old.as_dict() == expect.as_dict()
+        for recorder in recorders:
+            recorder.run_steps(10)
+        assert recorders[0].trace.to_jsonl() == recorders[1].trace.to_jsonl()
+
+    @pytest.mark.parametrize("build", [lambda net: OneShot(),
+                                       ColoringProtocol.for_network],
+                             ids=["kernel-less", "coloring"])
+    @pytest.mark.parametrize("engine_cls",
+                             [BatchEngine, BatchCrossCheckEngine])
+    def test_bound_engine_is_refused(self, build, engine_cls):
+        """An engine instance binds one run, also when it handed that
+        run to its scalar fallback."""
+        net = topology_registry.build("ring", n=6)
+        engine = engine_cls()
+        Simulator(build(net), net, engine=engine)
+        with pytest.raises(ValueError, match="already bound"):
+            Simulator(build(net), net, engine=engine)
 
 
 class TestEligibility:

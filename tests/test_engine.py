@@ -382,3 +382,36 @@ class TestMakeEngine:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown engine"):
             make_engine("bogus")
+
+
+class TestBadInputOnEveryEngine:
+    """Bad input to a run ends in one ``ValueError`` from the simulator
+    itself, the same on every engine, before any engine sees it."""
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_invalidate_names_unknown_pids(self, engine):
+        net = ring(8)
+        sim = Simulator(ColoringProtocol.for_network(net), net,
+                        scheduler=CentralScheduler(enabled_only=True),
+                        seed=1, engine=engine)
+        with pytest.raises(ValueError,
+                           match=r"1 unknown process\(es\): \[99\]$"):
+            sim.invalidate_enabled([99])
+        with pytest.raises(ValueError,
+                           match=r"6 unknown .*: \[99, 100, 101, 102, 103\]$"):
+            sim.invalidate_enabled([0, *range(99, 105)])
+        sim.run_steps(5)
+        assert sim.step_index == 5
+        assert sim.enabled_processes() == brute_force_enabled(sim)
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("count", [2.5, "3", True, None])
+    def test_step_and_round_counts_must_be_ints(self, engine, count):
+        # Synchronous, aggregate tier: the fused columnar path.
+        net = ring(8)
+        sim = Simulator(ColoringProtocol.for_network(net), net, seed=1,
+                        engine=engine, metrics="aggregate")
+        for run in (sim.run_steps, sim.run_rounds):
+            with pytest.raises(ValueError, match="count must be an int"):
+                run(count)
+        assert sim.step_index == 0

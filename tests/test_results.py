@@ -396,9 +396,18 @@ class TestQuery:
         (g,) = store.query(metrics=("rounds",), group_by=(), run_id="q")
         assert g.count == len(campaign)
 
+    def test_group_by_key_is_one_group_per_trial(self, store, campaign):
+        groups = store.query(metrics=("rounds",), group_by=("key",),
+                             run_id="q")
+        assert sorted(g.group["key"] for g in groups) == \
+            sorted(spec.key() for spec in campaign)
+        assert all(g.count == 1 for g in groups)
+
     def test_unknown_columns_rejected(self, store):
         with pytest.raises(ValueError, match="cannot group by"):
             store.query(group_by=("color",), run_id="q")
+        with pytest.raises(ValueError, match="cannot group by"):
+            store.query(group_by=("run_id",), run_id="q")
         with pytest.raises(ValueError, match="unknown metric"):
             store.query(metrics=("speed",), run_id="q")
         with pytest.raises(ValueError, match="unknown where column"):
@@ -766,6 +775,40 @@ class TestDiff:
         assert all(not r.regressed for r in rows)
         assert gate(rows)
         store.close()
+
+    def test_parity_gate_per_trial_and_both_orders(self, tmp_path,
+                                                   campaign):
+        """Trials that differ in opposite directions agree in cell
+        means: the default grouping passes them and ``group_by=("key",)``
+        does not.  At threshold 0 a uniformly lower run passes one order
+        and fails the other."""
+        path = tmp_path / "w.sqlite"
+        outcome = list(campaign.run(out=path, sink="sqlite"))
+        # +1 on a cell's first trial and -1 on its second: every cell
+        # keeps its mean, two trials per cell differ.
+        seen = {}
+        offsets = {}
+        for spec, _result in outcome:
+            cell = (spec.protocol, spec.topology, spec.scheduler)
+            i = seen[cell] = seen.get(cell, -1) + 1
+            offsets[spec.key()] = {0: 1, 1: -1}.get(i, 0)
+        with ResultStore(path) as store:
+            for run_id, offset in (("offset", offsets.get),
+                                   ("lower", lambda key: -1)):
+                store.begin_run(run_id=run_id)
+                for spec, result in outcome:
+                    row = result.to_dict()
+                    row["rounds"] += offset(spec.key())
+                    store.write(run_id, spec.key(), spec.to_dict(), row)
+
+            def passes(a, b, **grouping):
+                return gate(diff_runs(store, a, b, metrics=("rounds",),
+                                      threshold=0, **grouping))
+
+            assert passes("campaign", "offset")
+            assert not passes("campaign", "offset", group_by=("key",))
+            assert passes("campaign", "lower", group_by=("key",))
+            assert not passes("lower", "campaign", group_by=("key",))
 
     def test_missing_groups_reported_not_gated(self, tmp_path, campaign):
         path = tmp_path / "w.sqlite"
