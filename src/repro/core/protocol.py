@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from itertools import chain, islice
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from ..obs.registry import TELEMETRY
 from .actions import Actions
+from .rngstreams import draws_in_bulk, randbelow_run, word_try
 from .state import Configuration, DrawnColumns, _intern_layout
 from .variables import FiniteSet, IntRange, VariableSpec, spec_plans
 
@@ -39,18 +42,68 @@ def _shared_values(specs) -> Optional[Tuple[Any, ...]]:
 
 
 def _draw_step(spec: VariableSpec, rng, coded):
-    """``(draw, args)`` for one spec: the drawn value is ``draw(*args)``,
-    the very call the domain's ``sample`` makes (an index into
-    ``coded`` when the slot keeps value indices).  A constant draws
-    nothing (its 0 is overwritten)."""
-    if spec.kind == "const":
-        return int, ()
+    """``(draw, args)`` for one drawn spec: the drawn value is
+    ``draw(*args)``, the very call the domain's ``sample`` makes (an
+    index into ``coded`` when the slot keeps value indices)."""
     dom = spec.domain
     if coded is not None:
         return rng.randrange, (len(coded),)
     if type(dom) is IntRange:
         return rng.randint, (dom.lo, dom.hi)
     return dom.sample, (rng,)
+
+
+def _word_tries(specs, codecs) -> Optional[Tuple[Any, ...]]:
+    """The :func:`~repro.core.rngstreams.word_try` of each drawn slot of
+    one spec tuple, or None when a slot draws any other way: an integer
+    range ``randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)``, a
+    shared finite set ``randrange(len(values))`` is
+    ``_randbelow(len(values))``, each for fewer than 2**32 values."""
+    tries = []
+    for k, spec in enumerate(specs):
+        if spec.kind == "const":
+            continue
+        dom = spec.domain
+        if codecs[k] is not None:
+            size, offset = len(codecs[k]), 0
+        elif (type(dom) is IntRange and type(dom.lo) is int
+              and type(dom.hi) is int):
+            size, offset = dom.hi - dom.lo + 1, dom.lo
+        else:
+            return None
+        if size >= 1 << 32:
+            return None
+        tries.append(word_try(size, offset))
+    return tuple(tries)
+
+
+def _draw(rng, plans, plan_ids, codecs) -> List[Any]:
+    """Every drawn (non-constant) value, per process, per spec, in
+    declaration order.
+
+    When ``rng`` draws in bulk and every drawn slot is an integer range
+    or a shared finite set (``codecs[k]``, the value tuple slot ``k``
+    draws indices into, else None), one
+    :func:`~repro.core.rngstreams.randbelow_run` draws them all.
+    Otherwise each value is its own call (:func:`_draw_step`), which is
+    the oracle the bulk run must match, values and generator state.
+    """
+    bulk = draws_in_bulk(rng)
+    if bulk:
+        tries = [_word_tries(specs, codecs) for specs in plans]
+        bulk = None not in tries
+    if bulk:
+        values = randbelow_run(
+            rng, list(chain.from_iterable(map(tries.__getitem__, plan_ids))))
+    else:
+        steps = [[_draw_step(spec, rng, codecs[k])
+                  for k, spec in enumerate(specs) if spec.kind != "const"]
+                 for specs in plans]
+        values = [draw(*args) for q in plan_ids for draw, args in steps[q]]
+    if TELEMETRY.enabled:
+        path = "bulk" if bulk else "per_value"
+        TELEMETRY.counter("config.draws", path=path).inc(len(values))
+    return values
 
 
 class Protocol(ABC):
@@ -148,14 +201,20 @@ class Protocol(ABC):
         from *any* configuration, so tests draw many of these).
 
         ``specs_of`` is the run's spec map (built here when omitted).
-        The draw goes per process, per spec, in declaration order:
-        ``rng.randint(lo, hi)`` for an integer range, a value's index
-        ``rng.randrange(len(values))`` for a finite set every process
-        shares (else its ``sample``, which makes that same call), and
-        ``domain.sample(rng)`` for any other domain, while constants
-        take :meth:`constant_column`.  Draw steps are resolved once per
-        distinct spec tuple.  When every process shares one layout (and
-        the same constants) the values land straight in one list per slot
+        The values are drawn per process, per spec, in declaration
+        order: ``rng.randint(lo, hi)`` for an integer range, a value's
+        index ``rng.randrange(len(values))`` for a finite set every
+        process shares (else its ``sample``, which makes that same
+        call), and ``domain.sample(rng)`` for any other domain, while
+        constants take :meth:`constant_column` and draw nothing.  A
+        plain :class:`random.Random` draws every value of a start made
+        only of integer ranges and shared finite sets in one exact bulk
+        run (:func:`~repro.core.rngstreams.randbelow_run`): the same
+        values, and the generator left where the per-value calls leave
+        it.  Any other generator or domain is called once per value.
+        Draw steps are resolved once per distinct spec tuple.  When
+        every process shares one layout (and the same constants) the
+        values land straight in one list per slot
         (:class:`~repro.core.state.DrawnColumns`), and the rows are
         decoded only when something first reads one.
         """
@@ -170,18 +229,18 @@ class Protocol(ABC):
         # one layout, and each slot a constant everywhere or nowhere
         uniform = (names.count(names[0]) == len(names)
                    and const.count(const[0]) == len(const))
-        codecs = [None] * len(names[0])
+        codecs = [None] * max(map(len, names))
         if uniform:
-            for k in range(len(codecs)):
-                codecs[k] = _shared_values([specs[k] for specs in plans])
-        steps = [[_draw_step(spec, rng, codecs[k] if uniform else None)
-                  for k, spec in enumerate(specs)]
-                 for specs in plans]
-        flat = [draw(*args) for q in plan_ids for draw, args in steps[q]]
+            codecs = [_shared_values([specs[k] for specs in plans])
+                      for k in range(len(names[0]))]
+        flat = _draw(rng, plans, plan_ids, codecs)
         pindex = network.process_index()
         if uniform:
-            width = len(names[0])
-            data = [flat[k::width] for k in range(width)]
+            slots = [k for k, is_const in enumerate(const[0])
+                     if not is_const]
+            data = [None] * len(names[0])
+            for j, k in enumerate(slots):
+                data[k] = flat[j::len(slots)]
             for k, name in enumerate(names[0]):
                 if const[0][k]:
                     data[k] = self.constant_column(network, name, pids)
@@ -189,18 +248,15 @@ class Protocol(ABC):
                                  specs_of, plans, plan_ids)
             return Configuration.from_columns(pids, pindex, drawn)
         layouts = [_intern_layout(n) for n in names]
+        values = iter(flat)
         rows = []
-        start = 0
         for p, q in zip(pids, plan_ids):
-            end = start + len(names[q])
-            row = flat[start:end]
-            start = end
             if any(const[q]):
                 consts = self.constant_values(network, p)
-                for k, is_const in enumerate(const[q]):
-                    if is_const:
-                        row[k] = consts[names[q][k]]
-            rows.append(row)
+                rows.append([consts[name] if is_const else next(values)
+                             for name, is_const in zip(names[q], const[q])])
+            else:
+                rows.append(list(islice(values, len(names[q]))))
         return Configuration.from_rows(
             pids, pindex, [layouts[q] for q in plan_ids], rows)
 

@@ -19,13 +19,24 @@ would shift every subsequent draw and change the whole execution.
   derived stream never perturbs the root sequence, which is the whole
   point: attaching a scenario to a run must not change what the
   scheduler or the protocol would have drawn.
+
+:func:`randbelow_run` is the exact bulk sampler for long runs of
+bounded integer draws (a start configuration, a shuffle): it gives the
+values ``randrange``/``randint`` would give, one call per value, and
+leaves the generator where those calls leave it, from words fetched in
+bulk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Optional
+import sys
+from array import array
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+#: ``(limit, shift, offset)`` — one draw as :func:`randbelow_run` replays it
+WordTry = Tuple[int, int, int]
 
 
 def derive_seed(seed: Optional[int], name: str) -> int:
@@ -85,3 +96,69 @@ class RngStreams:
 
     def __repr__(self) -> str:
         return f"RngStreams(seed={self.seed!r}, named={sorted(self._streams)})"
+
+
+# ----------------------------------------------------------------------
+# Exact bulk draws
+# ----------------------------------------------------------------------
+def draws_in_bulk(rng) -> bool:
+    """Whether :func:`randbelow_run` replays ``rng``'s own draws: ``rng``
+    is a plain :class:`random.Random` with no method of its own.  Any
+    other generator (a subclass, :class:`random.SystemRandom`, an
+    instance with a patched method) keeps its per-value calls."""
+    return (type(rng) is random.Random
+            and vars(rng).keys() <= {"gauss_next"})
+
+
+def word_try(n: int, offset: int = 0) -> WordTry:
+    """How one 32-bit word serves the draw ``offset + rng._randbelow(n)``
+    (``0 < n < 2**32``): it is accepted when below ``limit`` and then
+    yields ``offset + (word >> shift)``.
+
+    CPython's ``_randbelow_with_getrandbits(n)`` calls
+    ``getrandbits(k)``, ``k = n.bit_length()``, until the result is
+    below ``n``, and ``getrandbits(k)`` for ``k <= 32`` is the
+    generator's next 32-bit word ``w`` shifted right by ``32 - k``; so
+    each try takes one word and succeeds when ``w < n << (32 - k)``.
+    """
+    if not 0 < n < 1 << 32:
+        raise ValueError(f"word_try needs 0 < n < 2**32, got {n!r}")
+    shift = 32 - n.bit_length()
+    return n << shift, shift, offset
+
+
+def _words(rng: random.Random, m: int) -> Iterator[int]:
+    """The generator's next ``m`` 32-bit words, in order:
+    ``getrandbits(32 * m)`` puts the first in its lowest 32 bits."""
+    words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return iter(words)
+
+
+def randbelow_run(rng: random.Random, tries: Sequence[WordTry]) -> List[int]:
+    """``[offset + rng._randbelow(n) for each try]``, one value per
+    :func:`word_try` in ``tries``, in order, for a ``rng`` that
+    :func:`draws_in_bulk`.
+
+    The values and the generator's state afterwards are those of the
+    per-value calls (``randrange(n)``, ``randint(offset, offset + n -
+    1)``).  Each fetch takes as many words as there are unfinished
+    draws, so it never takes a word the per-value calls would not; a
+    rejected try moves on to the next word, and a draw that runs out of
+    words fetches again for the draws still unfinished.
+    """
+    values: List[int] = []
+    push = values.append
+    words: Iterator[int] = iter(())
+    for limit, shift, offset in tries:
+        for word in words:
+            if word < limit:
+                break
+        else:  # out of words: fetch one per unfinished draw
+            word = None
+            while word is None:
+                words = _words(rng, len(tries) - len(values))
+                word = next(filter(limit.__gt__, words), None)
+        push(offset + (word >> shift))
+    return values

@@ -47,10 +47,12 @@ ProcessId = Hashable
 
 
 def _check_count(count) -> None:
-    """Refuse a step or round count that is not an int (bool excluded),
-    before any engine sees it."""
+    """Refuse a step or round count that is not an int (bool excluded)
+    or is negative, before any engine sees it; 0 runs nothing."""
     if not isinstance(count, int) or isinstance(count, bool):
         raise ValueError(f"count must be an int, got {count!r}")
+    if count < 0:
+        raise ValueError(f"count must not be negative, got {count!r}")
 
 
 @dataclass

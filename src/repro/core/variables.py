@@ -149,6 +149,38 @@ class VariableSpec:
         return self.kind != "const"
 
 
+class SpecMap(dict):
+    """A spec map (pid -> spec tuple) that carries its own ``plans``:
+    the ``(plans, plan_ids)`` :func:`spec_plans` finds for its keys in
+    order, resolved by a protocol that knew them while building the map
+    (:class:`~repro.graphs.coloring.DegreeSpecs` resolves one tuple per
+    degree).  Reads are ``dict``'s own; every write drops ``plans``, so
+    they never go stale."""
+
+    __slots__ = ("plans",)
+
+    def __init__(self, items=(), plans=None):
+        super().__init__(items)
+        self.plans = plans
+
+
+def _dropping_plans(name: str):
+    write = getattr(dict, name)
+
+    def method(self, *args, **kwargs):
+        self.plans = None
+        return write(self, *args, **kwargs)
+
+    method.__name__ = method.__qualname__ = name
+    method.__doc__ = f"``dict.{name}``, dropping the carried ``plans``."
+    return method
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+              "popitem", "setdefault", "update"):
+    setattr(SpecMap, _name, _dropping_plans(_name))
+
+
 def spec_plans(specs_of, pids):
     """``(plans, plan_ids)``: the distinct spec tuples of ``pids`` in
     first-seen order, and each process's position among them.
@@ -156,8 +188,12 @@ def spec_plans(specs_of, pids):
     Protocols memoize their spec tuples (per degree), so a large network
     has a handful of them, and whatever is derived from a tuple — draw
     steps, domain bounds, register widths — is derived once per tuple.
-    Tuples are told apart by identity.
+    Tuples are told apart by identity.  A :class:`SpecMap` asked for its
+    own keys, in order, answers with the plans it carries.
     """
+    if (isinstance(specs_of, SpecMap) and specs_of.plans is not None
+            and pids == list(specs_of)):
+        return specs_of.plans
     specs = list(map(specs_of.__getitem__, pids))
     ids = list(map(id, specs))
     first = dict(zip(ids, specs))

@@ -21,7 +21,7 @@ import networkx as nx
 
 from ..core.exceptions import TopologyError
 from ..core.protocol import Protocol
-from ..core.variables import VariableSpec
+from ..core.variables import SpecMap, VariableSpec
 from .topology import Network
 
 ProcessId = Hashable
@@ -87,15 +87,21 @@ class DegreeSpecs(Protocol):
                   p: ProcessId) -> Tuple[VariableSpec, ...]:
         return self._degree_specs(network.degree(p))
 
-    def specs_of(self, network: Network
-                 ) -> Dict[ProcessId, Tuple[VariableSpec, ...]]:
+    def specs_of(self, network: Network) -> SpecMap:
         """The spec map, read off the degree sequence (the port-array
-        offsets): one tuple per distinct degree."""
+        offsets): one tuple per distinct degree.  It carries its plans
+        (``spec_plans``' answer), one per distinct tuple in first-seen
+        order, so nothing walks the map again to find them."""
         offsets = network.port_arrays()[0]
         degrees = list(map(sub, offsets[1:], offsets))
-        by_degree = {d: self._degree_specs(d) for d in set(degrees)}
-        return dict(zip(network.processes,
-                        map(by_degree.__getitem__, degrees)))
+        by_degree = {d: self._degree_specs(d) for d in dict.fromkeys(degrees)}
+        first = {id(specs): specs for specs in by_degree.values()}
+        position = {key: k for k, key in enumerate(first)}
+        plan_of = {d: position[id(specs)] for d, specs in by_degree.items()}
+        plans = (list(first.values()),
+                 list(map(plan_of.__getitem__, degrees)))
+        return SpecMap(zip(network.processes,
+                           map(by_degree.__getitem__, degrees)), plans)
 
 
 def color_count(colors: Coloring) -> int:

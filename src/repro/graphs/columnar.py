@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import TopologyError
+from ..core.rngstreams import randbelow_run, word_try
 from .generators import sparse_edge_probability
 from .topology import Network
 
@@ -260,19 +261,30 @@ def sparse_random(n: int, avg_degree: float = 3.0,
     The same seeds and draws give the same G(n, p) pairs (:func:`_gnp_pairs`),
     whose ports are each process's neighbors in ascending order — the
     order the oracle appends them in.  The same component lists meet
-    the same ``rng.shuffle`` and ``rng.choice`` calls, and the stitch
-    edges follow each process's sampled ports.
+    the draws of the oracle's ``rng.shuffle`` and ``rng.choice`` calls,
+    taken as two exact bulk runs (:func:`randbelow_run`): the
+    Fisher–Yates sizes ``k … 2``, whose swaps apply in order, then the
+    sizes of the lists each stitch edge chooses from.  The stitch edges
+    follow each process's sampled ports.
     """
     p = sparse_edge_probability(n, avg_degree)
     rng = random.Random(seed)
     offsets, flat, minima = gnp_port_arrays(
         n, p, random.Random(rng.randrange(2**31)))
     comps = component_lists(offsets, flat, minima)
-    rng.shuffle(comps)
-    choice = rng.choice
-    ends = [(choice(a), choice(b)) for a, b in zip(comps, comps[1:])]
-    if ends:
-        u, v = zip(*ends)
-        offsets, flat = _stitched(offsets, flat, u, v)
+    # rng.shuffle(comps): the Fisher–Yates sizes k … 2, swapped in order
+    tops = range(len(comps) - 1, 0, -1)
+    swaps = randbelow_run(rng, [word_try(i + 1) for i in tops])
+    for i, j in zip(tops, swaps):
+        comps[i], comps[j] = comps[j], comps[i]
+    # then rng.choice(a), rng.choice(b) for each link (a, b) of the chain
+    sides = [None] * (2 * len(tops))
+    sides[0::2], sides[1::2] = comps[:-1], comps[1:]
+    sizes = list(map(len, sides))
+    tries = {size: word_try(size) for size in set(sizes)}
+    picks = randbelow_run(rng, list(map(tries.__getitem__, sizes)))
+    if picks:
+        ends = list(map(list.__getitem__, sides, picks))
+        offsets, flat = _stitched(offsets, flat, ends[0::2], ends[1::2])
     # k components joined by k - 1 stitch edges along a chain
     return Network._from_port_arrays(offsets, flat, connected=True)

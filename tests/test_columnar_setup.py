@@ -29,7 +29,8 @@ from repro.core.actions import GuardedAction
 from repro.core.columns import ColumnStore
 from repro.core.protocol import Protocol
 from repro.core.state import _intern_layout
-from repro.core.variables import Domain, FiniteSet, IntRange, comm, const
+from repro.core.variables import (
+    Domain, FiniteSet, IntRange, SpecMap, comm, const, spec_plans)
 from repro.faults import adversarial_reset
 from repro.graphs.coloring import greedy_coloring
 from repro.graphs.generators import chain, ring, star
@@ -119,6 +120,81 @@ class TestDrawMatchesTheRowDraw:
             assert ([col.tolist() for col in stores[0].cols]
                     == [col.tolist() for col in stores[1].cols])
 
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_10k_sparse(self, protocol):
+        """The 10k-process start a ``large-trial`` trial draws in bulk."""
+        net = _sparse_10k()
+        proto = protocol_registry.build(protocol, net)
+        assert_same_draw(proto, net, 7)
+
+    @pytest.mark.parametrize("override", ["getrandbits", "random"])
+    def test_subclass_draws_per_value(self, override, telemetry_on):
+        """A subclass overriding ``getrandbits`` (which its
+        ``_randbelow`` calls) or ``random`` (which ``_randbelow`` then
+        uses instead) is called once per value, never for a run of
+        words, and draws what the row draw draws."""
+        calls = []
+
+        def getrandbits(self, k):
+            calls.append(k)
+            return random.Random.getrandbits(self, k)
+
+        def rand(self):
+            calls.append(0)
+            return random.Random.random(self)
+
+        body = ({"getrandbits": getrandbits} if override == "getrandbits"
+                else {"random": rand})
+        cls = type("Sub", (random.Random,), body)
+        net = topology_registry.build("sparse", n=60, avg_degree=3, seed=2)
+        for protocol in ("coloring", "mis", "matching"):
+            proto = protocol_registry.build(protocol, net)
+            assert_same_draw(proto, net, 3, make_rng=cls)
+        assert calls and max(calls) <= 32
+        assert list(_draw_counts(telemetry_on)) == [
+            "config.draws{path=per_value}"]
+
+    def test_instance_with_a_patched_method_draws_per_value(self):
+        rng = random.Random(4)
+        calls = []
+        rng.randint = lambda a, b: calls.append((a, b)) or a
+        net = ring(6)
+        proto = ColoringProtocol.for_network(net)
+        config = proto.arbitrary_configuration(net, rng)
+        assert calls == [(1, 3), (1, 2)] * 6
+        assert all(config.get(p, "C") == 1 for p in net.processes)
+
+    def test_system_random_draws_per_value(self, telemetry_on):
+        net = ring(9)
+        proto = MatchingProtocol(net, greedy_coloring(net))
+        config = proto.arbitrary_configuration(net, random.SystemRandom())
+        proto.validate_configuration(net, config)
+        assert _draw_counts(telemetry_on) == {
+            "config.draws{path=per_value}": 9 * 3}
+
+    def test_sizes_at_the_word_limit(self, telemetry_on):
+        """A slot of 2**32 - 1 values still draws in bulk; one more value
+        and every value of the start is drawn one call at a time."""
+        net = ring(5)
+        for top, path in ((2**32 - 2, "bulk"), (2**32, "per_value")):
+            proto = _Wide(top)
+            for seed in (0, 1):
+                assert_same_draw(proto, net, seed)
+            assert _draw_counts(telemetry_on) == {
+                f"config.draws{{path={path}}}": 2 * 5 * 3}
+            telemetry_on.reset()
+
+    def test_counts_each_draw_once(self, telemetry_on):
+        """``config.draws`` counts the drawn values (constants draw
+        nothing) once per call, by path, and only while telemetry is on."""
+        net = ring(8)
+        proto = MISProtocol(net, greedy_coloring(net))
+        proto.arbitrary_configuration(net, random.Random(1))
+        assert _draw_counts(telemetry_on) == {"config.draws{path=bulk}": 16}
+        telemetry_on.disable()
+        proto.arbitrary_configuration(net, random.Random(1))
+        assert _draw_counts(telemetry_on) == {"config.draws{path=bulk}": 16}
+
     def test_mixed_layouts_and_custom_domains(self):
         """Processes with different variable sets get rows, drawn in the
         same order; a domain of its own draws through its ``sample``,
@@ -134,6 +210,36 @@ class TestDrawMatchesTheRowDraw:
         specs_of = proto.specs_of(net)
         assert proto.arbitrary_configuration(
             net, random.Random(0), specs_of=specs_of).drawn_from(specs_of)
+
+
+def _draw_counts(telemetry):
+    return {key: value
+            for key, value in telemetry.snapshot()["counters"].items()
+            if key.startswith("config.draws")}
+
+
+def _sparse_10k():
+    return topology_registry.build("sparse", n=10_000, avg_degree=3, seed=7)
+
+
+class _Wide(Protocol):
+    """Integer ranges up to ``top``, and a shared finite set."""
+
+    name = "wide"
+
+    def __init__(self, top):
+        self.specs = (comm("A", IntRange(0, top)),
+                      comm("B", FiniteSet(("x", "y", "z"))),
+                      comm("D", IntRange(-3, 3)))
+
+    def variables(self, network, p):
+        return self.specs
+
+    def actions(self):
+        return (GuardedAction("noop", lambda ctx: False, lambda ctx: None),)
+
+    def is_legitimate(self, network, config):
+        return True
 
 
 class _Parity(Domain):
@@ -364,6 +470,51 @@ class TestDegreeSpecs:
             assert per_degree.setdefault(net.degree(p), specs) is specs
         assert all(a is b for a, b in zip(proto.specs_of(net).values(),
                                           specs_of.values()))
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_spec_map_carries_the_plans_a_scan_finds(self, protocol,
+                                                     topology):
+        name, params = TOPOLOGIES[topology]
+        net = topology_registry.build(name, **params)
+        proto = protocol_registry.build(protocol, net)
+        specs_of = proto.specs_of(net)
+        assert isinstance(specs_of, SpecMap)
+        assert type(specs_of).__getitem__ is dict.__getitem__
+        plans, plan_ids = spec_plans(specs_of, net.processes)
+        assert (plans, plan_ids) == spec_plans(dict(specs_of), net.processes)
+        assert all(a is b for a, b in zip(
+            plans, spec_plans(dict(specs_of), net.processes)[0]))
+        # asked for other processes, or another order, it scans
+        for pids in (net.processes[::-1], net.processes[1:]):
+            assert (spec_plans(specs_of, pids)
+                    == spec_plans(dict(specs_of), pids))
+
+    @pytest.mark.parametrize("write", [
+        "setitem", "delitem", "ior", "clear", "pop", "popitem",
+        "setdefault", "update",
+    ])
+    def test_every_write_drops_the_plans(self, write):
+        """A written spec map never answers with the plans it was built
+        with: after any write, ``spec_plans`` scans it."""
+        net = star(4)  # degrees 4, 1, 1, 1, 1
+        proto = ColoringProtocol.for_network(net)
+        specs_of = proto.specs_of(net)
+        other = (comm("C", IntRange(1, 2)),)
+        edit = {
+            "setitem": lambda m: m.__setitem__(1, other),
+            "delitem": lambda m: m.__delitem__(1),
+            "ior": lambda m: m.__ior__({1: other}),
+            "clear": lambda m: m.clear(),
+            "pop": lambda m: m.pop(1),
+            "popitem": lambda m: m.popitem(),
+            "setdefault": lambda m: m.setdefault(9, other),
+            "update": lambda m: m.update({1: other}),
+        }[write]
+        edit(specs_of)
+        assert specs_of.plans is None
+        pids = list(specs_of)
+        assert spec_plans(specs_of, pids) == spec_plans(dict(specs_of), pids)
 
     @pytest.mark.parametrize("make,name", [
         (lambda net: ColoringProtocol(2), "COLORING"),

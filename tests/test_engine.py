@@ -415,3 +415,25 @@ class TestBadInputOnEveryEngine:
             with pytest.raises(ValueError, match="count must be an int"):
                 run(count)
         assert sim.step_index == 0
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_step_and_round_counts_must_not_be_negative(self, engine,
+                                                        count):
+        net = ring(8)
+        sim = Simulator(ColoringProtocol.for_network(net), net, seed=1,
+                        engine=engine, metrics="aggregate")
+        before = sim.config.as_dict()
+        for run in (sim.run_steps, sim.run_rounds):
+            with pytest.raises(ValueError, match=(
+                    rf"count must not be negative, got {count}$")):
+                run(count)
+        assert sim.step_index == 0
+        assert sim.round_tracker.completed_rounds == 0
+        assert sim.config.as_dict() == before
+        # 0 stays a valid no-op
+        sim.run_steps(0)
+        assert sim.run_rounds(0) == 0
+        assert sim.step_index == 0
+        sim.run_steps(3)
+        assert sim.step_index == 3
