@@ -8,7 +8,8 @@ vectorized guard kernel wants — plus the per-process adjacency and
 register-width tables every kernel needs:
 
 * ``col(slot)`` — one integer column per variable, in canonical
-  network-process order, holding *encoded* values (integers pass
+  network-process order, holding *encoded* values as the run's
+  :class:`~repro.core.state.SlotTable` codes them (integers pass
   through; finite-set values are mapped to their index in the domain's
   value tuple, so ``Dominator``/``dominated`` and ``False``/``True``
   become ``0``/``1``);
@@ -21,8 +22,8 @@ register-width tables every kernel needs:
 * ``edges`` — every undirected edge once, as two index arrays
   ``(u, v)`` with ``u < v``: whole-network verdicts (the columnar
   silence and legitimacy checks) are one reduction over them;
-* ``reg_bits(name)`` — per-process register widths in bits, gathered by
-  neighbor index to charge reads exactly like
+* ``reg_bits(name)`` — per-process register widths in bits (the
+  table's), gathered by neighbor index to charge reads exactly like
   :class:`~repro.core.context.StepContext` does.
 
 Columns are NumPy arrays (``int64`` state, ``float64`` widths), and
@@ -43,26 +44,29 @@ mutually exclusive by construction: while columns are dirty,
 :meth:`pull`/:meth:`pull_all` refuse to run, so a row-ahead and a
 column-ahead view can never silently merge.
 
-A store built on a configuration that still holds its drawn columns
-(:class:`~repro.core.state.DrawnColumns`, what
-``Protocol.arbitrary_configuration`` returns) adopts them as its
-columns: no row is built at bind, and the first observation decodes
-the drawn rows and then the dirty slots on top of them.
+A store built on a configuration that still holds the columns drawn
+for the run's own spec map (:class:`~repro.core.state.DrawnColumns`,
+what ``Protocol.arbitrary_configuration`` returns) adopts them as its
+columns, under the table they were drawn with: no row is built at
+bind, and the first observation decodes the drawn rows and then the
+dirty slots on top of them.  Any other configuration is read row by
+row, its slots matched to the table by variable name.
 
-A store is only *supported* when NumPy imports, for configurations
-whose processes share one interned layout and whose domains are all
-integer ranges or uniform finite value tuples;
+A store is only *supported* when NumPy imports and the run's slot
+table has no ``refusal`` (one layout shared by every process, each
+slot an integer range or a coded finite set);
 :meth:`ColumnStore.try_build` returns ``None`` otherwise and the batch
 engine binds a scalar engine instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
 from ..obs.registry import TELEMETRY
 from .exceptions import ModelError
-from .variables import FiniteSet, IntRange, spec_plans
+from .state import SlotTable
+from .variables import spec_plans
 
 ProcessId = Hashable
 
@@ -75,33 +79,6 @@ def _load_numpy():
     except ImportError:
         return None
     return numpy
-
-
-class _SlotCodec:
-    """Encode between row values and a column's integers.
-
-    ``values is None`` is the identity codec (all-integer-range slots);
-    otherwise values are indexed into the shared finite value tuple, and
-    :meth:`ColumnStore.materialize` decodes by indexing it back, which
-    restores the *original* objects — real bools, strings — so
-    written-back rows are indistinguishable from scalar writes (JSON
-    type fidelity matters for byte-identical traces).
-    """
-
-    __slots__ = ("values", "encode_map")
-
-    def __init__(self, values: Optional[Tuple[Any, ...]]):
-        self.values = values
-        self.encode_map = (
-            None
-            if values is None
-            else {v: i for i, v in enumerate(values)}
-        )
-
-    def encode(self, value) -> int:
-        if self.values is None:
-            return value
-        return self.encode_map[value]
 
 
 class ColumnStore:
@@ -123,13 +100,13 @@ class ColumnStore:
         "edges",
         "all_idx",
         "_dirty_slots",
-        "_plan_bits",
+        "table",
         "_plan_ids",
         "_bits_cols",
     )
 
-    def __init__(self, np, pids, pindex, layout, config, rows, codecs,
-                 plan_bits, plan_ids, start, flat, cols=None):
+    def __init__(self, np, pids, pindex, layout, config, rows, table,
+                 plan_ids, start, flat, cols=None):
         #: the NumPy module the columns are built with
         self.np = np
         self.n = len(pids)
@@ -140,8 +117,12 @@ class ColumnStore:
         #: the rows in canonical order (None until the configuration's
         #: drawn columns are first decoded)
         self._rows = rows
-        self.codecs = codecs
-        self._plan_bits = plan_bits
+        #: the run's :class:`~repro.core.state.SlotTable`
+        self.table = table
+        #: each slot's value tuple (coded) or None, found in the table
+        #: by variable name
+        self.codecs = [table.codecs[table.layout.index[name]]
+                       for name in layout.names]
         self._plan_ids = plan_ids
         self._bits_cols: Dict[str, Any] = {}
         self.start = start
@@ -165,26 +146,40 @@ class ColumnStore:
         """A store for this run, or ``None`` when unsupported.
 
         Unsupported cases (the batch engine then binds a scalar
-        engine): NumPy not importable, processes with differing
-        layouts, and variable domains that are neither integer ranges
-        nor one shared finite value tuple.
+        engine): NumPy not importable, a slot table with a refusal
+        (processes declaring differing layouts, or a domain neither an
+        integer range nor a coded finite set), and a configuration
+        whose processes do not share one layout of the table's
+        variables.
 
-        A configuration that still holds its drawn columns hands them
-        over as they are; any other is read row by row.  Codecs and
-        register widths are resolved once per distinct spec tuple.
+        Columns drawn for ``specs_of`` are adopted as they are, with
+        the table they were drawn under; any other configuration is
+        read row by row, its slots mapped onto the table by variable
+        name (a configuration loaded from JSON orders them by name).
         """
         np = _load_numpy()
         if np is None:
             return None
         pids = network.processes
-        n = len(pids)
-        if n == 0:
-            return None
         pindex = network.process_index()
+        # The network's index-space port tables, wrapped without a copy.
+        start, flat = (np.frombuffer(a, dtype=np.int64)
+                       for a in network.port_arrays())
+        if not len(flat):
+            return None
         drawn = config.drawn_columns(pindex)
+        if drawn is not None and drawn.specs_of is specs_of:
+            table, plan_ids = drawn.table, drawn.plan_ids
+        else:
+            drawn = None
+            plans, plan_ids = spec_plans(specs_of, pids)
+            table = SlotTable(plans)
+        if table.refusal is not None:
+            return None
+        cols = rows = None
         if drawn is not None:
-            layout = drawn.layout
-            rows = None
+            layout = table.layout
+            cols = [np.asarray(col, dtype=np.int64) for col in drawn.data]
         else:
             aligned = config.aligned_storage(pids)
             if aligned is not None:
@@ -194,58 +189,11 @@ class ColumnStore:
                 layouts = [config.layout_of(p) for p in pids]
                 rows = [config.row_of(p) for p in pids]
             layout = layouts[0]
-            if any(other is not layout for other in layouts):
+            if (any(other is not layout for other in layouts)
+                    or layout.index.keys() != table.layout.index.keys()):
                 return None
-        if drawn is not None and drawn.specs_of is specs_of:
-            plans, plan_ids = drawn.plans, drawn.plan_ids
-        else:
-            plans, plan_ids = spec_plans(specs_of, pids)
-        names = layout.names
-        nvars = len(names)
-        codec_values: List[Any] = [False] * nvars  # False=int, tuple=enum
-        plan_bits = []
-        for q, specs in enumerate(plans):
-            if len(specs) != nvars:
-                return None
-            bits = [0.0] * nvars
-            for spec in specs:
-                k = layout.index.get(spec.name)
-                if k is None:
-                    return None
-                dom = spec.domain
-                if isinstance(dom, IntRange):
-                    if codec_values[k] is not False:
-                        return None
-                elif isinstance(dom, FiniteSet):
-                    if codec_values[k] is False:
-                        if q == 0:
-                            codec_values[k] = dom.values
-                        else:
-                            return None
-                    elif codec_values[k] != dom.values:
-                        return None
-                else:
-                    return None
-                bits[k] = dom.bits
-            plan_bits.append(bits)
-        codecs = [
-            _SlotCodec(None if values is False else tuple(values))
-            for values in codec_values
-        ]
-        cols = None
-        if drawn is not None:
-            if all(values == codec.values
-                   for values, codec in zip(drawn.codecs, codecs)):
-                cols = [np.asarray(col, dtype=np.int64) for col in drawn.data]
-            else:  # a slot drawn as values where the store keeps codes
-                rows = config.row_storage()
-        # The network's index-space port tables, wrapped without a copy.
-        start, flat = (np.frombuffer(a, dtype=np.int64)
-                       for a in network.port_arrays())
-        if not len(flat):
-            return None
-        return cls(np, pids, pindex, layout, config, rows, codecs,
-                   plan_bits, plan_ids, start, flat, cols)
+        return cls(np, pids, pindex, layout, config, rows, table, plan_ids,
+                   start, flat, cols)
 
     # ------------------------------------------------------------------
     # Column access
@@ -281,7 +229,8 @@ class ColumnStore:
 
     def encode(self, slot: int, value) -> int:
         """The column code of one row value (for kernel constants)."""
-        return self.codecs[slot].encode(value)
+        values = self.codecs[slot]
+        return value if values is None else values.index(value)
 
     def reg_bits(self, name: str):
         """Per-process register width of ``name`` in bits, as a float
@@ -290,8 +239,8 @@ class ColumnStore:
         col = self._bits_cols.get(name)
         if col is None:
             np = self.np
-            k = self.layout.index[name]
-            widths = [bits[k] for bits in self._plan_bits]
+            k = self.table.layout.index[name]
+            widths = [bits[k] for bits in self.table.bits]
             if len(set(widths)) == 1:
                 col = np.full(self.n, widths[0], dtype=np.float64)
             else:
@@ -320,12 +269,11 @@ class ColumnStore:
                 "materialize() first"
             )
         rows = self.rows
-        for k, codec in enumerate(self.codecs):
-            if codec.values is None:
-                data = [row[k] for row in rows]
-            else:
-                enc = codec.encode_map
-                data = [enc[row[k]] for row in rows]
+        for k, values in enumerate(self.codecs):
+            data = [row[k] for row in rows]
+            if values is not None:
+                enc = {v: i for i, v in enumerate(values)}
+                data = list(map(enc.__getitem__, data))
             self.cols[k] = self.np.asarray(data, dtype=self.np.int64)
 
     def pull(self, indices) -> None:
@@ -337,13 +285,13 @@ class ColumnStore:
                 "materialize() first"
             )
         rows = self.rows
-        for k, codec in enumerate(self.codecs):
+        for k, values in enumerate(self.codecs):
             col = self.cols[k]
-            if codec.values is None:
+            if values is None:
                 for i in indices:
                     col[i] = rows[i][k]
             else:
-                enc = codec.encode_map
+                enc = {v: i for i, v in enumerate(values)}
                 for i in indices:
                     col[i] = enc[rows[i][k]]
 
@@ -367,7 +315,10 @@ class ColumnStore:
     def materialize(self) -> None:
         """Decode every dirty column back into the live rows (the
         observation boundary).  Idempotent and cheap when nothing is
-        dirty."""
+        dirty.  A coded slot decodes by indexing its value tuple, which
+        restores the declared objects (real bools, strings), so the
+        rows read as scalar writes left them (JSON types matter for
+        byte-identical traces)."""
         if not self._dirty_slots:
             return
         if TELEMETRY.enabled:
@@ -378,15 +329,12 @@ class ColumnStore:
                 len(self._dirty_slots))
         rows = self.rows
         for k in sorted(self._dirty_slots):
-            codec = self.codecs[k]
+            values = self.codecs[k]
             data = self.cols[k].tolist()
-            if codec.values is None:
-                for i, v in enumerate(data):
-                    rows[i][k] = v
-            else:
-                values = codec.values
-                for i, v in enumerate(data):
-                    rows[i][k] = values[v]
+            if values is not None:
+                data = map(values.__getitem__, data)
+            for row, v in zip(rows, data):
+                row[k] = v
         self._dirty_slots.clear()
 
     def __repr__(self) -> str:

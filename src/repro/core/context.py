@@ -160,22 +160,6 @@ class StepContext:
         self.writes.clear()
         self.used_randomness = False
 
-    @property
-    def registers_read(self) -> Set[Tuple[int, str]]:
-        """Distinct (port, variable) registers read during this step.
-
-        Reconstructed from the per-port read tables (a register was
-        read this step iff its cell carries the current stamp); the hot
-        path tracks registers by stamping cells, not by growing a set.
-        """
-        stamp = self._stamp
-        return {
-            (port, name)
-            for port, (_q, table) in self._port_tables.items()
-            for name, cell in table.items()
-            if cell[3] == stamp
-        }
-
     # ------------------------------------------------------------------
     # Own state
     # ------------------------------------------------------------------
@@ -251,10 +235,6 @@ class StepContext:
         # None stamps as "never read": the cell charges on first use.
         return [config.row_of(q), config.layout_of(q).index[name],
                 spec.domain.bits, None]
-
-    def cur_port(self, pointer: str = "cur") -> int:
-        """Convenience: the current value of a round-robin port pointer."""
-        return self.get(pointer)
 
     def advance(self, pointer: str = "cur") -> None:
         """The paper's idiom ``cur.p ← (cur.p mod δ.p) + 1``."""

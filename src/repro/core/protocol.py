@@ -18,27 +18,10 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 from ..obs.registry import TELEMETRY
 from .actions import Actions
 from .rngstreams import draws_in_bulk, randbelow_run, word_try
-from .state import Configuration, DrawnColumns, _intern_layout
-from .variables import FiniteSet, IntRange, VariableSpec, spec_plans
+from .state import Configuration, DrawnColumns, SlotTable
+from .variables import IntRange, VariableSpec, spec_plans
 
 ProcessId = Hashable
-
-
-def _shared_values(specs) -> Optional[Tuple[Any, ...]]:
-    """The value tuple a slot draws indices into: set when the slot is
-    a drawn (non-constant) :class:`FiniteSet` with the same values, of
-    the same types, in every spec tuple; else None (values drawn)."""
-    first = specs[0].domain
-    if type(first) is not FiniteSet:
-        return None
-    types = tuple(map(type, first.values))
-    for spec in specs:
-        dom = spec.domain
-        if (spec.kind == "const" or type(dom) is not FiniteSet
-                or dom.values != first.values
-                or tuple(map(type, dom.values)) != types):
-            return None
-    return first.values
 
 
 def _draw_step(spec: VariableSpec, rng, coded):
@@ -57,7 +40,7 @@ def _word_tries(specs, codecs) -> Optional[Tuple[Any, ...]]:
     """The :func:`~repro.core.rngstreams.word_try` of each drawn slot of
     one spec tuple, or None when a slot draws any other way: an integer
     range ``randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)``, a
-    shared finite set ``randrange(len(values))`` is
+    coded finite set ``randrange(len(values))`` is
     ``_randbelow(len(values))``, each for fewer than 2**32 values."""
     tries = []
     for k, spec in enumerate(specs):
@@ -77,17 +60,18 @@ def _word_tries(specs, codecs) -> Optional[Tuple[Any, ...]]:
     return tuple(tries)
 
 
-def _draw(rng, plans, plan_ids, codecs) -> List[Any]:
+def _draw(rng, table, plan_ids) -> List[Any]:
     """Every drawn (non-constant) value, per process, per spec, in
-    declaration order.
+    declaration order (an index into ``table.codecs[k]`` for a coded
+    slot ``k``).
 
     When ``rng`` draws in bulk and every drawn slot is an integer range
-    or a shared finite set (``codecs[k]``, the value tuple slot ``k``
-    draws indices into, else None), one
-    :func:`~repro.core.rngstreams.randbelow_run` draws them all.
+    or coded, one :func:`~repro.core.rngstreams.randbelow_run` draws
+    them all.
     Otherwise each value is its own call (:func:`_draw_step`), which is
     the oracle the bulk run must match, values and generator state.
     """
+    plans, codecs = table.plans, table.codecs
     bulk = draws_in_bulk(rng)
     if bulk:
         tries = [_word_tries(specs, codecs) for specs in plans]
@@ -203,62 +187,54 @@ class Protocol(ABC):
         ``specs_of`` is the run's spec map (built here when omitted).
         The values are drawn per process, per spec, in declaration
         order: ``rng.randint(lo, hi)`` for an integer range, a value's
-        index ``rng.randrange(len(values))`` for a finite set every
-        process shares (else its ``sample``, which makes that same
-        call), and ``domain.sample(rng)`` for any other domain, while
-        constants take :meth:`constant_column` and draw nothing.  A
-        plain :class:`random.Random` draws every value of a start made
-        only of integer ranges and shared finite sets in one exact bulk
-        run (:func:`~repro.core.rngstreams.randbelow_run`): the same
-        values, and the generator left where the per-value calls leave
-        it.  Any other generator or domain is called once per value.
-        Draw steps are resolved once per distinct spec tuple.  When
-        every process shares one layout (and the same constants) the
-        values land straight in one list per slot
-        (:class:`~repro.core.state.DrawnColumns`), and the rows are
-        decoded only when something first reads one.
+        index ``rng.randrange(len(values))`` for a finite set the run's
+        :class:`~repro.core.state.SlotTable` codes (else its
+        ``sample``, which makes that same call), and
+        ``domain.sample(rng)`` for any other domain, while constants
+        take :meth:`constant_column` and draw nothing.  A plain
+        :class:`random.Random` draws every value of a start made only of
+        integer ranges and coded finite sets in one exact bulk run
+        (:func:`~repro.core.rngstreams.randbelow_run`): the same values,
+        and the generator left where the per-value calls leave it.  Any
+        other generator or domain is called once per value.  Draw steps
+        are resolved once per distinct spec tuple.  When the table has
+        one shared layout the values land straight in one list per slot
+        (:class:`~repro.core.state.DrawnColumns`), held as the table
+        codes them, and the rows are decoded only when something first
+        reads one; a coded constant outside its set is refused here.
         """
         rng = rng or random.Random()
         if specs_of is None:
             specs_of = self.specs_of(network)
         pids = network.processes
         plans, plan_ids = spec_plans(specs_of, pids)
-        names = [tuple(spec.name for spec in specs) for specs in plans]
-        const = [tuple(spec.kind == "const" for spec in specs)
-                 for specs in plans]
-        # one layout, and each slot a constant everywhere or nowhere
-        uniform = (names.count(names[0]) == len(names)
-                   and const.count(const[0]) == len(const))
-        codecs = [None] * max(map(len, names))
-        if uniform:
-            codecs = [_shared_values([specs[k] for specs in plans])
-                      for k in range(len(names[0]))]
-        flat = _draw(rng, plans, plan_ids, codecs)
+        table = SlotTable(plans)
+        flat = _draw(rng, table, plan_ids)
         pindex = network.process_index()
-        if uniform:
-            slots = [k for k, is_const in enumerate(const[0])
-                     if not is_const]
-            data = [None] * len(names[0])
+        if table.layout is not None:
+            const = table.const[0]
+            slots = [k for k, is_const in enumerate(const) if not is_const]
+            data = [None] * len(const)
             for j, k in enumerate(slots):
                 data[k] = flat[j::len(slots)]
-            for k, name in enumerate(names[0]):
-                if const[0][k]:
+            for k, name in enumerate(table.layout.names):
+                if const[k]:
                     data[k] = self.constant_column(network, name, pids)
-            drawn = DrawnColumns(_intern_layout(names[0]), data, codecs,
-                                 specs_of, plans, plan_ids)
+            table.code_constants(data, pids)
+            drawn = DrawnColumns(table, plan_ids, data, specs_of)
             return Configuration.from_columns(pids, pindex, drawn)
-        layouts = [_intern_layout(n) for n in names]
         values = iter(flat)
         rows = []
         for p, q in zip(pids, plan_ids):
-            if any(const[q]):
+            names, const = table.layouts[q].names, table.const[q]
+            if any(const):
                 consts = self.constant_values(network, p)
                 rows.append([consts[name] if is_const else next(values)
-                             for name, is_const in zip(names[q], const[q])])
+                             for name, is_const in zip(names, const)])
             else:
-                rows.append(list(islice(values, len(names[q]))))
+                rows.append(list(islice(values, len(names))))
         return Configuration.from_rows(
-            pids, pindex, [layouts[q] for q in plan_ids], rows)
+            pids, pindex, [table.layouts[q] for q in plan_ids], rows)
 
     def specs_of(self, network) -> Dict[ProcessId, Tuple[VariableSpec, ...]]:
         """Variable declarations for every process, keyed by pid."""

@@ -170,9 +170,7 @@ class Simulator:
         protocol.validate_configuration(network, config,
                                         specs_of=self.specs_of)
         self._config = config
-        # The canonical process list, cached once: Network.processes
-        # builds a fresh list per call, far too expensive per step.
-        self._processes = tuple(network.processes)
+        self._processes = network.processes
         self.round_tracker = RoundTracker(self._processes)
         self._metrics = MetricsCollector(
             self._processes, keep_records=keep_records
@@ -347,7 +345,7 @@ class Simulator:
         self.network = network
         self.specs_of = specs_of
         self._config = config
-        self._processes = tuple(network.processes)
+        self._processes = network.processes
         self.round_tracker.rebind(self._processes)
         self.metrics.rebind_processes(list(self._processes))
         self.scheduler.rebind_network(network)

@@ -14,7 +14,11 @@ protocols, predicates, faults, and the verification/impossibility
 modules work unchanged.  Layouts are fixed at construction: a process
 cannot grow a new variable.
 
-A configuration drawn by
+How a run holds each slot — value indices into a finite set's values,
+or the values themselves — and how wide each register is are decided
+once, by the :class:`SlotTable` read off the run's distinct spec
+tuples; the draw, the drawn columns' range check and the column store
+all read it.  A configuration drawn by
 :meth:`~repro.core.protocol.Protocol.arbitrary_configuration` is born
 columnar: it holds its :class:`DrawnColumns` — one list per layout
 slot — and decodes its rows only when something first reads one, so a
@@ -33,7 +37,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..obs.registry import TELEMETRY
 from .exceptions import DomainError
-from .variables import IntRange, VariableSpec
+from .variables import FiniteSet, IntRange, VariableSpec
 
 ProcessId = Hashable
 ProcessState = Dict[str, Any]
@@ -75,33 +79,89 @@ def _intern_layout(names: Tuple[str, ...]) -> StateLayout:
     return layout
 
 
+def _outside(value, name, p) -> DomainError:
+    """The row check's error for ``value`` of ``name`` at process ``p``."""
+    return DomainError(f"value {value!r} of {name}.{p!r} outside its domain")
+
+
+class SlotTable:
+    """How a run holds its state, read once off ``spec_plans``' plans.
+
+    Per plan: ``layouts`` (its interned layout), ``const`` (which slots
+    are constants) and ``bits`` (each register's width).  ``layout`` is
+    the layout every plan shares, each slot a constant in all or none of
+    them, else None.  ``codecs[k]`` is the value tuple of a finite set
+    every plan declares for slot ``k`` of ``layout`` with the same values
+    of the same types, no two of them equal (``1`` and ``True`` would
+    share an index), and the slot holds indices into it, drawn and
+    constant values alike; else None, and it holds the values (None
+    throughout when no layout is shared).  ``refusal`` is None when a
+    column store can hold every slot (each coded or an integer range),
+    else why it cannot.
+    """
+
+    __slots__ = ("plans", "layouts", "const", "bits", "layout", "codecs",
+                 "refusal")
+
+    def __init__(self, plans):
+        self.plans = plans
+        self.layouts = [_intern_layout(tuple(spec.name for spec in specs))
+                        for specs in plans]
+        self.const = [tuple(spec.kind == "const" for spec in specs)
+                      for specs in plans]
+        self.bits = [[spec.domain.bits for spec in specs] for specs in plans]
+        shared = (self.layouts.count(self.layouts[0]) == len(plans)
+                  and self.const.count(self.const[0]) == len(plans))
+        self.layout = self.layouts[0] if shared else None
+        self.codecs = [] if shared else [None] * max(map(len, plans))
+        self.refusal = None if shared else "non-uniform layout"
+        for slot in zip(*plans) if shared else ():
+            domains = [spec.domain for spec in slot]
+            coded = (all(type(d) is FiniteSet for d in domains)
+                     and domains.count(domains[0]) == len(domains)
+                     and len(set(domains[0])) == len(domains[0]))
+            self.codecs.append(domains[0].values if coded else None)
+            if not coded and any(type(d) is not IntRange for d in domains):
+                self.refusal = "unsupported domain"
+
+    def code_constants(self, data, pids) -> None:
+        """Turn the constant columns of ``data`` that are coded into
+        value indices.  A constant outside its set has no index: the
+        first one, in process order, is refused with the row check's
+        message."""
+        coded = [k for k, values in enumerate(self.codecs)
+                 if values is not None and self.const[0][k]]
+        domains = [self.plans[0][k].domain for k in coded]
+        if not all(all(map(d.__contains__, data[k]))
+                   for k, d in zip(coded, domains)):
+            for i, p in enumerate(pids):
+                for k, domain in zip(coded, domains):
+                    if data[k][i] not in domain:
+                        raise _outside(data[k][i], self.layout.names[k], p)
+        for k in coded:
+            index = {v: i for i, v in enumerate(self.codecs[k])}
+            data[k] = list(map(index.__getitem__, data[k]))
+
+
 class DrawnColumns:
     """A drawn start configuration, one list per layout slot.
 
     What :meth:`Protocol.arbitrary_configuration
     <repro.core.protocol.Protocol.arbitrary_configuration>` draws, and
     what a :class:`Configuration` holds until a row is first read:
-
-    * ``layout`` — the one layout every process shares;
-    * ``data[k]`` — slot ``k`` over the processes in network order:
-      indices into ``codecs[k]`` when that is a value tuple (finite-set
-      slots drawn as indices), the values themselves when it is None;
-    * ``specs_of``, ``plans`` and ``plan_ids`` — the spec map of the
-      draw, its distinct spec tuples and each process's position among
-      them, so checks and the column store resolve domains and register
-      widths once per tuple instead of once per process.
+    ``data[k]`` is slot ``k`` of ``table``'s shared layout over the
+    processes in network order, held as the table's ``codecs[k]``
+    says; ``plan_ids`` gives each process's plan in ``table``, and
+    ``specs_of`` is the spec map the columns were drawn for.
     """
 
-    __slots__ = ("layout", "data", "codecs", "specs_of", "plans",
-                 "plan_ids")
+    __slots__ = ("table", "plan_ids", "data", "specs_of")
 
-    def __init__(self, layout, data, codecs, specs_of, plans, plan_ids):
-        self.layout = layout
-        self.data = data
-        self.codecs = codecs
-        self.specs_of = specs_of
-        self.plans = plans
+    def __init__(self, table, plan_ids, data, specs_of):
+        self.table = table
         self.plan_ids = plan_ids
+        self.data = data
+        self.specs_of = specs_of
 
     def check(self, pids) -> None:
         """Raise :class:`DomainError` unless every value lies in its
@@ -115,8 +175,9 @@ class DrawnColumns:
         C-level ``map`` over the processes.  Any other slot checks every
         value for membership.
         """
-        for k, (col, values) in enumerate(zip(self.data, self.codecs)):
-            domains = [specs[k].domain for specs in self.plans]
+        plans = self.table.plans
+        for k, (col, values) in enumerate(zip(self.data, self.table.codecs)):
+            domains = [specs[k].domain for specs in plans]
             if values is not None:
                 bounds = [(0, len(values) - 1)]
             elif all(type(d) is IntRange for d in domains):
@@ -144,20 +205,17 @@ class DrawnColumns:
 
     def _raise_first_bad(self, pids) -> None:
         """The row check's error for the first out-of-domain value."""
-        names = self.layout.names
+        table = self.table
         for i, q in enumerate(self.plan_ids):
-            for k, spec in enumerate(self.plans[q]):
+            for k, spec in enumerate(table.plans[q]):
                 value = self.data[k][i]
-                values = self.codecs[k]
+                values = table.codecs[k]
                 if values is not None:
                     value = (values[value] if type(value) is int
                              and 0 <= value < len(values)
                              else f"<index {value}>")
                 if value not in spec.domain:
-                    raise DomainError(
-                        f"value {value!r} of {names[k]}.{pids[i]!r} "
-                        f"outside its domain"
-                    )
+                    raise _outside(value, table.layout.names[k], pids[i])
 
 
 class StateView(MutableMapping):
@@ -277,7 +335,7 @@ class Configuration:
         new = cls.__new__(cls)
         new._pids = pids
         new._pindex = pindex
-        new._layouts = [drawn.layout] * len(pids)
+        new._layouts = [drawn.table.layout] * len(pids)
         new._rows = None
         new._hook = None
         new._drawn = drawn
@@ -306,7 +364,7 @@ class Configuration:
         """Build the rows from the drawn columns (once)."""
         drawn = self._drawn
         cols = [col if values is None else list(map(values.__getitem__, col))
-                for col, values in zip(drawn.data, drawn.codecs)]
+                for col, values in zip(drawn.data, drawn.table.codecs)]
         self._rows = list(map(list, zip(*cols)))
         self._drawn = None
         self._sync = self._hook
@@ -389,7 +447,7 @@ class Configuration:
         """``(layouts, rows)`` when this configuration's process order
         matches ``pids`` exactly, else ``None`` (bulk build fast path —
         avoids one ``row_of``/``layout_of`` pair per process)."""
-        if self._pids != list(pids):
+        if tuple(self._pids) != tuple(pids):
             return None
         if self._sync is not None:
             self._sync()
@@ -447,10 +505,7 @@ class Configuration:
                         f"{p!r} is missing variable {spec.name!r}"
                     )
                 if row[slot] not in spec.domain:
-                    raise DomainError(
-                        f"value {row[slot]!r} of {spec.name}.{p!r} "
-                        f"outside its domain"
-                    )
+                    raise _outside(row[slot], spec.name, p)
 
     def comm_projection(
         self, specs_of: Mapping[ProcessId, Tuple[VariableSpec, ...]]

@@ -82,7 +82,8 @@ class FiniteSet(Domain):
     """Explicit finite domain, e.g. ``S.p ∈ {Dominator, dominated}``.
 
     Membership matches a value's type as well as its equality: ``1`` is
-    no member of ``{False, True}``, although ``1 == True``.
+    no member of ``{False, True}``, although ``1 == True``.  So does
+    equality: ``{0, 1}`` is not ``{False, True}``.
     """
 
     values: Tuple[Any, ...]
@@ -91,10 +92,19 @@ class FiniteSet(Domain):
         object.__setattr__(self, "values", tuple(values))
         if not self.values:
             raise ValueError("empty FiniteSet domain")
-        types = {type(v) for v in self.values}
+        types = tuple(map(type, self.values))
+        object.__setattr__(self, "_key", (self.values, types))
         # the one type of every value, or None for a mixed-type set
         object.__setattr__(
-            self, "_type", types.pop() if len(types) == 1 else None)
+            self, "_type", types[0] if len(set(types)) == 1 else None)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __contains__(self, value: Any) -> bool:
         if self._type is not None:
@@ -192,7 +202,7 @@ def spec_plans(specs_of, pids):
     own keys, in order, answers with the plans it carries.
     """
     if (isinstance(specs_of, SpecMap) and specs_of.plans is not None
-            and pids == list(specs_of)):
+            and tuple(pids) == tuple(specs_of)):
         return specs_of.plans
     specs = list(map(specs_of.__getitem__, pids))
     ids = list(map(id, specs))

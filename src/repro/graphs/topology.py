@@ -283,10 +283,10 @@ class Network:
     # ------------------------------------------------------------------
     # Paper notation
     # ------------------------------------------------------------------
-    @property
-    def processes(self) -> List[ProcessId]:
-        """Π — all processes, in a stable order."""
-        return list(self._pids)
+    @cached_property
+    def processes(self) -> Tuple[ProcessId, ...]:
+        """Π — all processes, in a stable order (one tuple, built once)."""
+        return tuple(self._pids)
 
     @property
     def n(self) -> int:

@@ -9,20 +9,17 @@ the factor-Δ overhead COLORING removes.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Tuple
+from typing import List, Tuple
 
 from ...core.actions import GuardedAction
-from ...core.exceptions import TopologyError
-from ...core.protocol import Protocol
 from ...core.state import Configuration
-from ...core.variables import FiniteSet, IntRange, VariableSpec, comm
+from ...core.variables import IntRange, VariableSpec, comm
+from ...graphs.coloring import DegreeSpecs
 from ...graphs.topology import Network
 from ...predicates.coloring import coloring_predicate
 
-ProcessId = Hashable
 
-
-class FullReadColoring(Protocol):
+class FullReadColoring(DegreeSpecs):
     """Randomized Δ-efficient coloring over palette {1..Δ+1}."""
 
     name = "COLORING-full"
@@ -37,9 +34,7 @@ class FullReadColoring(Protocol):
     def for_network(cls, network: Network) -> "FullReadColoring":
         return cls(network.max_degree + 1)
 
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        if network.degree(p) < 1:
-            raise TopologyError("coloring requires every process to have a neighbor")
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
         return (comm("C", self.palette),)
 
     def actions(self) -> Tuple[GuardedAction, ...]:

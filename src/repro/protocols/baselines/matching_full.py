@@ -12,18 +12,21 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from ...core.actions import GuardedAction
-from ...core.exceptions import TopologyError
-from ...core.protocol import Protocol
 from ...core.state import Configuration
 from ...core.variables import BOOL, IntRange, VariableSpec, const, comm
-from ...graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
+from ...graphs.coloring import (
+    ColorConstant,
+    Coloring,
+    DegreeSpecs,
+    assert_local_identifiers,
+)
 from ...graphs.topology import Network
 from ...predicates.matching import matching_predicate
 
 ProcessId = Hashable
 
 
-class FullReadMatching(ColorConstant, Protocol):
+class FullReadMatching(ColorConstant, DegreeSpecs):
     """Deterministic Δ-efficient maximal matching protocol."""
 
     name = "MATCHING-full"
@@ -36,10 +39,7 @@ class FullReadMatching(ColorConstant, Protocol):
             min(self.colors.values()), max(self.colors.values())
         )
 
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        degree = network.degree(p)
-        if degree < 1:
-            raise TopologyError("matching requires every process to have a neighbor")
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
         return (
             comm("M", BOOL),
             comm("PR", IntRange(0, degree)),

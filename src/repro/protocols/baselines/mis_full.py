@@ -17,11 +17,14 @@ from __future__ import annotations
 from typing import Dict, Hashable, Tuple
 
 from ...core.actions import GuardedAction
-from ...core.exceptions import TopologyError
-from ...core.protocol import Protocol
 from ...core.state import Configuration
 from ...core.variables import IntRange, VariableSpec, const, comm
-from ...graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
+from ...graphs.coloring import (
+    ColorConstant,
+    Coloring,
+    DegreeSpecs,
+    assert_local_identifiers,
+)
 from ...graphs.topology import Network
 from ...predicates.mis import DOMINATED, DOMINATOR, mis_predicate
 from ..mis import S_DOMAIN
@@ -29,7 +32,7 @@ from ..mis import S_DOMAIN
 ProcessId = Hashable
 
 
-class FullReadMIS(ColorConstant, Protocol):
+class FullReadMIS(ColorConstant, DegreeSpecs):
     """Deterministic Δ-efficient MIS over a local-identifier coloring."""
 
     name = "MIS-full"
@@ -42,9 +45,7 @@ class FullReadMIS(ColorConstant, Protocol):
             min(self.colors.values()), max(self.colors.values())
         )
 
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        if network.degree(p) < 1:
-            raise TopologyError("MIS requires every process to have a neighbor")
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
         return (comm("S", S_DOMAIN), const("C", self._color_domain))
 
     def actions(self) -> Tuple[GuardedAction, ...]:

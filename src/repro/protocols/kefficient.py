@@ -11,22 +11,42 @@ trade off along k — the design space the paper's measures make visible.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Tuple
+from typing import List, Tuple
 
 from ..core.actions import GuardedAction
-from ..core.exceptions import TopologyError
-from ..core.protocol import Protocol
 from ..core.state import Configuration
-from ..core.variables import IntRange, VariableSpec, comm, internal
+from ..core.variables import IntRange, VariableSpec, comm, const, internal
 from ..graphs.topology import Network
-from ..graphs.coloring import ColorConstant, Coloring, assert_local_identifiers
+from ..graphs.coloring import (
+    ColorConstant,
+    Coloring,
+    DegreeSpecs,
+    assert_local_identifiers,
+)
 from ..predicates.coloring import coloring_predicate
 from ..predicates.mis import DOMINATED, DOMINATOR, mis_predicate
+from .mis import S_DOMAIN
 
-ProcessId = Hashable
+
+class _WindowProtocol(DegreeSpecs):
+    """A protocol scanning the ``k``-neighbor window at ``cur``."""
+
+    k: int
+
+    def _window(self, ctx) -> List[int]:
+        """Ports cur, cur+1, …, cur+k−1 (cyclically, deduplicated)."""
+        degree = ctx.degree
+        start = ctx.get("cur")
+        width = min(self.k, degree)
+        return [((start - 1 + i) % degree) + 1 for i in range(width)]
+
+    def _advance(self, ctx) -> None:
+        degree = ctx.degree
+        width = min(self.k, degree)
+        ctx.set("cur", ((ctx.get("cur") - 1 + width) % degree) + 1)
 
 
-class WindowColoringProtocol(Protocol):
+class WindowColoringProtocol(_WindowProtocol):
     """Randomized coloring reading a k-neighbor window per step.
 
     Parameters
@@ -53,21 +73,11 @@ class WindowColoringProtocol(Protocol):
         return cls(network.max_degree + 1, k)
 
     # ------------------------------------------------------------------
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        degree = network.degree(p)
-        if degree < 1:
-            raise TopologyError("coloring requires every process to have a neighbor")
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
         return (
             comm("C", self.palette),
             internal("cur", IntRange(1, degree)),
         )
-
-    def _window(self, ctx) -> List[int]:
-        """Ports cur, cur+1, …, cur+k−1 (cyclically, deduplicated)."""
-        degree = ctx.degree
-        start = ctx.get("cur")
-        width = min(self.k, degree)
-        return [((start - 1 + i) % degree) + 1 for i in range(width)]
 
     def actions(self) -> Tuple[GuardedAction, ...]:
         def clash(ctx) -> bool:
@@ -90,16 +100,11 @@ class WindowColoringProtocol(Protocol):
             GuardedAction("advance", no_clash, advance),
         )
 
-    def _advance(self, ctx) -> None:
-        degree = ctx.degree
-        width = min(self.k, degree)
-        ctx.set("cur", ((ctx.get("cur") - 1 + width) % degree) + 1)
-
     def is_legitimate(self, network: Network, config: Configuration) -> bool:
         return coloring_predicate(network, config, var="C")
 
 
-class WindowMISProtocol(ColorConstant, Protocol):
+class WindowMISProtocol(ColorConstant, _WindowProtocol):
     """MIS over a k-neighbor scanning window (deterministic).
 
     The window generalisation of protocol MIS: *yield* when any window
@@ -125,28 +130,12 @@ class WindowMISProtocol(ColorConstant, Protocol):
             min(self.colors.values()), max(self.colors.values())
         )
 
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        degree = network.degree(p)
-        if degree < 1:
-            raise TopologyError("MIS requires every process to have a neighbor")
-        from ..core.variables import FiniteSet, const
-
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
         return (
-            comm("S", FiniteSet((DOMINATOR, DOMINATED))),
+            comm("S", S_DOMAIN),
             const("C", self._color_domain),
             internal("cur", IntRange(1, degree)),
         )
-
-    def _window(self, ctx) -> List[int]:
-        degree = ctx.degree
-        start = ctx.get("cur")
-        width = min(self.k, degree)
-        return [((start - 1 + i) % degree) + 1 for i in range(width)]
-
-    def _advance(self, ctx) -> None:
-        degree = ctx.degree
-        width = min(self.k, degree)
-        ctx.set("cur", ((ctx.get("cur") - 1 + width) % degree) + 1)
 
     def actions(self) -> Tuple[GuardedAction, ...]:
         def yield_guard(ctx) -> bool:

@@ -22,18 +22,15 @@ leaves open) is the stabilizing-phase cost of the transform in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Tuple
+from typing import Callable, Tuple
 
 from ..core.actions import GuardedAction
 from ..core.context import StepContext
-from ..core.exceptions import TopologyError
-from ..core.protocol import Protocol
 from ..core.state import Configuration
 from ..core.variables import BOOL, Domain, IntRange, VariableSpec, comm, internal
+from ..graphs.coloring import DegreeSpecs
 from ..graphs.topology import Network
 from ..predicates.coloring import coloring_predicate
-
-ProcessId = Hashable
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class LocalCheckingSpec:
     randomized: bool = False
 
 
-class OneEfficientProtocol(Protocol):
+class OneEfficientProtocol(DegreeSpecs):
     """The transformed protocol: one neighbor checked per step."""
 
     def __init__(self, spec: LocalCheckingSpec):
@@ -77,12 +74,7 @@ class OneEfficientProtocol(Protocol):
         self.name = f"{spec.name}-1eff"
         self.randomized = spec.randomized
 
-    def variables(self, network: Network, p: ProcessId) -> Tuple[VariableSpec, ...]:
-        degree = network.degree(p)
-        if degree < 1:
-            raise TopologyError(
-                "the transform requires every process to have a neighbor"
-            )
+    def specs_for_degree(self, degree: int) -> Tuple[VariableSpec, ...]:
         return (
             comm(self.spec.comm_var, self.spec.domain),
             internal("cur", IntRange(1, degree)),

@@ -14,7 +14,13 @@ suites pin:
 * per-process metrics, built and drained only when read, equal to the
   scalar engine's;
 * a fused sparse COLORING trial that builds no row and no per-process
-  dict.
+  dict;
+* one slot format: the draw, the range check and the column store read
+  one :class:`~repro.core.state.SlotTable`, so a constant finite set is
+  adopted without a decode, sets of equal values of other types keep
+  rows, and a loaded start maps its slots by name;
+* one spec tuple per degree for every degree-only protocol, and one
+  process tuple per network.
 """
 
 import random
@@ -24,20 +30,29 @@ import pytest
 
 from repro.api import ExperimentSpec, protocol_registry, topology_registry
 from repro.api.spec import drive_simulator
-from repro.core import Configuration, DomainError, Simulator, TopologyError
+from repro.core import (
+    Configuration, DomainError, Simulator, TopologyError, TraceRecorder)
 from repro.core.actions import GuardedAction
+from repro.core.batchengine import BATCH_KERNELS
 from repro.core.columns import ColumnStore
 from repro.core.protocol import Protocol
-from repro.core.state import _intern_layout
+from repro.core.serialization import (
+    configuration_from_json, configuration_to_json)
+from repro.core.state import SlotTable, _intern_layout
 from repro.core.variables import (
     Domain, FiniteSet, IntRange, SpecMap, comm, const, spec_plans)
 from repro.faults import adversarial_reset
-from repro.graphs.coloring import greedy_coloring
+from repro.graphs.coloring import DegreeSpecs, greedy_coloring
 from repro.graphs.generators import chain, ring, star
 from repro.obs.registry import TELEMETRY
+from repro.protocols.baselines import (
+    FullReadColoring, FullReadMatching, FullReadMIS)
 from repro.protocols.coloring import ColoringProtocol
+from repro.protocols.kefficient import (
+    WindowColoringProtocol, WindowMISProtocol)
 from repro.protocols.matching import MatchingProtocol
 from repro.protocols.mis import MISProtocol
+from repro.transformer.round_robin import coloring_spec, make_one_efficient
 
 ENGINES = ("incremental", "batch-resident", "batch-debug")
 
@@ -462,7 +477,7 @@ class TestDegreeSpecs:
         net = topology_registry.build(name, **params)
         proto = protocol_registry.build(protocol, net)
         specs_of = proto.specs_of(net)
-        assert list(specs_of) == net.processes
+        assert list(specs_of) == list(net.processes)
         per_degree = {}
         for p in net.processes:
             specs = specs_of[p]
@@ -602,3 +617,205 @@ def test_fused_coloring_trial_builds_no_row_and_no_dict(telemetry_on):
                                                max_rounds=spec.max_rounds))
     assert telemetry_on.snapshot()["counters"][
         "columns.materializations"] == 1  # the scalar run's first read
+
+
+# ----------------------------------------------------------------------
+# One slot format: the draw, the range check and the store read one table
+# ----------------------------------------------------------------------
+class _ConstSet(Protocol):
+    """A drawn color, and a constant ``K`` from a finite set (``bad``
+    puts one process's constant outside it)."""
+
+    name = "const-set"
+    specs = (comm("C", IntRange(1, 3)), const("K", FiniteSet(("a", "b"))))
+
+    def __init__(self, bad=None):
+        self.bad = bad
+
+    def variables(self, network, p):
+        return self.specs
+
+    def constant_values(self, network, p):
+        if self.bad is not None and p == self.bad[0]:
+            return {"K": self.bad[1]}
+        return {"K": "ab"[p % 2]}
+
+    def actions(self):
+        return (GuardedAction("noop", lambda ctx: False, lambda ctx: None),)
+
+    def is_legitimate(self, network, config):
+        return True
+
+
+class _FlagByDegree(DegreeSpecs):
+    """``F`` ranges over ``{0, 1}`` at degree 1 and over ``{False,
+    True}`` elsewhere: equal values, of other types."""
+
+    name = "flag-by-degree"
+
+    def specs_for_degree(self, degree):
+        return (comm("F", FiniteSet((0, 1) if degree == 1
+                                    else (False, True))),)
+
+    def actions(self):
+        def raise_flag(ctx):
+            ctx.set("F", 1 if ctx.degree == 1 else True)
+
+        return (GuardedAction("raise", lambda ctx: not ctx.get("F"),
+                              raise_flag),)
+
+    def is_legitimate(self, network, config):
+        return all(config.get(p, "F") for p in network.processes)
+
+
+def _no_kernel(protocol, store):
+    raise AssertionError("a column store was built")
+
+
+def _by_name(store):
+    return {name: (store.cols[store.slot(name)].tolist(),
+                   store.reg_bits(name).tolist())
+            for name in store.layout.names}
+
+
+class TestOneSlotFormat:
+    def test_constant_set_is_adopted_without_a_decode(self, telemetry_on):
+        net = ring(12)
+        proto = _ConstSet()
+        specs_of = proto.specs_of(net)
+        config = proto.arbitrary_configuration(net, random.Random(2),
+                                               specs_of=specs_of)
+        proto.validate_configuration(net, config, specs_of=specs_of)
+        store = ColumnStore.try_build(net, config, specs_of)
+        assert store.table is config.drawn_columns(
+            net.process_index()).table
+        counters = telemetry_on.snapshot()["counters"]
+        assert counters.get("columns.materializations", 0) == 0
+        assert store.cols[store.slot("K")].tolist() == [p % 2 for p in
+                                                        net.processes]
+        copy = ColumnStore.try_build(net, Configuration(config.as_dict()),
+                                     specs_of)
+        assert ([col.tolist() for col in store.cols]
+                == [col.tolist() for col in copy.cols])
+        assert [config.get(p, "K") for p in net.processes] == ["a", "b"] * 6
+
+    def test_sets_of_equal_values_and_other_types_keep_rows(self,
+                                                            monkeypatch):
+        net = chain(3)  # degrees 1, 2, 1
+        proto = _FlagByDegree()
+        specs_of = proto.specs_of(net)
+        table = SlotTable(spec_plans(specs_of, net.processes)[0])
+        assert table.codecs == [None]
+        assert table.refusal == "unsupported domain"
+        config = proto.arbitrary_configuration(net, random.Random(0),
+                                               specs_of=specs_of)
+        for start in (config, Configuration(config.as_dict())):
+            assert ColumnStore.try_build(net, start, specs_of) is None
+        monkeypatch.setitem(BATCH_KERNELS, _FlagByDegree, _no_kernel)
+        traces = []
+        for engine in ("scan", "batch-resident"):
+            sim = Simulator(proto, net, seed=1, engine=engine)
+            recorder = TraceRecorder(sim, seed=1)
+            recorder.run_steps(4)
+            traces.append(recorder.trace.to_jsonl())
+        assert sim.engine.name == "incremental"
+        assert traces[0] == traces[1]
+        assert [sim.config.get(p, "F") for p in net.processes] == [1, True, 1]
+        assert [type(sim.config.get(p, "F")) for p in net.processes] == [
+            int, bool, int]
+
+    @pytest.mark.parametrize("value", ["q", 0, True])
+    @pytest.mark.parametrize("engine", ENGINES + ("scan",))
+    def test_constant_outside_its_set_is_refused(self, engine, value):
+        """An index would be a valid code (``0``) or equal one (``True``);
+        the refusal names the value, as the row check does."""
+        with pytest.raises(DomainError, match=re.escape(
+                f"value {value!r} of K.5 outside its domain")):
+            Simulator(_ConstSet(bad=(5, value)), ring(8), seed=3,
+                      engine=engine)
+
+    def test_loaded_start_maps_slots_by_name(self):
+        net = topology_registry.build("sparse", n=40, avg_degree=3, seed=4)
+        proto = MatchingProtocol(net, greedy_coloring(net))
+        specs_of = proto.specs_of(net)
+        config = proto.arbitrary_configuration(net, random.Random(5),
+                                               specs_of=specs_of)
+        store = ColumnStore.try_build(net, config, specs_of)
+        loaded = configuration_from_json(configuration_to_json(config))
+        layout = loaded.layout_of(net.processes[0])
+        assert layout.names == ("C", "M", "PR", "cur")
+        assert layout is not store.layout
+        other = ColumnStore.try_build(net, loaded, specs_of)
+        assert other.layout is layout
+        assert _by_name(other) == _by_name(store)
+        for each in (store, other):
+            assert each.encode(each.slot("M"), True) == 1
+
+    def test_a_set_holding_equal_values_is_not_coded(self):
+        """``1`` and ``True`` would share one index, so a write-back
+        would turn a ``1`` into ``True``."""
+        table = SlotTable([(comm("X", FiniteSet((1, True))),)])
+        assert table.codecs == [None]
+        assert table.refusal == "unsupported domain"
+
+    def test_a_table_of_several_layouts_codes_nothing(self):
+        plans = spec_plans(_Mixed().specs_of(star(5)), star(5).processes)[0]
+        table = SlotTable(plans)
+        assert table.layout is None and table.refusal == "non-uniform layout"
+        assert table.codecs == [None] * 4
+
+
+class TestDegreeOnlyProtocols:
+    MAKERS = {
+        "COLORING-k1": lambda net: WindowColoringProtocol(2, 1),
+        "MIS-k1": lambda net: WindowMISProtocol(net, {0: 1}, 1),
+        "COLORING-full": lambda net: FullReadColoring(2),
+        "MIS-full": lambda net: FullReadMIS(net, {0: 1}),
+        "MATCHING-full": lambda net: FullReadMatching(net, {0: 1}),
+        "COLORING-transform-1eff": lambda net: make_one_efficient(
+            coloring_spec(2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_a_process_without_neighbors_is_one_topology_error(self, name):
+        net = chain(1)
+        proto = self.MAKERS[name](net)
+        message = f"{name} requires every process to have a neighbor"
+        for declare in (lambda: proto.specs_of(net),
+                        lambda: proto.variables(net, 0)):
+            with pytest.raises(TopologyError, match=re.escape(message)):
+                declare()
+
+    @pytest.mark.parametrize("protocol",
+                             sorted(protocol_registry) + ["transform"])
+    def test_one_tuple_per_degree(self, protocol):
+        net = topology_registry.build("sparse", n=300, avg_degree=3, seed=5)
+        proto = (make_one_efficient(coloring_spec(net.max_degree + 1))
+                 if protocol == "transform"
+                 else protocol_registry.build(protocol, net))
+        specs_of = proto.specs_of(net)
+        assert isinstance(specs_of, SpecMap)
+        assert (len({id(specs) for specs in specs_of.values()})
+                == len({net.degree(p) for p in net.processes}))
+        assert spec_plans(specs_of, net.processes) is specs_of.plans
+
+
+class TestOneProcessTuple:
+    def test_processes_is_one_tuple(self):
+        net = topology_registry.build("sparse", n=50, avg_degree=3, seed=1)
+        assert type(net.processes) is tuple
+        assert net.processes is net.processes
+        sim = Simulator(ColoringProtocol.for_network(net), net, seed=0)
+        assert sim._processes is net.processes
+
+    def test_spec_plans_and_aligned_rows_compare_by_value(self):
+        net = ring(9)
+        proto = ColoringProtocol.for_network(net)
+        specs_of = proto.specs_of(net)
+        for pids in (net.processes, list(net.processes)):
+            assert spec_plans(specs_of, pids) is specs_of.plans
+        config = Configuration(
+            proto.arbitrary_configuration(net, random.Random(1)).as_dict())
+        for pids in (net.processes, list(net.processes)):
+            assert config.aligned_storage(pids) is not None
+        assert config.aligned_storage(net.processes[::-1]) is None

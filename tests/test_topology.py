@@ -260,7 +260,7 @@ class TestFromEdges:
 
     def test_answers_from_port_tables_alone(self):
         net = Network.from_edges(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert net.processes == [0, 1, 2, 3] and net.n == len(net) == 4
+        assert list(net.processes) == [0, 1, 2, 3] and net.n == len(net) == 4
         assert 2 in net and 9 not in net and [0] not in net
         assert net.neighbors(0) == (1, 3) and net.degree(1) == 2
         assert (net.m, net.max_degree, net.port_to(3, 0)) == (4, 2, 2)
@@ -302,7 +302,7 @@ class TestFromPortArrays:
     def test_answers_from_the_arrays_alone(self):
         net = from_port_lists([[1, 3], [0, 2], [3, 1], [2, 0]])
         assert "_ports" not in vars(net)
-        assert net.processes == [0, 1, 2, 3] and net.n == len(net) == 4
+        assert list(net.processes) == [0, 1, 2, 3] and net.n == len(net) == 4
         assert (net.m, net.max_degree) == (4, 2)
         assert net.process_index() == {0: 0, 1: 1, 2: 2, 3: 3}
         assert 2 in net and 9 not in net and [0] not in net

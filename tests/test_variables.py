@@ -78,6 +78,14 @@ class TestFiniteSet:
         assert True in BOOL and False in BOOL
         assert BOOL.bits == pytest.approx(1.0)
 
+    def test_equal_only_with_the_same_types(self):
+        """Equality, like membership, tells ``1`` from ``True``: spec
+        tuples over ``{0, 1}`` and ``{False, True}`` are not one key."""
+        assert FiniteSet((False, True)) == BOOL
+        assert hash(FiniteSet((False, True))) == hash(BOOL)
+        assert FiniteSet((0, 1)) != BOOL
+        assert len({FiniteSet((0, 1)), BOOL}) == 2
+
     def test_sample(self):
         d = FiniteSet(("x", "y"))
         r = random.Random(2)
