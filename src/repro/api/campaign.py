@@ -129,7 +129,9 @@ class Campaign:
         final measures as ``full`` at a fraction of the step cost).
         ``scenario``/``scenario_params`` attach one named fault/churn
         scenario to every spec; sweep scenario parameters by
-        concatenating grids (see ``examples/scenario_churn.py``).
+        concatenating grids (see ``examples/scenario_churn.py``).  Each
+        seed reaches its spec as given, so a seed that is not an int is
+        refused there.
         """
         specs = []
         for proto_name, proto_params in map(_normalize_component, protocols):
@@ -145,7 +147,7 @@ class Campaign:
                             topology_params=topo_params,
                             scheduler=sched_name,
                             scheduler_params=sched_params,
-                            seed=int(seed),
+                            seed=seed,
                             max_rounds=max_rounds,
                             engine=engine,
                             metrics=metrics,

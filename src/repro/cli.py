@@ -117,6 +117,17 @@ def topology_params_from_args(args) -> Dict[str, Any]:
                          f"known: {sorted(makers)}")
 
 
+def _seed_count(text: str) -> int:
+    """``--seeds``: how many seeds (0..seeds-1) each grid point runs."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an int: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def scenario_from_args(args) -> Tuple[Optional[str], Dict[str, Any]]:
     """Parse ``--scenario name:key=value,...`` into registry terms."""
     entry = getattr(args, "scenario", None)
@@ -868,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topologies", nargs="+", default=["ring:n=12"])
         p.add_argument("--schedulers", nargs="+", default=["synchronous"],
                        help=" | ".join(scheduler_registry.names()))
-        p.add_argument("--seeds", type=int, default=4,
+        p.add_argument("--seeds", type=_seed_count, default=4,
                        help="number of seeds (0..seeds-1) per grid point")
         p.add_argument("--engine", default=None,
                        choices=engine_registry.names(),

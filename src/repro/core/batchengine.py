@@ -301,18 +301,11 @@ class BatchEngine(EnabledSetEngine):
             self._enabled_cache = frozenset(ids)
         return self._enabled_cache, self._enabled_list_cache
 
-    def enabled_set(self):
+    def enabled_view(self):
         return self._compute_enabled()[0]
 
     def enabled_list(self):
         return self._compute_enabled()[1]
-
-    def enabled_view(self):
-        return self._compute_enabled()[0]
-
-    def note_step(self, activated, comm_changed) -> None:
-        # A step noted from outside wrote rows behind the columns.
-        self.invalidate(activated)
 
     def invalidate(self, processes: Optional[Iterable[ProcessId]] = None) -> None:
         if processes is None:
@@ -683,14 +676,7 @@ class BatchCrossCheckEngine(BatchEngine):
         return verdict
 
     def _compute_enabled(self):
-        enabled_set, enabled_list = super()._compute_enabled()
+        enabled = super()._compute_enabled()
         self.materialize_rows()  # the scan's probe contexts read raw rows
-        fresh = self._scan()
-        if fresh != enabled_set:
-            missing = sorted(map(repr, fresh - enabled_set))
-            extra = sorted(map(repr, enabled_set - fresh))
-            raise ModelError(
-                "batch enabled-set diverged from full scan "
-                f"(missing: {missing}, stale: {extra})"
-            )
-        return enabled_set, enabled_list
+        self._check_scan(enabled[0])
+        return enabled

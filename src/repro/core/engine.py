@@ -15,10 +15,8 @@ Hence a step that activates the set ``s`` and changes the communication
 variables of ``c ⊆ s`` can only change the enabled-status of
 
 * the activated processes themselves (their own state moved), and
-* the processes whose guards may read a member of ``c`` — by default
-  the direct neighbors, or a wider ball when the protocol declares a
-  larger :attr:`~repro.core.protocol.Protocol.read_radius` /
-  overrides :meth:`~repro.core.protocol.Protocol.reads`.
+* the neighbors of the members of ``c``, the only processes whose
+  guards can read those variables.
 
 Three engines implement one contract (:class:`EnabledSetEngine`):
 
@@ -32,7 +30,7 @@ Three engines implement one contract (:class:`EnabledSetEngine`):
   :class:`~repro.core.exceptions.ModelError` on any disagreement.
 
 All engines are *lazy*: :meth:`note_step` only records what moved, and
-guard re-evaluation happens when :meth:`enabled_set` /
+guard re-evaluation happens when :meth:`enabled_view` /
 :meth:`enabled_list` is queried.  A run that never asks about
 enabled-status pays almost nothing.
 
@@ -53,7 +51,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from time import perf_counter
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Hashable, Iterable,
+                    Optional, Set, Tuple)
 
 from ..obs.registry import TELEMETRY
 from .actions import first_enabled
@@ -115,7 +114,7 @@ class EnabledSetEngine(ABC):
        configuration and notes it itself: the activated set and the
        subset whose *communication* variables actually changed value
        reach :meth:`note_step`.  Noting must be cheap.
-    3. Any time :meth:`enabled_set` / :meth:`enabled_list` is called,
+    3. Any time :meth:`enabled_view` / :meth:`enabled_list` is called,
        the engine answers for the configuration as of the last noted
        step (evaluating guards lazily as needed).
     4. Code that mutates the configuration behind the simulator's back
@@ -221,21 +220,17 @@ class EnabledSetEngine(ABC):
     # Queries
     # ------------------------------------------------------------------
     @abstractmethod
-    def enabled_set(self) -> FrozenSet[ProcessId]:
-        """The current enabled set (membership queries)."""
+    def enabled_view(self) -> AbstractSet[ProcessId]:
+        """The current enabled set, for hot-path membership tests.
+
+        May alias engine-internal state to avoid a per-step copy;
+        callers must treat it as read-only and must not hold it across
+        steps.
+        """
 
     @abstractmethod
     def enabled_list(self) -> Tuple[ProcessId, ...]:
         """The current enabled set in canonical network-process order."""
-
-    def enabled_view(self) -> FrozenSet[ProcessId]:
-        """The enabled set for hot-path membership tests.
-
-        May alias engine-internal state to avoid a per-step copy;
-        callers must treat it as read-only and must not hold it across
-        steps.  Defaults to :meth:`enabled_set`.
-        """
-        return self.enabled_set()
 
     def silent(self) -> Optional[bool]:
         """The engine's own silence verdict for the current γ, or None
@@ -257,7 +252,6 @@ class EnabledSetEngine(ABC):
     # ------------------------------------------------------------------
     # Change notifications
     # ------------------------------------------------------------------
-    @abstractmethod
     def note_step(
         self,
         activated: Iterable[ProcessId],
@@ -268,7 +262,10 @@ class EnabledSetEngine(ABC):
         ``activated`` is the scheduler's selection; ``comm_changed`` is
         the subset whose communication variables hold a new value in
         γi+1.  Must be O(|activated| + |comm_changed|·Δ) or better.
+        By default the activated processes are invalidated: their rows
+        are the ones the step wrote.
         """
+        self.invalidate(activated)
 
     @abstractmethod
     def invalidate(self, processes: Optional[Iterable[ProcessId]] = None) -> None:
@@ -289,6 +286,20 @@ class EnabledSetEngine(ABC):
     def _scan(self) -> Set[ProcessId]:
         """A full from-scratch scan of every process."""
         return {p for p in self.network.processes if self._is_enabled(p)}
+
+    def _check_scan(self, enabled: AbstractSet[ProcessId]) -> None:
+        """Raise :class:`~repro.core.exceptions.ModelError` unless the
+        maintained ``enabled`` set equals a full scan (the audit of the
+        ``debug`` and ``batch-debug`` engines)."""
+        fresh = self._scan()
+        if fresh != enabled:
+            missing = sorted(map(repr, fresh - enabled))
+            extra = sorted(map(repr, enabled - fresh))
+            raise ModelError(
+                f"{self.name} enabled-set diverged from full scan "
+                f"(missing: {missing}, stale: {extra}); the configuration "
+                "was mutated without invalidate()"
+            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -321,16 +332,13 @@ class ScanEngine(EnabledSetEngine):
             )
             self._stale = False
 
-    def enabled_set(self) -> FrozenSet[ProcessId]:
+    def enabled_view(self) -> FrozenSet[ProcessId]:
         self._refresh()
         return self._set
 
     def enabled_list(self) -> Tuple[ProcessId, ...]:
         self._refresh()
         return self._list
-
-    def note_step(self, activated, comm_changed) -> None:
-        self._stale = True
 
     def invalidate(self, processes=None) -> None:
         self._stale = True
@@ -339,13 +347,10 @@ class ScanEngine(EnabledSetEngine):
 class IncrementalEngine(EnabledSetEngine):
     """Dirty-set maintenance of the enabled set.
 
-    On bind the engine precomputes the *influence map* — for each
-    process ``q``, the processes whose guards may read ``q``'s
-    communication variables (the inverse of :meth:`Protocol.reads
-    <repro.core.protocol.Protocol.reads>`) — and distrusts the whole
-    enabled set, so the first query performs one full scan.  After a
-    step, exactly ``activated ∪ influence(comm_changed)`` is marked
-    dirty; a query re-evaluates only dirty guards.
+    On bind the engine distrusts the whole enabled set, so the first
+    query performs one full scan.  After a step, exactly ``activated ∪
+    neighbors(comm_changed)`` is marked dirty; a query re-evaluates
+    only dirty guards.
 
     When the accumulated dirty-set covers the whole network (e.g. under
     the synchronous daemon, or after ``invalidate(None)``) the engine
@@ -358,15 +363,6 @@ class IncrementalEngine(EnabledSetEngine):
     def bind(self, protocol, network, config, specs_of) -> "IncrementalEngine":
         super().bind(protocol, network, config, specs_of)
         self._n = network.n
-        # influence[q] = processes (≠ q) whose enabled-status may depend
-        # on q's communication variables.
-        influence: Dict[ProcessId, list] = {p: [] for p in network.processes}
-        for p in network.processes:
-            for q in protocol.reads(network, p):
-                influence[q].append(p)
-        self._influence: Dict[ProcessId, Tuple[ProcessId, ...]] = {
-            q: tuple(ps) for q, ps in influence.items()
-        }
         self._dirty: Set[ProcessId] = set()
         self._stale_all = True
         self._enabled: Set[ProcessId] = set()
@@ -379,9 +375,9 @@ class IncrementalEngine(EnabledSetEngine):
             return
         dirty = self._dirty
         dirty.update(activated)
-        influence = self._influence
+        neighbors = self.network.neighbors
         for q in comm_changed:
-            dirty.update(influence[q])
+            dirty.update(neighbors(q))
         if len(dirty) >= self._n:
             self._stale_all = True
             dirty.clear()
@@ -435,11 +431,7 @@ class IncrementalEngine(EnabledSetEngine):
                 perf_counter() - t0)
             TELEMETRY.gauge("engine.enabled_set").set(len(enabled))
 
-    def enabled_set(self) -> FrozenSet[ProcessId]:
-        self._flush()
-        return frozenset(self._enabled)
-
-    def enabled_view(self):
+    def enabled_view(self) -> AbstractSet[ProcessId]:
         self._flush()
         return self._enabled
 
@@ -457,25 +449,15 @@ class CrossCheckEngine(IncrementalEngine):
 
     Every flush additionally rescans all guards and raises
     :class:`~repro.core.exceptions.ModelError` if the incrementally
-    maintained set disagrees — the debugging mode to run when a new
-    protocol declares a custom :meth:`reads` hook or a suspiciously
-    narrow :attr:`read_radius`.
+    maintained set disagrees — the debugging mode that catches a
+    configuration written behind the engine's back.
     """
 
     name = "debug"
 
     def _flush(self) -> None:
         super()._flush()
-        fresh = self._scan()
-        if fresh != self._enabled:
-            missing = sorted(map(repr, fresh - self._enabled))
-            extra = sorted(map(repr, self._enabled - fresh))
-            raise ModelError(
-                "incremental enabled-set diverged from full scan "
-                f"(missing: {missing}, stale: {extra}); the protocol's "
-                "reads()/read_radius declaration is too narrow or the "
-                "configuration was mutated without invalidate()"
-            )
+        self._check_scan(self._enabled)
 
 
 _ENGINES = {

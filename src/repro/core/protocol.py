@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from itertools import chain, islice
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..obs.registry import TELEMETRY
 from .actions import Actions
@@ -99,6 +99,12 @@ class Protocol(ABC):
     (:meth:`actions`).  The legitimacy predicate the protocol stabilizes
     to is exposed via :meth:`is_legitimate` so the simulator and the
     benchmark harness can measure stabilization uniformly.
+
+    A guard reads its process's own variables and its neighbors'
+    communication variables, and nothing else
+    (:class:`~repro.core.context.StepContext` serves no other read).
+    The enabled-set engines rely on that locality to decide which
+    guards a step can flip; a protocol declares nothing for it.
     """
 
     #: short name used in traces, tables and benchmark output
@@ -107,43 +113,6 @@ class Protocol(ABC):
     #: True when some action consults the rng (COLORING); deterministic
     #: protocols keep this False so runs are replayable bit-for-bit.
     randomized: bool = False
-
-    #: How far, in hops, a guard may read: 1 (the default, and the only
-    #: distance :class:`~repro.core.context.StepContext` can serve) means
-    #: a process's enabled-status depends only on its own state and its
-    #: direct neighbors' communication variables.  Protocols built on
-    #: wider derived views (e.g. a composed protocol whose guards consume
-    #: pre-aggregated 2-hop summaries) must raise this so the incremental
-    #: enabled-set engine invalidates a large enough neighborhood.
-    read_radius: int = 1
-
-    def reads(self, network, p: ProcessId) -> Iterable[ProcessId]:
-        """Processes whose *communication* state ``p``'s guards may read.
-
-        The default returns the radius-:attr:`read_radius` ball around
-        ``p`` (``p`` itself excluded — own state is always implicitly
-        read, and the engine marks an activated process dirty anyway).
-        :class:`~repro.core.engine.IncrementalEngine` inverts this
-        relation into its influence map, so overriding it with a
-        *tighter* set (e.g. only the neighbor behind a pointer window)
-        is a pure optimization, while an *undersized* set breaks
-        incremental maintenance — audit such overrides with the
-        ``debug`` engine.
-        """
-        if self.read_radius <= 1:
-            return network.neighbors(p)
-        ball = {p}
-        frontier = [p]
-        for _ in range(self.read_radius):
-            nxt = []
-            for r in frontier:
-                for q in network.neighbors(r):
-                    if q not in ball:
-                        ball.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        ball.discard(p)
-        return ball
 
     # ------------------------------------------------------------------
     # Structure

@@ -47,8 +47,9 @@ ProcessId = Hashable
 
 
 def _check_count(count) -> None:
-    """Refuse a step or round count that is not an int (bool excluded)
-    or is negative, before any engine sees it; 0 runs nothing."""
+    """Refuse a step count or round budget that is not an int (bool
+    excluded) or is negative, before any engine sees it; 0 runs
+    nothing."""
     if not isinstance(count, int) or isinstance(count, bool):
         raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
@@ -547,8 +548,8 @@ class Simulator:
         """Tell the engine some states changed behind the simulator's back.
 
         ``processes`` limits the invalidation to the touched processes
-        (and, via the protocol's read-set declaration, everyone whose
-        guards may observe them); ``None`` distrusts the whole network.
+        and their neighbors, whose guards may read them; ``None``
+        distrusts the whole network.
         A process the network does not hold raises ``ValueError``.  The
         fault-injection helpers in :mod:`repro.faults` call this for
         you.
@@ -579,6 +580,7 @@ class Simulator:
         the paper's protocols that indicates a bug, because all three
         are silent within known round bounds.
         """
+        _check_count(max_rounds)
         if self.is_silent():
             return self._report(silent=True)
         engine = self._fused_resident()
@@ -603,6 +605,7 @@ class Simulator:
 
     def run_until_legitimate(self, max_rounds: int = 10_000) -> StabilizationReport:
         """Run until the legitimacy predicate holds (weaker than silence)."""
+        _check_count(max_rounds)
         if self.is_legitimate():
             return self._report(silent=None)
         start_round = self.round_tracker.completed_rounds

@@ -5,16 +5,18 @@ process holds a communication constant color ``C.p`` that differs from
 every neighbor's, ordered by ``≺``.  Any proper vertex coloring provides
 these constants (Theorem 4 then derives a dag orientation from them).
 
-This module supplies several classical constructions — greedy in id
-order, Welsh-Powell (largest degree first) and DSATUR — plus
-verification helpers.  The COLORING protocol itself can also serve as
-the substrate; see :mod:`repro.protocols.composite`.
+This module supplies several classical constructions — first fit in
+process order, Welsh-Powell (largest degree first, also the default
+``greedy`` coloring) and DSATUR — plus verification helpers.  The
+COLORING protocol itself can also serve as the substrate; see
+:mod:`repro.protocols.composite`.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from operator import sub
+from itertools import chain, repeat
+from operator import ne, sub
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -29,10 +31,16 @@ Coloring = Dict[ProcessId, int]
 
 
 def is_proper_coloring(network: Network, colors: Coloring) -> bool:
-    """True iff adjacent processes always carry distinct colors."""
-    if set(colors) != set(network.processes):
+    """True iff adjacent processes always carry distinct colors (read
+    off the port tables, port by port)."""
+    pids = network.processes
+    if set(colors) != set(pids):
         return False
-    return all(colors[p] != colors[q] for p, q in network.edges())
+    column = list(map(colors.__getitem__, pids))
+    offsets, flat = network.port_arrays()
+    owners = chain.from_iterable(
+        map(repeat, column, map(sub, offsets[1:], offsets)))
+    return all(map(ne, owners, map(column.__getitem__, flat)))
 
 
 def assert_local_identifiers(network: Network, colors: Coloring) -> None:
@@ -114,23 +122,28 @@ def _normalize(raw: Dict[ProcessId, int]) -> Coloring:
     return {p: c + 1 for p, c in raw.items()}
 
 
-def greedy_coloring(network: Network) -> Coloring:
-    """Greedy in process-id iteration order; ≤ Δ+1 colors."""
-    raw = nx.greedy_color(network.subgraph_view(), strategy="largest_first")
-    return _normalize(raw)
+def _first_fit(network: Network, order: Iterable[int]) -> Coloring:
+    """First fit along ``order``, positions in :attr:`Network.processes`:
+    each process takes the smallest color no colored neighbor holds,
+    read off the port tables.  Keyed by pid, in ``order``."""
+    offsets, flat = network.port_arrays()
+    order = list(order)
+    color = [0] * network.n  # 0: not colored yet
+    for i in order:
+        taken = set(map(color.__getitem__, flat[offsets[i]:offsets[i + 1]]))
+        c = 1
+        while c in taken:
+            c += 1
+        color[i] = c
+    pids = network.processes
+    return {pids[i]: color[i] for i in order}
 
 
 def sequential_coloring(network: Network, order: Optional[Iterable[ProcessId]] = None) -> Coloring:
     """First-fit along an explicit order (defaults to process order)."""
-    order = list(order) if order is not None else network.processes
-    colors: Coloring = {}
-    for p in order:
-        taken = {colors[q] for q in network.neighbors(p) if q in colors}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[p] = c
-    return colors
+    if order is None:
+        return _first_fit(network, range(network.n))
+    return _first_fit(network, map(network.process_index().__getitem__, order))
 
 
 def dsatur_coloring(network: Network) -> Coloring:
@@ -140,9 +153,17 @@ def dsatur_coloring(network: Network) -> Coloring:
 
 
 def welsh_powell_coloring(network: Network) -> Coloring:
-    """Welsh-Powell: first-fit in non-increasing degree order."""
-    order = sorted(network.processes, key=lambda p: -network.degree(p))
-    return sequential_coloring(network, order)
+    """Welsh-Powell: first-fit in non-increasing degree order, ties in
+    process order; ≤ Δ+1 colors.  networkx's ``largest_first`` greedy
+    coloring, dict order included."""
+    offsets = network.port_arrays()[0]
+    degrees = list(map(sub, offsets[1:], offsets))
+    return _first_fit(network, sorted(range(network.n),
+                                      key=degrees.__getitem__, reverse=True))
+
+
+#: the protocols' default local-identifier coloring ("greedy")
+greedy_coloring = welsh_powell_coloring
 
 
 def random_proper_coloring(network: Network, rng) -> Coloring:

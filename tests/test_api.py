@@ -373,6 +373,14 @@ class TestCampaign:
             == "coloring"
         assert [s.seed for s in campaign.specs[:2]] == [0, 1]
 
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_grid_passes_seeds_through_unchanged(self, seed):
+        """A seed that is not an int meets the spec's own check instead
+        of running as ``int(seed)`` under that seed's key."""
+        with pytest.raises(ValueError, match="ExperimentSpec.seed"):
+            Campaign.grid(protocols=["coloring"],
+                          topologies=[("ring", {"n": 8})], seeds=[seed])
+
     def test_duplicate_specs_rejected(self):
         spec = ExperimentSpec(protocol="coloring", topology="ring",
                               topology_params={"n": 8})

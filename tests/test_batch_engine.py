@@ -529,11 +529,10 @@ class OneShot(Protocol):
         return all(not config.get(p, "x") for p in network.processes)
 
 
-class NarrowReads(Protocol):
-    """Kernel-less protocol whose guard reads port 1 while ``reads()``
-    declares no neighbor: incremental maintenance misses its updates."""
+class CopyPortOne(Protocol):
+    """Kernel-less protocol whose guard reads the neighbor at port 1."""
 
-    name = "narrow-reads"
+    name = "copy-port-one"
 
     def variables(self, network, p):
         return (comm("x", BOOL),)
@@ -546,9 +545,6 @@ class NarrowReads(Protocol):
                 lambda ctx: ctx.set("x", True),
             ),
         )
-
-    def reads(self, network, p):
-        return ()
 
     def is_legitimate(self, network, config):
         return all(config.get(p, "x") for p in network.processes)
@@ -775,18 +771,17 @@ class TestBatchCrossCheck:
     @pytest.mark.parametrize("engine", ["debug", "batch-debug"])
     def test_scalar_fallback_is_audited(self, engine):
         """Without a kernel, batch-debug falls back to the audited
-        scalar engine: a too-narrow reads() declaration is caught."""
+        scalar engine: a write behind the engine's back is caught."""
         net = topology_registry.build("ring", n=8)
-        first = net.processes[0]
-        config = Configuration(
-            {p: {"x": p == first} for p in net.processes})
-        sim = Simulator(NarrowReads(), net,
+        config = Configuration({p: {"x": False} for p in net.processes})
+        sim = Simulator(CopyPortOne(), net,
                         scheduler=CentralScheduler(enabled_only=True),
                         seed=0, config=config, engine=engine)
-        assert not getattr(sim.engine, "batch_active", False)
+        assert not sim.engine.batch_active
+        assert sim.enabled_processes() == []
+        sim.config.set(net.processes[0], "x", True)  # no invalidate
         with pytest.raises(ModelError, match="diverged from full scan"):
-            for _ in range(20):
-                sim.step()
+            sim.step()
 
     def test_silence_verdict_is_audited(self, monkeypatch):
         """A columnar silence verdict that disagrees with the exact

@@ -166,12 +166,16 @@ class TestExecuteStepContract:
 
 class TestEnabledSetMaintenance:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
-    def test_matches_brute_force_along_random_runs(self, engine):
+    @pytest.mark.parametrize("protocol", protocol_registry.names())
+    @pytest.mark.parametrize("scheduler", ["random-subset",
+                                           "enabled-central"])
+    def test_matches_brute_force_along_random_runs(self, engine, protocol,
+                                                   scheduler):
         for seed in (0, 3, 11):
             net = random_connected(12, 0.3, seed=seed)
             sim = Simulator(
-                build_protocol("mis", net), net,
-                scheduler=RandomSubsetScheduler(0.5), seed=seed,
+                protocol_registry.build(protocol, net), net,
+                scheduler=SCHEDULERS[scheduler](net), seed=seed,
                 engine=engine,
             )
             for _ in range(40):
@@ -332,35 +336,6 @@ class TestStatefulSchedulerReuse:
             assert traces[i] == traces[0], engine
 
 
-class TestReadDeclarations:
-    def test_default_reads_is_direct_neighborhood(self):
-        net = grid(3, 3)
-        proto = ColoringProtocol.for_network(net)
-        for p in net.processes:
-            assert sorted(map(repr, proto.reads(net, p))) == sorted(
-                map(repr, net.neighbors(p))
-            )
-
-    def test_wider_read_radius_grows_the_ball(self):
-        class TwoHop(ColoringProtocol):
-            read_radius = 2
-
-        net = chain(7)
-        proto = TwoHop(palette_size=3)
-        assert sorted(proto.reads(net, 3)) == [1, 2, 4, 5]
-        assert sorted(proto.reads(net, 0)) == [1, 2]
-
-    def test_incremental_respects_declared_radius(self):
-        class TwoHop(ColoringProtocol):
-            read_radius = 2
-
-        net = ring(10)
-        sim = Simulator(TwoHop.for_network(net), net,
-                        scheduler=CentralScheduler(), seed=8, engine="debug")
-        sim.run_steps(60)  # the audit raises if invalidation is too narrow
-        assert sim.enabled_processes() == brute_force_enabled(sim)
-
-
 class TestMakeEngine:
     def test_names_round_trip(self):
         for name in ENGINE_NAMES:
@@ -411,7 +386,8 @@ class TestBadInputOnEveryEngine:
         net = ring(8)
         sim = Simulator(ColoringProtocol.for_network(net), net, seed=1,
                         engine=engine, metrics="aggregate")
-        for run in (sim.run_steps, sim.run_rounds):
+        for run in (sim.run_steps, sim.run_rounds, sim.run_until_silent,
+                    sim.run_until_legitimate):
             with pytest.raises(ValueError, match="count must be an int"):
                 run(count)
         assert sim.step_index == 0
@@ -424,7 +400,8 @@ class TestBadInputOnEveryEngine:
         sim = Simulator(ColoringProtocol.for_network(net), net, seed=1,
                         engine=engine, metrics="aggregate")
         before = sim.config.as_dict()
-        for run in (sim.run_steps, sim.run_rounds):
+        for run in (sim.run_steps, sim.run_rounds, sim.run_until_silent,
+                    sim.run_until_legitimate):
             with pytest.raises(ValueError, match=(
                     rf"count must not be negative, got {count}$")):
                 run(count)

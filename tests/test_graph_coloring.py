@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.core.exceptions import TopologyError
@@ -19,6 +20,7 @@ from repro.graphs import (
     sequential_coloring,
     welsh_powell_coloring,
 )
+from repro.graphs.topology import Network, relabel_ports_randomly
 
 ALGOS = [
     greedy_coloring,
@@ -76,3 +78,26 @@ class TestHelpers:
         net = chain(3)
         colors = sequential_coloring(net, order=[2, 1, 0])
         assert colors[2] == 1  # first in order gets color 1
+
+
+#: every connected graph of networkx's bundled atlas (2 to 7 nodes)
+ATLAS = [graph for graph in nx.graph_atlas_g()
+         if graph.number_of_nodes() >= 2 and nx.is_connected(graph)]
+
+
+def test_greedy_is_networkx_largest_first_on_every_atlas_graph():
+    """The port-table first fit is networkx's ``largest_first`` greedy
+    coloring (shifted to 1-based), dict order included, under the
+    graph's own port numbering and a random relabeling; the proper-
+    coloring check refuses the copy of a color across any edge."""
+    assert len(ATLAS) == 995
+    for index, graph in enumerate(ATLAS):
+        own = Network(graph)
+        for net in (own, relabel_ports_randomly(own, random.Random(index))):
+            expect = [(p, c + 1) for p, c in nx.greedy_color(
+                net.subgraph_view(), strategy="largest_first").items()]
+            colors = greedy_coloring(net)
+            assert list(colors.items()) == expect, index
+            assert is_proper_coloring(net, colors), index
+            for p, q in net.edges():
+                assert not is_proper_coloring(net, {**colors, p: colors[q]})

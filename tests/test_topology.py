@@ -373,9 +373,10 @@ class TestNetworkxOnDemand:
     """A sparse trial on the fused columnar path never needs the
     networkx graph, and a scalar one never needs NumPy."""
 
-    def test_fused_sparse_coloring_builds_no_graph(self):
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_fused_sparse_coloring_builds_no_graph(self, protocol):
         spec = ExperimentSpec(
-            protocol="coloring", topology="sparse",
+            protocol=protocol, topology="sparse",
             topology_params={"n": 400, "avg_degree": 3, "seed": 11},
             seed=4, engine="batch-resident", metrics="aggregate",
         )

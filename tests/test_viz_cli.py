@@ -129,3 +129,20 @@ class TestCLI:
     def test_unknown_topology(self):
         with pytest.raises(SystemExit):
             main(["run", "coloring", "--topology", "moebius", "--n", "8"])
+
+    @pytest.mark.parametrize("command", [
+        ["campaign"],
+        ["fabric", "run", "--store", "fabric.sqlite"],
+        ["fabric", "plan", "--workdir", "plan"],
+    ], ids=["campaign", "fabric-run", "fabric-plan"])
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_grid_commands_refuse_fewer_than_one_seed(
+            self, command, seeds, capsys, tmp_path, monkeypatch):
+        """An empty seed range would run an empty grid and exit 0."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--seeds", seeds])
+        assert excinfo.value.code == 2
+        assert (f"argument --seeds: must be at least 1, got {int(seeds)}"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
