@@ -72,9 +72,9 @@ class ExperimentSpec:
     #: columnar across fused synchronous steps and decodes rows only
     #: at observation boundaries.
     engine: str = "incremental"
-    #: metrics tier ("full" | "aggregate" | "off"): "aggregate" streams
-    #: the paper's measures without per-step records (identical final
-    #: measures, much cheaper); "off" disables collection entirely.
+    #: metrics tier ("full" | "aggregate" | "off"): "full" and
+    #: "aggregate" fold identical measures ("aggregate" builds no
+    #: per-step records); "off" disables collection entirely.
     metrics: str = "full"
     #: scenario name from the scenario registry (None = scenario-free
     #: run).  A scenario is an experiment axis: it changes results, so

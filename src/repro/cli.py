@@ -832,10 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "updates, full-scan fallback, or the "
                           "self-auditing debug mode)")
     run.add_argument("--metrics", default="full", choices=METRICS_TIERS,
-                     help="metrics tier: full per-step records, "
-                          "streamed aggregates (identical measures, "
-                          "faster), or off (throughput only — the "
-                          "communication measures print as 0)")
+                     help="metrics tier: full (each step also "
+                          "builds its record), aggregate (identical "
+                          "measures, no records), or off (throughput "
+                          "only — the communication measures print "
+                          "as 0)")
     run.add_argument("--scenario", default=None,
                      help="fault/churn scenario, name:key=value,... "
                           f"(known: {', '.join(scenario_registry.names())})")
@@ -889,8 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metrics", default=None, choices=METRICS_TIERS,
                        help="metrics tier applied to every spec (with "
                             "--from-json: overrides the loaded specs' "
-                            "tiers); aggregate keeps results identical "
-                            "to full at a fraction of the step cost")
+                            "tiers); aggregate gives the results of "
+                            "full without building step records")
         p.add_argument("--scenario", default=None,
                        help="fault/churn scenario applied to every spec, "
                             "name:key=value,... (with --from-json: "

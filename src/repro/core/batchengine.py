@@ -18,15 +18,14 @@ table.  Like every engine it executes the step the simulator hands it;
    sync hook the engine installs on the
    :class:`~repro.core.state.Configuration`, so traces, silence
    detection, predicates and fault injectors see identical state, and
-4. returns a :class:`BatchOutcome` that reproduces the scalar
-   engine's metrics byte for byte under both the ``full`` and
-   ``aggregate`` tiers.
+4. returns a :class:`BatchOutcome` that folds the scalar engine's
+   measures byte for byte and builds its ``full``-tier step record.
 
 On eligible runs the fused :meth:`BatchEngine.run_steps` loop goes
 further and executes whole plain-synchronous-daemon step sequences —
-classification, writes, round tracking, aggregate metrics folds —
-without returning to Python rows in between.  Silence and legitimacy
-are each decided in one place, :meth:`Simulator.is_silent
+classification, writes, round tracking, metrics folds — at any metrics
+tier, without returning to Python rows in between.  Silence and
+legitimacy are each decided in one place, :meth:`Simulator.is_silent
 <repro.core.simulator.Simulator.is_silent>` and
 :meth:`Simulator.is_legitimate
 <repro.core.simulator.Simulator.is_legitimate>`, which take the
@@ -112,10 +111,9 @@ class BatchKernel:
       byte-identical metrics);
     * ``aux`` — intermediate columns :meth:`plan_writes` reuses.
 
-    :meth:`plan_writes` turns the classification into per-slot write
-    batches.  Any randomness must draw from ``rng`` once per affected
-    process in selection order — identical to the scalar effects' draw
-    sequence.
+    :meth:`plan_writes` writes the classified step into the store.  Any
+    randomness must draw from ``rng`` once per affected process in
+    selection order — identical to the scalar effects' draw sequence.
     """
 
     #: action names in protocol priority order (code -> name)
@@ -138,22 +136,17 @@ class BatchKernel:
         raise NotImplementedError
 
     def plan_writes(self, idx, codes, aux, rng):
-        """Plan γi+1 for the classified processes in ``idx``.
-
-        Returns the list of ``(slot, positions, encoded_values)`` column
-        writes.  Randomized rules must draw from ``rng`` in selection
-        order so the stream matches the scalar loop draw for draw.
+        """Write γi+1 of the classified processes in ``idx`` into the
+        store: sparse ``store.write`` batches, or a whole-column
+        ``store.write_col`` where every process writes a slot and
+        ``idx is store.all_idx`` (the fused driver's selection).
+        Randomized rules must draw from ``rng`` in selection order so
+        the stream matches the scalar loop draw for draw.
         """
         raise NotImplementedError
 
-    # -- optional fused-loop extensions ---------------------------------
+    # -- optional columnar verdicts -------------------------------------
     #: Kernels may additionally provide
-    #:
-    #: ``plan_writes_resident(codes, aux, rng)`` — apply a whole-network
-    #: step's writes directly to the store as column replacements
-    #: (``store.write_col``) plus sparse ``store.write`` batches, with
-    #: the exact same RNG draw sequence as :meth:`plan_writes`; used by
-    #: the fused driver when the selection is the full network.
     #:
     #: ``silent_cols()`` — the silence verdict straight from the
     #: columns (must agree with the exact scalar
@@ -195,7 +188,7 @@ class BatchOutcome:
                           ports_read, bits_read, closed)
 
     def fold(self, collector, closed: bool) -> None:
-        """Fold the step into ``collector`` (the ``aggregate`` tier)."""
+        """Fold the step into ``collector`` (every measured tier)."""
         self.engine.fold_aggregate(self, collector, closed)
 
 
@@ -210,9 +203,9 @@ class BatchEngine(EnabledSetEngine):
     ``config.get``/``state_of`` reads — transparently materializes
     first and can never see stale rows; silence walks, which read
     through pooled contexts, materialize explicitly.  The simulator's
-    ``run_steps``/``run_until_silent`` delegate to the fused
-    :meth:`run_steps` loop under the plain synchronous daemon.  The
-    scalar engines remain the oracles.
+    ``run_steps``/``run_until_silent``/``run_rounds`` delegate to the
+    fused :meth:`run_steps` loop under the plain synchronous daemon.
+    The scalar engines remain the oracles.
     """
 
     name = "batch-resident"
@@ -225,7 +218,7 @@ class BatchEngine(EnabledSetEngine):
     _enabled_cache: Optional[frozenset] = None
     _enabled_list_cache: Optional[Tuple[ProcessId, ...]] = None
     _stale_all = False
-    #: the aggregate fold's activation counts and per-port seen flags,
+    #: the metrics fold's activation counts and per-port seen flags,
     #: built on the first fold
     _pending_act = None
     _seen = None
@@ -348,10 +341,7 @@ class BatchEngine(EnabledSetEngine):
         codes, ports, bits, aux = self._kernel.classify(idx)
         t1 = perf_counter() if obs_on else 0.0
         self._audit_step(idx, codes, ports, bits)
-        for slot, w_idx, w_vals in self._kernel.plan_writes(
-                idx, codes, aux, rng):
-            if w_idx:
-                store.write(slot, w_idx, w_vals)
+        self._kernel.plan_writes(idx, codes, aux, rng)
         self._drop_enabled_cache()
         if obs_on:
             TELEMETRY.histogram("engine.classify_s").observe(t1 - t0)
@@ -380,12 +370,13 @@ class BatchEngine(EnabledSetEngine):
         Executes plain synchronous-daemon steps — every step activates
         the whole network and closes exactly one round — entirely in
         columnar space: classification, writes, round accounting and
-        aggregate metrics folds, returning to Python rows only at the
-        horizon (``max_steps``, which is also the round budget) or at
-        silence (``stop_on_silence``, asked of :meth:`Simulator.is_silent`
-        after every step).  Byte-identical to driving
-        :meth:`Simulator.step` in a loop: same RNG draw sequence, same
-        float fold order, same round closures, same silence boundaries.
+        metrics folds (unless the tier is ``off``), returning to Python
+        rows only at the horizon (``max_steps``, which is also the round
+        budget) or at silence (``stop_on_silence``, asked of
+        :meth:`Simulator.is_silent` after every step).  Byte-identical
+        to driving :meth:`Simulator.step` in a loop: same RNG draw
+        sequence, same float fold order, same round closures, same
+        silence boundaries.
 
         Returns ``(steps_executed, silent)``; ``silent`` is ``None``
         unless ``stop_on_silence`` was requested, in which case it
@@ -397,8 +388,7 @@ class BatchEngine(EnabledSetEngine):
         all_idx = store.all_idx
         n = store.n
         rng = sim.rngs.protocol if sim.protocol.randomized else None
-        collector = sim._metrics if sim.metrics_tier == "aggregate" else None
-        resident_plan = getattr(kernel, "plan_writes_resident", None)
+        collector = sim._metrics if sim.metrics_tier != "off" else None
         audit = self._audit_step
         # Telemetry is sampled at the span boundary, never inside the
         # fused loop: one enabled-check + one clock read per
@@ -412,13 +402,7 @@ class BatchEngine(EnabledSetEngine):
         while max_steps is None or steps < max_steps:
             codes, ports, bits, aux = kernel.classify(all_idx)
             audit(all_idx, codes, ports, bits)
-            if resident_plan is not None:
-                resident_plan(codes, aux, rng)
-            else:
-                for slot, w_idx, w_vals in kernel.plan_writes(
-                        all_idx, codes, aux, rng):
-                    if w_idx:
-                        store.write(slot, w_idx, w_vals)
+            kernel.plan_writes(all_idx, codes, aux, rng)
             steps += 1
             if collector is not None:
                 self.fold_aggregate(

@@ -95,7 +95,7 @@ class ScalarOutcome:
                           ports_read, bits_read, closed)
 
     def fold(self, collector, closed: bool) -> None:
-        """Fold the step into ``collector`` (the ``aggregate`` tier)."""
+        """Fold the step into ``collector`` (every measured tier)."""
         collector.record_lean(self.executions, closed)
 
 

@@ -11,42 +11,36 @@ Implements the measurable side of the paper's Section 3:
   observed with ``R_p ≤ k`` for x processes over a suffix is evidence of
   ♦-(x, k)-stability.
 
-The simulator feeds the collector through one of three *metrics tiers*
-(:data:`METRICS_TIERS`, the ``metrics=`` knob on
+The *metrics tier* (:data:`METRICS_TIERS`, the ``metrics=`` knob on
 :class:`~repro.core.simulator.Simulator` and
-:class:`~repro.api.ExperimentSpec`):
+:class:`~repro.api.ExperimentSpec`) decides two things only: whether
+the measures fold, and what ``Simulator.step`` returns.
 
-* ``"full"`` — one :class:`StepRecord` per step, exactly the historical
-  behavior; required by traces and the replay tests.
-* ``"aggregate"`` — the paper's measures are folded straight off the
-  step's pooled contexts (:meth:`MetricsCollector.record_lean`) or
-  columns without materializing a ``StepRecord``; every aggregate
-  reported by :meth:`MetricsCollector.summary` and the suffix
-  machinery is identical to the ``full`` tier's, at a fraction of the
-  per-step cost.
+* ``"full"`` and ``"aggregate"`` fold every step the same way, straight
+  off the step's pooled contexts (:meth:`MetricsCollector.record_lean`)
+  or columns, so every measure reported by
+  :meth:`MetricsCollector.summary` and the suffix machinery is the same
+  on both.  ``step()`` returns a :class:`StepRecord` under ``"full"``
+  (traces need it) and a :class:`LeanStepRecord` under ``"aggregate"``.
 * ``"off"`` — the collector is never touched; only
   ``Simulator.step_index`` and the round tracker advance.
 
-Memory contract: the collector itself is ``O(n + Σ|read sets|)`` —
-aggregates and per-process read sets, independent of run length.  The
-per-process dicts (``activations``, ``read_sets``) are built on first
-read: an engine that keeps those counts in its own arrays registers a
-drain (:meth:`MetricsCollector.defer_per_process`) that folds them in
+Memory contract: the collector is ``O(n + Σ|read sets|)`` —
+aggregates and per-process read sets, independent of run length; it
+keeps no step record.  The per-process dicts (``activations``,
+``read_sets``) are built on first read: an engine that keeps those
+counts in its own arrays registers a drain
+(:meth:`MetricsCollector.defer_per_process`) that folds them in
 whenever either dict is read, so a run that only reads the scalar
-measures never builds them.  Step
-records are **not retained** unless explicitly requested via
-``keep_records=N``, which keeps a bounded deque of the most recent N
-records (``MetricsCollector.records``); unbounded retention is
-deliberately impossible.  The collector can be "re-armed"
+measures never builds them.  The collector can be "re-armed"
 (``start_suffix``) at the silence point so the suffix read-sets measure
 the stabilized phase exactly as the paper's ♦-notions require.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, Hashable, List, Optional, Set
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set
 
 ProcessId = Hashable
 
@@ -75,9 +69,9 @@ class LeanStepRecord:
     """Skeletal step result returned under the non-``full`` tiers.
 
     Carries just enough for the run loops (``closed_round`` drives
-    ``run_until_silent``); per-process read sets and rule names are
-    folded into the collector (``aggregate``) or dropped (``off``)
-    without ever being materialized.
+    ``run_until_silent``); the step's reads have been folded into the
+    collector (``aggregate``) or dropped (``off``) without building a
+    :class:`StepRecord`.
     """
 
     index: int
@@ -86,20 +80,13 @@ class LeanStepRecord:
 
 
 class MetricsCollector:
-    """Aggregates step records into the paper's communication measures.
+    """Aggregates steps into the paper's communication measures.
 
-    Parameters
-    ----------
-    processes:
-        The network's process list (aggregates are keyed per process).
-    keep_records:
-        Optional bounded retention: keep the most recent ``N`` full
-        :class:`StepRecord` objects in :attr:`records` for debugging.
-        The default ``0`` retains nothing — the memory contract of the
-        collector is independent of run length.
+    ``processes`` is the network's process list (aggregates are keyed
+    per process).
     """
 
-    def __init__(self, processes: List[ProcessId], keep_records: int = 0):
+    def __init__(self, processes: List[ProcessId]):
         self._processes = list(processes)
         self.steps = 0
         self.rounds = 0
@@ -118,14 +105,6 @@ class MetricsCollector:
         #: accumulated neighbor-read sets since :meth:`start_suffix`
         self.suffix_read_sets: Optional[Dict[ProcessId, Set[int]]] = None
         self.suffix_start_step: Optional[int] = None
-        if keep_records < 0:
-            raise ValueError("keep_records must be >= 0")
-        self.keep_records = keep_records
-        #: bounded deque of the most recent records (None unless
-        #: ``keep_records > 0``; only the ``full`` tier feeds it)
-        self.records: Optional[Deque[StepRecord]] = (
-            deque(maxlen=keep_records) if keep_records else None
-        )
         # -- scenario measures (fed by fault injection / ScenarioRuntime;
         #    all stay zero on scenario-free runs, and the ``off`` tier
         #    never feeds them) ------------------------------------------
@@ -172,7 +151,8 @@ class MetricsCollector:
 
     # ------------------------------------------------------------------
     def record(self, record: StepRecord) -> None:
-        """Fold one step record into the aggregates (``full``-tier hook)."""
+        """Fold one given :class:`StepRecord` into the aggregates, as
+        :meth:`record_lean` folds the step it was built from."""
         self.steps += 1
         if record.closed_round:
             self.rounds += 1
@@ -191,11 +171,9 @@ class MetricsCollector:
             if bits > self.max_bits_in_step:
                 self.max_bits_in_step = bits
             self.total_bits += bits
-        if self.records is not None:
-            self.records.append(record)
 
     def record_lean(self, executions, closed_round: bool) -> None:
-        """Fold one step straight off the step contexts (``aggregate``).
+        """Fold one scalar step straight off its step contexts.
 
         ``executions`` is the engine's ``(pid, ctx, action)`` list for
         the step, one entry per selected process (a selection is a

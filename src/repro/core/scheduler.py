@@ -284,12 +284,12 @@ DEFAULT_SCHEDULERS = (
 
 
 def make_scheduler(name: str, **kwargs) -> Scheduler:
-    """Factory by name (used by examples and the benchmark harness).
+    """Build a scheduler of this module by its name.
 
     Covers every scheduler in this module.  ``fixed-sequence`` needs a
-    ``sequence=`` kwarg and ``locally-central`` a ``network=`` kwarg;
-    the :mod:`repro.api` scheduler registry injects the network lazily
-    at :class:`~repro.core.simulator.Simulator` build time.
+    ``sequence=`` kwarg and ``locally-central`` a ``network=`` kwarg.
+    Specs, the CLI and campaigns go through the :mod:`repro.api`
+    scheduler registry instead, whose builders take the network first.
     """
     table = {cls.name: cls for cls in DEFAULT_SCHEDULERS}
     try:

@@ -22,9 +22,10 @@ The simulator schedules and accounts; the engine executes.  The scalar
 engines run a loop over one pooled
 :class:`~repro.core.context.StepContext` per process, and an active
 columnar engine runs whole steps over columns; both produce the same
-``γi+1`` bit for bit.  Under ``metrics="aggregate"`` the step's outcome
-folds the paper's measures into the collector without materializing a
-per-step :class:`~repro.core.metrics.StepRecord`.
+``γi+1`` bit for bit.  Every measured tier folds the step's outcome
+into the collector the same way; the metrics tier decides only whether
+measures fold and what :meth:`Simulator.step` returns, never which path
+a run takes.
 """
 
 from __future__ import annotations
@@ -103,18 +104,13 @@ class Simulator:
         Every engine yields step-for-step identical executions; they
         differ only in how much work a step costs.
     metrics:
-        Metrics tier (:data:`~repro.core.metrics.METRICS_TIERS`):
-        ``"full"`` (default) returns one
-        :class:`~repro.core.metrics.StepRecord` per step exactly as
-        before; ``"aggregate"`` streams the paper's measures into the
-        collector without building records (identical final measures,
-        much cheaper — :meth:`step` then returns a
-        :class:`~repro.core.metrics.LeanStepRecord`); ``"off"`` skips
-        the collector entirely.  Traces require ``"full"``.
-    keep_records:
-        Bounded :class:`~repro.core.metrics.StepRecord` retention under
-        the ``full`` tier (most recent N on ``metrics.records``);
-        ``0`` (default) retains nothing.
+        Metrics tier (:data:`~repro.core.metrics.METRICS_TIERS`).
+        ``"full"`` (default) and ``"aggregate"`` fold the same measures
+        into the collector; :meth:`step` returns a full
+        :class:`~repro.core.metrics.StepRecord` under ``"full"`` and a
+        :class:`~repro.core.metrics.LeanStepRecord` otherwise.
+        ``"off"`` skips the collector entirely.  Traces require
+        ``"full"``.
     scenario:
         Optional scenario script (any object exposing ``bind(sim)``
         returning a runtime with ``before_step``/``after_step`` hooks —
@@ -140,7 +136,6 @@ class Simulator:
         config: Optional[Configuration] = None,
         engine: Union[str, EnabledSetEngine] = "incremental",
         metrics: str = "full",
-        keep_records: int = 0,
         scenario=None,
         protocol_factory: Optional[Callable] = None,
     ):
@@ -173,9 +168,7 @@ class Simulator:
         self._config = config
         self._processes = network.processes
         self.round_tracker = RoundTracker(self._processes)
-        self._metrics = MetricsCollector(
-            self._processes, keep_records=keep_records
-        )
+        self._metrics = MetricsCollector(self._processes)
         self.step_index = 0
         engine = make_engine(engine)
         #: the requested engine class: a replaced γ or network gets a
@@ -411,13 +404,12 @@ class Simulator:
             self._obs_steps.inc()
             self._obs_activations.inc(len(selected))
         tier = self.metrics_tier
+        if tier != "off":
+            outcome.fold(self._metrics, closed)
         if tier == "full":
             record = outcome.record(index, closed)
-            self._metrics.record(record)
         else:
             record = LeanStepRecord(index, len(selected), closed)
-            if tier == "aggregate":
-                outcome.fold(self._metrics, closed)
         if runtime is not None:
             runtime.after_step(self, closed)
         return record
@@ -426,16 +418,17 @@ class Simulator:
         """The engine to hand a fused columnar run to, or None.
 
         The fused driver covers scenario-free runs under the plain
-        synchronous daemon below the ``full`` metrics tier on an active
-        columnar engine; anything else — per-step records, scenario
-        hooks, ``enabled_only`` and other daemons — keeps the per-step
-        loop, which handles the columns via the materialization hook.
+        synchronous daemon on an active columnar engine, at every
+        metrics tier (it folds the same measures :meth:`step` does);
+        anything else — scenario hooks, ``enabled_only`` and other
+        daemons — keeps the per-step loop, which handles the columns via
+        the materialization hook.  A caller that wants each step's
+        record (a trace) drives :meth:`step` itself.
         """
         engine = self.engine
         if (
             engine.batch_active
             and self.scenario_runtime is None
-            and self.metrics_tier != "full"
             and type(self.scheduler) is SynchronousScheduler
             and not self._enabled_pool
         ):
@@ -455,6 +448,10 @@ class Simulator:
     def run_rounds(self, count: int) -> int:
         """Execute until ``count`` more rounds complete; returns steps used."""
         _check_count(count)
+        if self._fused_resident() is not None:
+            # Every plain synchronous step closes exactly one round.
+            self.run_steps(count)
+            return count
         target = self.round_tracker.completed_rounds + count
         steps = 0
         while self.round_tracker.completed_rounds < target:

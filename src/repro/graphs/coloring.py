@@ -15,7 +15,6 @@ COLORING protocol itself can also serve as the substrate; see
 from __future__ import annotations
 
 from abc import abstractmethod
-from itertools import chain, repeat
 from operator import ne, sub
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -37,10 +36,7 @@ def is_proper_coloring(network: Network, colors: Coloring) -> bool:
     if set(colors) != set(pids):
         return False
     column = list(map(colors.__getitem__, pids))
-    offsets, flat = network.port_arrays()
-    owners = chain.from_iterable(
-        map(repeat, column, map(sub, offsets[1:], offsets)))
-    return all(map(ne, owners, map(column.__getitem__, flat)))
+    return all(map(ne, *network.port_ends(column)))
 
 
 def assert_local_identifiers(network: Network, colors: Coloring) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import contains, sub
 from typing import (Collection, Dict, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
@@ -379,6 +379,16 @@ class Network:
                 [tuple(map(index, row)) for row in self._ports.values()]
             )
         return self._port_arrays
+
+    def port_ends(self, column: Sequence) -> Tuple[Iterable, Iterable]:
+        """Two aligned iterators over every port: the value ``column``
+        (indexed like :attr:`processes`) holds for the port's owner, and
+        the value it holds for the neighbor behind the port.  Each edge
+        appears twice, once from each end; no networkx graph is built."""
+        offsets, flat = self.port_arrays()
+        owners = chain.from_iterable(
+            map(repeat, column, map(sub, offsets[1:], offsets)))
+        return owners, map(column.__getitem__, flat)
 
     def with_ports(self, ports: Mapping[ProcessId, Sequence[ProcessId]]) -> "Network":
         """A copy of this network with (some) port maps replaced."""

@@ -8,6 +8,7 @@ Lemma 2's potential-function argument.
 
 from __future__ import annotations
 
+from operator import ne
 from typing import Hashable, List, Tuple
 
 from ..core.state import Configuration
@@ -19,10 +20,10 @@ ProcessId = Hashable
 def coloring_predicate(
     network: Network, config: Configuration, var: str = "C"
 ) -> bool:
-    """The vertex coloring predicate over communication variable ``var``."""
-    return all(
-        config.get(p, var) != config.get(q, var) for p, q in network.edges()
-    )
+    """The vertex coloring predicate over communication variable ``var``
+    (read off the port tables, so no networkx graph is built)."""
+    column = [config.get(p, var) for p in network.processes]
+    return all(map(ne, *network.port_ends(column)))
 
 
 def conflicting_edges(

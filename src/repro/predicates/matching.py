@@ -8,6 +8,7 @@ matching of the network.
 
 from __future__ import annotations
 
+from operator import or_
 from typing import Hashable, List, Set, Tuple
 
 from ..core.state import Configuration
@@ -65,12 +66,17 @@ def is_maximal_matching(network: Network, edges: List[Edge]) -> bool:
     for p, q in edges:
         covered.add(p)
         covered.add(q)
-    return all(p in covered or q in covered for p, q in network.edges())
+    column = [p in covered for p in network.processes]
+    return all(map(or_, *network.port_ends(column)))
 
 
 def matching_predicate(network: Network, config: Configuration) -> bool:
-    """The maximal matching predicate over the PR pointers."""
-    return is_maximal_matching(network, matched_edges(network, config))
+    """The maximal matching predicate over the PR pointers, read off the
+    port tables: every edge has a married endpoint (:func:`is_married`).
+    Each process has one pointer, so the married pairs always form a
+    matching; only maximality needs checking."""
+    married = [is_married(network, config, p) for p in network.processes]
+    return all(map(or_, *network.port_ends(married)))
 
 
 def married_processes(network: Network, config: Configuration) -> Set[ProcessId]:

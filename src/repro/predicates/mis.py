@@ -8,6 +8,7 @@ Legitimate configurations of protocol MIS satisfy both:
 
 from __future__ import annotations
 
+from operator import and_
 from typing import Hashable, List, Set
 
 from ..core.state import Configuration
@@ -27,10 +28,9 @@ def dominators(
 
 
 def is_independent_set(network: Network, members: Set[ProcessId]) -> bool:
-    """No two members are neighbors."""
-    return all(
-        not (p in members and q in members) for p, q in network.edges()
-    )
+    """No two members are neighbors (read off the port tables)."""
+    column = [p in members for p in network.processes]
+    return not any(map(and_, *network.port_ends(column)))
 
 
 def is_maximal_independent_set(network: Network, members: Set[ProcessId]) -> bool:

@@ -33,6 +33,7 @@ from ..core.silence import is_silent
 from ..core.simulator import Simulator
 from ..core.state import Configuration
 from ..graphs.topology import Network
+from ..verification.exhaustive import enumerate_configurations
 
 ProcessId = Hashable
 CommState = Tuple[Tuple[str, object], ...]
@@ -48,43 +49,20 @@ def enumerate_silent_configurations(
 ) -> Iterator[Configuration]:
     """All silent configurations of a small network, by brute force.
 
-    Iterates the full cross product of every variable domain (constants
-    pinned to their declared values) and yields the configurations the
-    silence checker certifies.  Guard with ``limit`` for safety.
+    Filters :func:`~repro.verification.exhaustive.enumerate_configurations`
+    (the cross product of every variable domain, constants pinned to
+    their declared values) through the silence checker, in that order,
+    and stops after ``limit`` configurations.  A space of more than
+    500,000 configurations raises
+    :class:`~repro.core.exceptions.ConvergenceError` on the first
+    ``next()``, before any configuration is checked.
     """
     specs_of = protocol.specs_of(network)
-    processes = network.processes
-    per_process_choices = []
-    for p in processes:
-        consts = protocol.constant_values(network, p)
-        names = []
-        domains = []
-        for spec in specs_of[p]:
-            names.append(spec.name)
-            if spec.kind == "const":
-                domains.append([consts[spec.name]])
-            else:
-                domains.append(list(spec.domain))
-        per_process_choices.append((p, names, domains))
-
-    def states_for(p, names, domains):
-        for combo in itertools.product(*domains):
-            yield dict(zip(names, combo))
-
-    produced = 0
-    iterators = [
-        list(states_for(p, names, domains))
-        for p, names, domains in per_process_choices
-    ]
-    for assignment in itertools.product(*iterators):
-        config = Configuration(
-            {p: state for (p, _n, _d), state in zip(per_process_choices, assignment)}
-        )
-        if is_silent(protocol, network, config, specs_of=specs_of):
-            yield config
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+    silent = (
+        config for config in enumerate_configurations(protocol, network)
+        if is_silent(protocol, network, config, specs_of=specs_of)
+    )
+    return itertools.islice(silent, limit)
 
 
 @dataclass

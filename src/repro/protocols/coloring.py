@@ -122,26 +122,17 @@ class ColoringBatchKernel(BatchKernel):
         return codes, cur, bits, (cur, clash)
 
     def plan_writes(self, idx, codes, aux, rng):
+        """``cur`` rotates everywhere (one column replacement on a
+        whole-network step); only clashing processes pay a sparse
+        write, their palette draws in selection order."""
         cur, clash = aux
         store = self.store
-        new_cur = cur % store.deg[idx] + 1
-        writes = [(self._cur, idx.tolist(), new_cur.tolist())]
+        if idx is store.all_idx:
+            store.write_col(self._cur, cur % store.deg + 1)
+        else:
+            store.write(self._cur, idx.tolist(),
+                        (cur % store.deg[idx] + 1).tolist())
         rec_idx = idx[clash].tolist()
-        if rec_idx:
-            sample = self.protocol.palette.sample
-            writes.append((self._c, rec_idx, [sample(rng) for _ in rec_idx]))
-        return writes
-
-    # -- fused-loop extensions ------------------------------------------
-    def plan_writes_resident(self, codes, aux, rng):
-        """Whole-network resident step: ``cur`` rotates as one column
-        replacement; only clashing processes pay a sparse write (palette
-        draws in selection order, the same sequence ``plan_writes``
-        produces for the full network)."""
-        cur, clash = aux
-        store = self.store
-        store.write_col(self._cur, cur % store.deg + 1)
-        rec_idx = store.all_idx[clash].tolist()
         if rec_idx:
             sample = self.protocol.palette.sample
             store.write(self._c, rec_idx, [sample(rng) for _ in rec_idx])

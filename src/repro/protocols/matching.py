@@ -278,26 +278,24 @@ class MatchingBatchKernel(BatchKernel):
         cur, pb, case_b = aux
         store = self.store
         where = store.np.where
-        writes = []
         # realign/accept/propose point PR at cur; abandon nulls it.
         pr_cur = (codes == 0) | (codes == 2) | (codes == 4)
         pr_any = pr_cur | (codes == 3)
         pr_idx = idx[pr_any].tolist()
         if pr_idx:
             vals = where(pr_cur, cur, 0)
-            writes.append((self._pr, pr_idx, vals[pr_any].tolist()))
+            store.write(self._pr, pr_idx, vals[pr_any].tolist())
         is_pub = codes == 1
         pub_idx = idx[is_pub].tolist()
         if pub_idx:
             # M <- PRmarried(p) against the same pre-step columns.
             m_vals = where(pb & case_b, 1, 0)
-            writes.append((self._m, pub_idx, m_vals[is_pub].tolist()))
+            store.write(self._m, pub_idx, m_vals[is_pub].tolist())
         is_seek = codes == 5
         seek_idx = idx[is_seek].tolist()
         if seek_idx:
             new_cur = cur % store.gather(store.deg, idx) + 1
-            writes.append((self._cur, seek_idx, new_cur[is_seek].tolist()))
-        return writes
+            store.write(self._cur, seek_idx, new_cur[is_seek].tolist())
 
     def legitimate_cols(self) -> bool:
         """The maximal matching predicate straight from the columns:

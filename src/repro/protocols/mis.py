@@ -167,20 +167,18 @@ class MISBatchKernel(BatchKernel):
     def plan_writes(self, idx, codes, aux, rng):
         cur = aux
         store = self.store
-        writes = []
         y_idx = idx[codes == 0].tolist()
         if y_idx:
-            writes.append((self._s, y_idx, [self._dominated] * len(y_idx)))
+            store.write(self._s, y_idx, [self._dominated] * len(y_idx))
         is_claim = codes == 1
         c_idx = idx[is_claim].tolist()
         if c_idx:
-            writes.append((self._s, c_idx, [self._dom] * len(c_idx)))
+            store.write(self._s, c_idx, [self._dom] * len(c_idx))
         moves = is_claim | (codes == 2)
         m_idx = idx[moves].tolist()
         if m_idx:
             new_cur = cur % store.gather(store.deg, idx) + 1
-            writes.append((self._cur, m_idx, new_cur[moves].tolist()))
-        return writes
+            store.write(self._cur, m_idx, new_cur[moves].tolist())
 
     def legitimate_cols(self) -> bool:
         """The MIS predicate straight from the columns.  Independence

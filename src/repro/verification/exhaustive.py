@@ -90,15 +90,17 @@ class _Stepper:
         branches over every value of the drawn domain.  A disabled
         process yields the unchanged configuration.
         """
-        ctx = StepContext(p, self.network, config, self.specs_of, rng=None)
+        ctx = StepContext(p, self.network, config, self.specs_of,
+                          rng=_ForcedRng())
         action = first_enabled(self.actions, ctx)
         if action is None:
             return [config.copy()]
 
-        # Try deterministic execution first.
+        # Try deterministic execution first; any error but a draw
+        # request is the effect's own and propagates.
         try:
             action.effect(ctx)
-        except Exception:
+        except _DrawRequested:
             # Randomized effect: branch over the drawn domain by
             # re-executing with each forced value.
             return self._branch_effect(config, p, action)
@@ -120,7 +122,7 @@ class _Stepper:
                     continue
                 try:
                     action.effect(ctx)
-                except Exception:
+                except _OutOfRange:
                     continue
                 successor = config.copy()
                 for name, val in ctx.writes.items():
@@ -137,8 +139,17 @@ class _Stepper:
         ]
 
 
+class _DrawRequested(Exception):
+    """An effect run under the probe rng asked for a random draw."""
+
+
+class _OutOfRange(Exception):
+    """The forced value lies outside the range the effect draws from."""
+
+
 class _ForcedRng:
-    """rng stub returning a predetermined value for one draw.
+    """rng stub returning a predetermined value for one draw; without a
+    value it is a probe, on which any draw raises :class:`_DrawRequested`.
 
     Only the :class:`IntRange` sampling path is supported — the package's
     randomized draws are all palette draws over integer ranges.  A
@@ -146,7 +157,7 @@ class _ForcedRng:
     ``randrange`` path; raising keeps that case loud instead of wrong.
     """
 
-    def __init__(self, value):
+    def __init__(self, value=None):
         self._value = value
 
     def randrange(self, n):
@@ -155,8 +166,10 @@ class _ForcedRng:
         )
 
     def randint(self, lo, hi):
+        if self._value is None:
+            raise _DrawRequested
         if not (lo <= self._value <= hi):
-            raise ValueError("forced value out of range")
+            raise _OutOfRange
         return self._value
 
 

@@ -222,6 +222,44 @@ class TestFusedDriver:
         assert sim.step_index == 25
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_every_run_loop_fuses_at_every_tier(self, protocol,
+                                                monkeypatch):
+        """``run_steps``, ``run_until_silent`` and ``run_rounds`` (through
+        ``measure_suffix_stability``) each hand a ``full``-tier run on
+        ``batch-resident`` to the fused driver once, and every measure
+        — summary, activations, read sets, suffix read sets — equals
+        the scalar engine's at both measured tiers."""
+        calls = []
+        fused = BatchEngine.run_steps
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("max_steps"))
+            return fused(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchEngine, "run_steps", spy)
+        topology = ("sparse", {"n": 300, "avg_degree": 3, "seed": 5})
+        observed = {}
+        for engine in ("incremental", "batch-resident"):
+            for tier in ("full", "aggregate"):
+                calls.clear()
+                sim = build_sim(protocol, seed=4, engine=engine,
+                                topology=topology, metrics=tier)
+                sim.run_steps(3)
+                sim.run_until_silent(max_rounds=5_000)
+                suffix = sim.measure_suffix_stability(extra_rounds=4)
+                if engine == "batch-resident":
+                    assert calls == [3, 5_000, 4], tier
+                else:
+                    assert calls == [], tier
+                observed[engine, tier] = (
+                    aggregate_state(sim), suffix,
+                    sim.metrics.suffix_stable_processes(k=1),
+                )
+        reference = observed["incremental", "full"]
+        for key, value in observed.items():
+            assert value == reference, key
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
     def test_run_until_silent_reports_match(self, protocol, scheduler,
                                             sched_params):
@@ -392,8 +430,8 @@ class TestObservationBoundaries:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_metrics_full_tier_mid_run(self, protocol):
-        """Raising the observation level to per-step records keeps the
-        columnar engine on the per-step path — and byte-identical."""
+        """The ``full`` tier fuses like any other, and a trace, which
+        drives ``Simulator.step`` itself, stays byte-identical."""
         scalar, scalar_sim = run_recorded(
             protocol, ("synchronous", {}), 11, "incremental", steps=25,
             metrics="full",
@@ -402,7 +440,7 @@ class TestObservationBoundaries:
             protocol, ("synchronous", {}), 11, "batch-resident", steps=25,
             metrics="full",
         )
-        assert resident_sim._fused_resident() is None
+        assert resident_sim._fused_resident() is resident_sim.engine
         assert scalar == resident
         assert (scalar_sim.metrics.summary()
                 == resident_sim.metrics.summary())
@@ -715,17 +753,19 @@ class TestEligibility:
                         metrics="aggregate")
         assert sim._fused_resident() is sim.engine
 
+    def test_plain_synchronous_full_tier_run_fuses(self):
+        sim = build_sim("coloring", engine="batch-resident", metrics="full")
+        assert sim._fused_resident() is sim.engine
+
     @pytest.mark.parametrize("kwargs", [
         {"metrics": "aggregate"},
-        {"engine": "batch-resident", "metrics": "full"},
         {"scheduler": ("synchronous", {"enabled_only": True}),
          "engine": "batch-resident", "metrics": "aggregate"},
         {"scheduler": ("central", {"enabled_only": True}),
          "engine": "batch-resident", "metrics": "aggregate"},
         {"scenario": build_scenario("noop", {}),
          "engine": "batch-resident", "metrics": "aggregate"},
-    ], ids=["scalar-engine", "full-tier", "enabled-only", "central",
-            "scenario"])
+    ], ids=["scalar-engine", "enabled-only", "central", "scenario"])
     def test_other_runs_take_the_per_step_path(self, kwargs):
         sim = build_sim("coloring", **kwargs)
         assert sim._fused_resident() is None

@@ -1,12 +1,12 @@
-"""Metrics tiers: aggregate ≡ full, off is inert, retention is bounded.
+"""Metrics tiers: aggregate ≡ full ≡ the folded step records, off is inert.
 
-The ``aggregate`` tier must stream exactly the measures the ``full``
-tier derives from per-step records — the property tests here compare
-every aggregate (totals, maxima, activation counts, whole-run and
-suffix read-sets) across coloring/MIS/matching × central/synchronous/
-random-subset × 5 seeds.  The remaining tests pin the tier plumbing:
-lean step records, the trace-recorder guard, spec/campaign/CLI wiring,
-and the collector's bounded-retention memory contract.
+Both measured tiers fold every step the same way, and the fold must
+give exactly the measures the ``full`` tier's step records give when
+folded one by one — the property tests here compare every aggregate
+(totals, maxima, activation counts, whole-run and suffix read-sets)
+across coloring/MIS/matching × central/synchronous/random-subset × 5
+seeds.  The remaining tests pin the tier plumbing: lean step records,
+the trace-recorder guard, and spec/campaign/CLI wiring.
 """
 
 import pytest
@@ -41,8 +41,7 @@ def _build_sim(protocol, scheduler, seed, metrics, n=10):
     return Simulator(proto, net, scheduler=sched, seed=seed, metrics=metrics)
 
 
-def _observables(sim):
-    m = sim.metrics
+def _observables(m):
     return {
         "summary": m.summary(),
         "activations": dict(m.activations),
@@ -60,20 +59,28 @@ class TestAggregateEqualsFull:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_identical_measures_across_seeds(self, protocol, scheduler):
+        """Both tiers fold the same measures, and those are the measures
+        the ``full`` tier's step records say when folded one by one
+        through :meth:`MetricsCollector.record`."""
         for seed in SEEDS:
             sims = {
                 tier: _build_sim(protocol, scheduler, seed, tier)
                 for tier in ("full", "aggregate")
             }
-            for sim in sims.values():
-                sim.run_steps(12)
-                # Arm the suffix mid-run so the ♦-stability read-sets
-                # are exercised on both tiers.
-                sim.metrics.start_suffix()
-                sim.run_steps(12)
-            assert _observables(sims["full"]) == _observables(sims["aggregate"]), (
-                protocol, scheduler, seed
-            )
+            full, aggregate = sims["full"].metrics, sims["aggregate"].metrics
+            replay = MetricsCollector(sims["full"].network.processes)
+            for half in range(2):
+                if half:
+                    # Arm the suffix mid-run so the ♦-stability
+                    # read-sets are exercised on both tiers.
+                    for m in (full, aggregate, replay):
+                        m.start_suffix()
+                for _ in range(12):
+                    replay.record(sims["full"].step())
+                sims["aggregate"].run_steps(12)
+            label = (protocol, scheduler, seed)
+            assert _observables(full) == _observables(replay), label
+            assert _observables(full) == _observables(aggregate), label
 
     def test_identical_trial_results_to_silence(self):
         for protocol in PROTOCOLS:
@@ -163,27 +170,6 @@ class TestTierPlumbing:
         sim = _build_sim("coloring", "central", 1, "aggregate")
         with pytest.raises(ValueError, match="metrics='full'"):
             TraceRecorder(sim)
-
-
-class TestRetentionContract:
-    def test_no_retention_by_default(self):
-        sim = _build_sim("coloring", "central", 1, "full")
-        sim.run_steps(30)
-        assert sim.metrics.records is None
-
-    def test_bounded_retention_keeps_most_recent(self):
-        net = ring(8)
-        proto = protocol_registry.build("coloring", net)
-        sim = Simulator(proto, net, seed=1, keep_records=5)
-        sim.run_steps(30)
-        records = sim.metrics.records
-        assert records is not None
-        assert len(records) == 5  # bounded, never the whole run
-        assert [r.index for r in records] == list(range(25, 30))
-
-    def test_negative_retention_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsCollector([0, 1], keep_records=-1)
 
 
 class TestSpecAndCampaignWiring:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ConvergenceError
 from repro.graphs import chain, greedy_coloring, ring
 from repro.predicates import (
     collect_silent_comm_states,
@@ -37,6 +38,14 @@ class TestExhaustiveEnumeration:
         net = chain(3)
         proto = ColoringProtocol.for_network(net)
         assert len(list(enumerate_silent_configurations(proto, net, limit=5))) == 5
+
+    def test_space_over_the_budget_fails_at_once(self):
+        """3^12 colorings × 2^12 pointers is far over the enumerator's
+        500,000-configuration budget: the first draw raises."""
+        net = ring(12)
+        proto = ColoringProtocol.for_network(net)
+        with pytest.raises(ConvergenceError, match="max_configs"):
+            next(enumerate_silent_configurations(proto, net))
 
 
 class TestSampledStates:

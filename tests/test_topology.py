@@ -386,6 +386,22 @@ class TestNetworkxOnDemand:
         assert report.silent and report.legitimate
         assert sim.network._graph is None
 
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_scalar_sparse_trial_builds_no_graph(self, protocol):
+        """The scalar legitimacy predicates read the port tables, so a
+        scalar trial, which asks ``Protocol.is_legitimate``, builds no
+        networkx graph either."""
+        spec = ExperimentSpec(
+            protocol=protocol, topology="sparse",
+            topology_params={"n": 400, "avg_degree": 3, "seed": 11},
+            scheduler="central", scheduler_params={"enabled_only": True},
+            seed=4, engine="incremental",
+        )
+        sim = spec.build_simulator()
+        report = drive_simulator(sim, max_rounds=spec.max_rounds)
+        assert report.silent and report.legitimate
+        assert sim.network._graph is None
+
     def test_scalar_sparse_mis_loads_no_numpy(self):
         script = (
             "import sys\n"

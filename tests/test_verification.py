@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis import matching_round_bound, mis_round_bound
-from repro.core import ConvergenceError
+from repro.core import ConvergenceError, DomainError, IntRange, Protocol
+from repro.core.actions import GuardedAction
+from repro.core.variables import comm
 from repro.graphs import chain, ring, theorem1_chain
 from repro.impossibility import FixedWatchColoring
 from repro.protocols import ColoringProtocol, MISProtocol, MatchingProtocol
@@ -72,7 +74,8 @@ class TestConvergence:
         )
         assert report.all_converged
         assert report.configs_checked == 54
-        assert report.worst_steps >= 1
+        # recolor draws, so this explores every branch of the palette
+        assert report.worst_steps == 3
 
     def test_mis_converges_from_everywhere(self):
         net = chain(3)
@@ -129,3 +132,36 @@ class TestExactWorstCase:
         colors = {0: 1, 1: 2, 2: 1}
         exact = exact_worst_case_rounds(MISProtocol(net, colors), net)
         assert exact < mis_round_bound(net, colors)
+
+
+class OutOfDomainWrite(Protocol):
+    """A deterministic protocol whose effect writes outside its domain."""
+
+    name = "out-of-domain-write"
+
+    def variables(self, network, p):
+        return (comm("x", IntRange(0, 1)),)
+
+    def actions(self):
+        return (
+            GuardedAction(
+                "bump",
+                lambda ctx: ctx.get("x") == 0,
+                lambda ctx: ctx.set("x", 5),
+            ),
+        )
+
+    def is_legitimate(self, network, config):
+        return True
+
+
+class TestEffectErrors:
+    def test_buggy_deterministic_effect_raises_its_own_error(self):
+        """Only an effect that asks for a draw is branched; any other
+        error of an effect reaches the caller as it is, from the
+        closure check as from the convergence check."""
+        net = chain(2)
+        with pytest.raises(DomainError, match="outside domain"):
+            verify_closure(OutOfDomainWrite(), net)
+        with pytest.raises(DomainError, match="outside domain"):
+            verify_convergence_round_robin(OutOfDomainWrite(), net)
