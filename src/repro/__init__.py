@@ -90,7 +90,6 @@ from .graphs import (
     greedy_coloring,
     grid,
     hypercube,
-    network_from_edges,
     random_connected,
     random_regular,
     random_tree,
@@ -188,7 +187,6 @@ __all__ = [
     "matching_predicate",
     "mis_over_coloring",
     "mis_predicate",
-    "network_from_edges",
     "random_connected",
     "random_regular",
     "random_tree",

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.exceptions import TopologyError
 from ..core.rngstreams import randbelow_run, word_try
-from .generators import sparse_edge_probability
+from .generators import check_seed, sparse_edge_probability
 from .topology import Network
 
 
@@ -268,7 +268,7 @@ def sparse_random(n: int, avg_degree: float = 3.0,
     follow each process's sampled ports.
     """
     p = sparse_edge_probability(n, avg_degree)
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
     offsets, flat, minima = gnp_port_arrays(
         n, p, random.Random(rng.randrange(2**31)))
     comps = component_lists(offsets, flat, minima)

@@ -20,62 +20,65 @@ from ..core.exceptions import TopologyError
 from .topology import Network
 
 
+def _size(name: str, value, least: float) -> int:
+    """``value`` after checking that it is an int (not a bool) of at
+    least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TopologyError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise TopologyError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def check_seed(seed: Optional[int]) -> Optional[int]:
+    """``seed`` after checking that it is None or an int (not a bool)."""
+    return None if seed is None else _size("seed", seed, -math.inf)
+
+
 def chain(n: int) -> Network:
     """A path of ``n`` processes: ``0 — 1 — … — n-1``."""
-    if n < 1:
-        raise TopologyError("chain needs at least one process")
-    return Network(nx.path_graph(n), copy=False)
+    return Network(nx.path_graph(_size("n", n, 1)))
 
 
 def ring(n: int) -> Network:
     """A cycle of ``n ≥ 3`` processes."""
-    if n < 3:
-        raise TopologyError("ring needs at least 3 processes")
-    return Network(nx.cycle_graph(n), copy=False)
+    return Network(nx.cycle_graph(_size("n", n, 3)))
 
 
 def star(leaves: int) -> Network:
     """A star: center ``0`` plus ``leaves`` pendant processes."""
-    if leaves < 1:
-        raise TopologyError("star needs at least one leaf")
-    return Network(nx.star_graph(leaves), copy=False)
+    return Network(nx.star_graph(_size("leaves", leaves, 1)))
 
 
 def clique(n: int) -> Network:
     """The complete graph on ``n ≥ 2`` processes (a Δ-clique forces the
     Δ+1 colors of protocol COLORING)."""
-    if n < 2:
-        raise TopologyError("clique needs at least 2 processes")
-    return Network(nx.complete_graph(n), copy=False)
+    return Network(nx.complete_graph(_size("n", n, 2)))
 
 
 def grid(rows: int, cols: int) -> Network:
     """A rows×cols 2D mesh; process ids are (row, col) tuples."""
-    if rows < 1 or cols < 1:
-        raise TopologyError("grid dimensions must be positive")
-    return Network(nx.grid_2d_graph(rows, cols), copy=False)
+    return Network(nx.grid_2d_graph(_size("rows", rows, 1),
+                                    _size("cols", cols, 1)))
 
 
 def torus(rows: int, cols: int) -> Network:
     """A rows×cols 2D torus (4-regular when both dims ≥ 3)."""
-    if rows < 3 or cols < 3:
-        raise TopologyError("torus dimensions must be ≥ 3")
-    return Network(nx.grid_2d_graph(rows, cols, periodic=True), copy=False)
+    return Network(nx.grid_2d_graph(_size("rows", rows, 3),
+                                    _size("cols", cols, 3), periodic=True))
 
 
 def hypercube(dim: int) -> Network:
     """The ``dim``-dimensional hypercube (ids are ints 0..2^dim-1)."""
-    if dim < 1:
-        raise TopologyError("hypercube dimension must be ≥ 1")
-    g = nx.hypercube_graph(dim)
-    return Network(nx.convert_node_labels_to_integers(g, ordering="sorted"), copy=False)
+    g = nx.hypercube_graph(_size("dim", dim, 1))
+    return Network(nx.convert_node_labels_to_integers(g, ordering="sorted"))
 
 
 def binary_tree(height: int) -> Network:
     """A complete binary tree of the given height (height 0 = one node)."""
-    if height < 0:
-        raise TopologyError("tree height must be ≥ 0")
-    return Network(nx.balanced_tree(2, height), copy=False) if height > 0 else chain(1)
+    if _size("height", height, 0) == 0:
+        return chain(1)
+    return Network(nx.balanced_tree(2, height))
 
 
 def caterpillar(spine: int, legs_per_node: int) -> Network:
@@ -84,45 +87,48 @@ def caterpillar(spine: int, legs_per_node: int) -> Network:
     Caterpillars stress the stability measures: spine processes see
     high degree while pendants are forced to watch their only neighbor.
     """
-    if spine < 1 or legs_per_node < 0:
-        raise TopologyError("bad caterpillar parameters")
-    g = nx.path_graph(spine)
+    g = nx.path_graph(_size("spine", spine, 1))
+    legs = _size("legs_per_node", legs_per_node, 0)
     next_id = spine
     for v in range(spine):
-        for _ in range(legs_per_node):
+        for _ in range(legs):
             g.add_edge(v, next_id)
             next_id += 1
-    return Network(g, copy=False)
+    return Network(g)
 
 
 def random_connected(
     n: int, p: float, seed: Optional[int] = None, max_tries: int = 200
 ) -> Network:
     """A connected Erdős–Rényi G(n, p) sample (resampled until connected)."""
-    if n < 1:
-        raise TopologyError("need at least one process")
-    rng = random.Random(seed)
+    _size("n", n, 1)
+    # NaN fails both comparisons; a bool is an int to Python
+    if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:
+        raise TopologyError(f"p must be a real in [0, 1], got {p!r}")
+    rng = random.Random(check_seed(seed))
     for _ in range(max_tries):
         g = nx.gnp_random_graph(n, p, seed=rng.randrange(2**31))
         if n == 1 or nx.is_connected(g):
-            return Network(g, copy=False)
+            return Network(g)
     # Fall back: connect components along a random spanning chain.
     g = nx.gnp_random_graph(n, p, seed=rng.randrange(2**31))
     comps = [sorted(c) for c in nx.connected_components(g)]
     for a, b in zip(comps, comps[1:]):
         g.add_edge(a[0], b[0])
-    return Network(g, copy=False)
+    return Network(g)
 
 
 def random_regular(n: int, d: int, seed: Optional[int] = None) -> Network:
     """A random connected ``d``-regular graph on ``n`` processes."""
+    if _size("d", d, 0) >= _size("n", n, 1):
+        raise TopologyError(f"d must be below n, got d={d}, n={n}")
     if n * d % 2 != 0:
         raise TopologyError("n*d must be even for a d-regular graph")
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
     for _ in range(200):
         g = nx.random_regular_graph(d, n, seed=rng.randrange(2**31))
         if nx.is_connected(g):
-            return Network(g, copy=False)
+            return Network(g)
     raise TopologyError(f"could not sample a connected {d}-regular graph on {n}")
 
 
@@ -187,8 +193,7 @@ def _component_lists(ports: List[List[int]]) -> List[List[int]]:
 def sparse_edge_probability(n: int, avg_degree: float) -> float:
     """The G(n, p) edge probability of a ``sparse`` network,
     ``min(1, avg_degree / (n - 1))``, after checking both parameters."""
-    if n < 2:
-        raise TopologyError("need at least two processes")
+    _size("n", n, 2)
     # A bool is an int to Python, and NaN passes the positivity check
     # below (then ``min(1.0, nan)`` asks for the complete graph).
     if (isinstance(avg_degree, bool) or not isinstance(avg_degree, Real)
@@ -223,7 +228,7 @@ def sparse_random(
     oracle, and the only one a scalar trial runs.
     """
     p = sparse_edge_probability(n, avg_degree)
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
     ports = _gnp_ports(n, p, random.Random(rng.randrange(2**31)))
     comps = _component_lists(ports)
     rng.shuffle(comps)
@@ -238,12 +243,11 @@ def sparse_random(
 
 def random_tree(n: int, seed: Optional[int] = None) -> Network:
     """A uniformly random labelled tree on ``n`` processes."""
-    if n < 1:
-        raise TopologyError("need at least one process")
-    if n == 1:
+    check_seed(seed)
+    if _size("n", n, 1) == 1:
         return chain(1)
     if hasattr(nx, "random_labeled_tree"):
         g = nx.random_labeled_tree(n, seed=seed)
     else:  # networkx < 3.2
         g = nx.random_tree(n, seed=seed)
-    return Network(g, copy=False)
+    return Network(g)

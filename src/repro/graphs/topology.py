@@ -7,19 +7,17 @@ several impossibility arguments hinge on choosing it maliciously — so the
 topology object carries an explicit, per-process port map rather than
 relying on any canonical neighbor ordering.
 
-:class:`Network` holds those port tables and answers the paper's
-notation from them: ``Γ.p`` (:meth:`Network.neighbors`), ``δ.p``
-(:meth:`Network.degree`), ``Δ`` (:attr:`Network.max_degree`), ``n``
-and ``m``.  The columnar engine reads the same tables in index space
-(:meth:`Network.port_arrays`); a network built from those arrays (the
-NumPy ``sparse`` sampler of :mod:`repro.graphs.columnar`) answers
-``n``, ``m``, ``Δ`` and the process order from them and builds its
-per-process tables only when a scalar query first asks.  Graph
-algorithms — ``D`` (:attr:`Network.diameter`), colorings, bridges, cut
-vertices and the ``with_*`` mutators — run on a :mod:`networkx` graph,
-which a network built from an edge sequence (:meth:`Network.from_edges`,
-the ``sparse`` generator) or from port arrays builds only when one of
-them first asks.
+A :class:`Network` holds one representation: its processes, in order,
+and its port tables in index space (:meth:`Network.port_arrays`), which
+``n``, ``m`` and ``Δ`` are read from.  Every way in — a networkx graph,
+an edge sequence, the ``sparse`` samplers' port lists or arrays,
+:meth:`Network.with_ports` and the ``with_*`` mutators — passes one
+check.  Everything else is derived on first use: the neighbor tuples
+``Γ.p`` (:meth:`Network.neighbors`), the inverse port maps, the
+process index when the construction built none, and a :mod:`networkx`
+graph, which only the graph algorithms ask for — ``D``
+(:attr:`Network.diameter`), the DSATUR coloring, bridges and cut
+vertices.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from array import array
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import contains, sub
-from typing import (Collection, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import networkx as nx
 
@@ -69,6 +67,25 @@ def _array_q(values) -> array:
     return out
 
 
+def _reorder(rows: List[List[int]], index: Mapping[ProcessId, int],
+             ports: Mapping[ProcessId, Sequence[ProcessId]]) -> None:
+    """Put each port list of ``ports`` in place of its process's index
+    row, checked to list the same neighbors."""
+    for p, order in ports.items():
+        i = index.get(p)
+        if i is None:
+            raise TopologyError(f"{p!r} is not a process")
+        try:
+            row = list(map(index.__getitem__, order))
+        except (KeyError, TypeError):
+            row = None
+        if row is None or sorted(row) != sorted(rows[i]):
+            raise TopologyError(
+                f"port list of {p!r} does not enumerate its neighbors"
+            )
+        rows[i] = row
+
+
 class Network:
     """An undirected connected network with explicit port numbering.
 
@@ -76,72 +93,64 @@ class Network:
     ----------
     graph:
         Undirected :class:`networkx.Graph`.  Must be connected, simple,
-        with at least one node and no self-loops.
+        with at least one node and no self-loops.  It is read, not kept.
     ports:
         Optional mapping ``p -> [q1, q2, ...]`` listing p's neighbors in
         local-index order (index ``i`` of the list is port ``i+1``).
-        When omitted, a deterministic port numbering is derived from the
-        graph's neighbor iteration order.
-    copy:
-        Copy ``graph`` before adopting it (the default).  Builders that
-        hand over a freshly constructed graph nobody else holds pass
-        ``copy=False`` to skip the duplication — at million-node scale
-        the defensive copy dominates the build.
+        A process it omits numbers its ports in the graph's adjacency
+        order.
 
-    :meth:`from_edges` builds a network from an edge sequence instead,
-    without a graph until a graph algorithm needs one.
+    :meth:`from_edges` builds a network from an edge sequence instead.
     """
 
     def __init__(
         self,
         graph: nx.Graph,
         ports: Optional[Mapping[ProcessId, Sequence[ProcessId]]] = None,
-        copy: bool = True,
     ):
-        if graph.number_of_nodes() == 0:
+        if graph.is_directed():  # its adjacency holds one-way arcs
+            raise TopologyError("network must be undirected")
+        procs = tuple(graph)
+        index = dict(zip(procs, range(len(procs))))
+        rows = [list(map(index.__getitem__, graph._adj[p])) for p in procs]
+        if ports is not None:
+            _reorder(rows, index, ports)
+        self._hold(rows, procs, index)
+
+    def _hold(self, rows: Sequence[Sequence[int]],
+              processes: Sequence[ProcessId],
+              index: Optional[Dict[ProcessId, int]],
+              connected: Optional[bool] = None) -> None:
+        """Hold index rows as the port tables (``processes[i]`` sees
+        ``processes[j]`` for each ``j`` of ``rows[i]``, port by port)
+        after the one check: at least one process, no self-loop, no pair
+        joined twice, connected.  Rows are symmetric by construction.  A
+        builder that has searched the components passes ``connected``."""
+        n = len(rows)
+        if n == 0:
             raise TopologyError("network must have at least one process")
-        if any(graph.has_edge(v, v) for v in graph.nodes):
+        if any(map(contains, rows, range(n))):
             raise TopologyError("self-loops are not allowed")
-        if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
+        if any(len(set(row)) != len(row) for row in rows):
+            raise TopologyError("a pair of processes is joined twice")
+        if connected is None:
+            connected = n == 1 or _connected(rows)
+        if not connected:
             raise TopologyError("network must be connected")
+        self._adopt(processes, index, _index_arrays(rows),
+                    max(map(len, rows)))
 
-        graph = graph.copy() if copy else graph
-        table: Dict[ProcessId, Tuple[ProcessId, ...]] = {}
-        for p in graph.nodes:
-            if ports is not None and p in ports:
-                order = tuple(ports[p])
-                if sorted(map(repr, order)) != sorted(
-                    map(repr, graph.neighbors(p))
-                ):
-                    raise TopologyError(
-                        f"port list of {p!r} does not enumerate its neighbors"
-                    )
-            else:
-                order = tuple(graph.neighbors(p))
-            table[p] = order
-        #: ``p -> (q1, q2, ...)`` in port order, in process order (built
-        #: on first use on a network made from port arrays)
-        self._ports = table
-        self._adopt(table, graph)
-
-    def _adopt(self, pids: Collection[ProcessId],
-               graph: Optional[nx.Graph]) -> None:
-        #: the processes in order: the keys of ``_ports``, or ``range(n)``
-        self._pids = pids
-        #: the networkx graph; None until first needed on a network
-        #: built from an edge sequence (see :meth:`_nx`)
-        self._graph = graph
-        #: ``p -> {q: port}`` inverse tables, built lazily by
-        #: :meth:`port_to` — only scenario churn and debug tooling ask
-        #: for them, so the eager build was pure overhead at scale.
+    def _adopt(self, processes: Sequence[ProcessId],
+               index: Optional[Dict[ProcessId, int]],
+               arrays: Tuple[array, array], max_degree: int) -> None:
+        self._pids = processes  # a tuple, or range(n)
+        self._index = index  # None until first asked, if not built
+        self._port_arrays = arrays
+        self._max_degree = max_degree
+        #: ``p -> {q: port}``, each built on first use (:meth:`port_to`)
         self._port_of: Dict[ProcessId, Dict[ProcessId, int]] = {}
-        # Derived once on first use: a Network never changes after
-        # construction (every ``with_*`` mutator returns a new one).
-        self._port_arrays: Optional[Tuple[array, array]] = None
-        self._index: Optional[Dict[ProcessId, int]] = None
+        self._graph: Optional[nx.Graph] = None  # see :meth:`_nx`
         self._diameter: Optional[int] = None
-        self._m: Optional[int] = None
-        self._max_degree: Optional[int] = None
 
     @classmethod
     def from_edges(
@@ -160,8 +169,8 @@ class Network:
         a self-loop, a pair joined twice (in either orientation), or a
         disconnected network.
         """
-        procs = list(processes)
-        index = {p: i for i, p in enumerate(procs)}
+        procs = tuple(processes)
+        index = dict(zip(procs, range(len(procs))))
         if len(index) != len(procs):
             raise TopologyError("a process is listed twice")
         rows: List[List[int]] = [[] for _ in procs]
@@ -174,47 +183,22 @@ class Network:
                 ) from None
             rows[i].append(j)
             rows[j].append(i)
-        return cls._from_index_rows(rows, procs)
+        return cls._from_index_rows(rows, procs, index)
 
     @classmethod
     def _from_index_rows(
         cls,
         rows: Sequence[Sequence[int]],
         processes: Optional[Sequence[ProcessId]] = None,
+        index: Optional[Dict[ProcessId, int]] = None,
         connected: Optional[bool] = None,
     ) -> "Network":
-        """The network whose process ``processes[i]`` sees
-        ``processes[j]`` for each ``j`` of ``rows[i]``, port by port
-        (``processes`` defaults to ``0 .. n-1``).
-
-        ``rows`` must come from appending each edge ``(i, j)`` of a
-        sequence to ``rows[i]`` and ``rows[j]``, as :meth:`from_edges`
-        and the ``sparse`` generator build them, so they are symmetric
-        by construction; every other property a networkx graph and
-        :meth:`__init__` guarantee is checked here.  A generator that
-        has already searched the components passes its verdict as
-        ``connected``; otherwise one search decides it.
-        """
-        n = len(rows)
-        if n == 0:
-            raise TopologyError("network must have at least one process")
-        if any(map(contains, rows, range(n))):
-            raise TopologyError("self-loops are not allowed")
-        if any(len(set(row)) != len(row) for row in rows):
-            raise TopologyError("a pair of processes is joined twice")
-        if connected is None:
-            connected = n == 1 or _connected(rows)
-        if not connected:
-            raise TopologyError("network must be connected")
-        if processes is None:
-            ports = dict(zip(range(n), map(tuple, rows)))
-        else:
-            pid = processes.__getitem__
-            ports = {p: tuple(map(pid, row)) for p, row in zip(processes, rows)}
+        """The network of index rows (see :meth:`_hold`) over
+        ``processes`` (``0 .. n-1`` by default), whose ``p -> i`` map is
+        ``index`` when the caller has one."""
         net = cls.__new__(cls)
-        net._ports = ports
-        net._adopt(ports, None)
-        net._port_arrays = _index_arrays(rows)
+        net._hold(rows, range(len(rows)) if processes is None else processes,
+                  index, connected)
         return net
 
     @classmethod
@@ -224,49 +208,44 @@ class Network:
         ``flat[offsets[i]:offsets[i+1]]``, port by port, from NumPy int64
         arrays (``len(offsets) == n + 1``).
 
-        The checks :meth:`_from_index_rows` makes run over the arrays,
-        plus one that rows built edge by edge pass by construction: each
-        port has its reverse.  ``n``, ``m``, ``Δ``, :attr:`processes` and
-        :meth:`process_index` come from the arrays, which are kept as the
-        stdlib arrays :meth:`port_arrays` returns; the per-process
-        neighbor tuples are built on first scalar use.  The caller has
-        searched the components and passes its verdict as ``connected``.
+        The checks of :meth:`_hold` run vectorized
+        (:func:`~repro.graphs.columnar.check_port_arrays`), plus a
+        reverse for every port; the caller passes its component search's
+        verdict as ``connected``.
         """
         from .columnar import check_port_arrays
 
-        n = len(offsets) - 1
         max_degree = check_port_arrays(offsets, flat)
         if not connected:
             raise TopologyError("network must be connected")
         net = cls.__new__(cls)
-        net._adopt(range(n), None)
-        net._m = len(flat) // 2
-        net._max_degree = max_degree
-        net._port_arrays = (_array_q(offsets), _array_q(flat))
+        net._adopt(range(len(offsets) - 1), None,
+                   (_array_q(offsets), _array_q(flat)), max_degree)
         return net
 
     @cached_property
     def _ports(self) -> Dict[ProcessId, Tuple[ProcessId, ...]]:
-        """The neighbor tuples of a network built from port arrays, made
-        on first use (every other network sets them at construction)."""
+        """The neighbor tuples ``p -> (q1, q2, ...)``, decoded from the
+        port tables on first scalar use."""
         offsets, flat = self._port_arrays
-        entries = iter(flat.tolist())
-        return dict(zip(self._pids, [
+        pids = self._pids
+        entries = iter(flat.tolist()) if isinstance(pids, range) \
+            else map(pids.__getitem__, flat)
+        return dict(zip(pids, [
             tuple(islice(entries, degree))
             for degree in map(sub, offsets[1:], offsets)
         ]))
 
-    def _nx(self) -> nx.Graph:
-        """The networkx graph of this network, built on first use when
-        the network came from an edge sequence.
+    def _rows(self) -> List[List[int]]:
+        """A fresh copy of the port tables as index rows."""
+        offsets, flat = self._port_arrays
+        entries = flat.tolist()
+        return [entries[a:b] for a, b in zip(offsets, offsets[1:])]
 
-        Nodes come in process order and each adjacency in port order,
-        which on such a network is edge-sequence order.  The sequence
-        itself is not kept, and re-adding the edges in any per-process
-        order can reorder some adjacency, so the adjacency is written
-        the way ``Graph.add_edge`` writes it: one data dict per edge,
-        shared by both directions.
-        """
+    def _nx(self) -> nx.Graph:
+        """The networkx graph of this network, built on first use:
+        nodes in process order, each adjacency in port order, one data
+        dict per edge shared by both directions (as ``add_edge``)."""
         graph = self._graph
         if graph is None:
             graph = nx.Graph()
@@ -295,12 +274,9 @@ class Network:
 
     @property
     def m(self) -> int:
-        """Number of edges (computed lazily from the port tables,
-        cached).  Each edge appears in both endpoints' port lists and
-        construction rejects self-loops, so it is half their total."""
-        if self._m is None:
-            self._m = sum(map(len, self._ports.values())) // 2
-        return self._m
+        """Number of edges: each appears in both endpoints' port lists
+        and construction rejects self-loops, so half the ports."""
+        return len(self._port_arrays[1]) // 2
 
     def neighbors(self, p: ProcessId) -> Tuple[ProcessId, ...]:
         """Γ.p — neighbors of ``p`` in local-index order (port 1 first)."""
@@ -312,9 +288,7 @@ class Network:
 
     @property
     def max_degree(self) -> int:
-        """Δ — the degree of the network (computed lazily, cached)."""
-        if self._max_degree is None:
-            self._max_degree = max(map(len, self._ports.values()))
+        """Δ — the degree of the network."""
         return self._max_degree
 
     @property
@@ -341,24 +315,30 @@ class Network:
             )
         return order[port - 1]
 
-    def port_to(self, p: ProcessId, q: ProcessId) -> int:
-        """The local index under which ``p`` sees its neighbor ``q``."""
+    def _port_table(self, p: ProcessId) -> Dict[ProcessId, int]:
+        """``q -> port`` over ``p``'s neighbors (built on first use,
+        cached); empty when ``p`` is no process."""
         table = self._port_of.get(p)
         if table is None:
             order = self._ports.get(p)
             if order is None:
-                raise TopologyError(f"{q!r} is not a neighbor of {p!r}")
+                return {}
             table = self._port_of[p] = {r: i + 1 for i, r in enumerate(order)}
-        try:
-            return table[q]
-        except KeyError:
-            raise TopologyError(f"{q!r} is not a neighbor of {p!r}") from None
+        return table
+
+    def port_to(self, p: ProcessId, q: ProcessId) -> int:
+        """The local index under which ``p`` sees its neighbor ``q``."""
+        port = self._port_table(p).get(q)
+        if port is None:
+            raise TopologyError(f"{q!r} is not a neighbor of {p!r}")
+        return port
 
     def process_index(self) -> Dict[ProcessId, int]:
         """``p -> i``, the position of each process in :attr:`processes`
-        (built once, cached).  Configurations drawn on this network,
-        the engines' canonical order and the column store all share
-        this one map, so callers must not mutate it."""
+        (the construction's map, or built once on first use).
+        Configurations drawn on this network, the engines' canonical
+        order and the column store all share this one map, so callers
+        must not mutate it."""
         if self._index is None:
             self._index = dict(zip(self._pids, range(self.n)))
         return self._index
@@ -368,16 +348,10 @@ class Network:
 
         Both are stdlib ``array('q')``: the ports of the ``i``-th process
         (in :attr:`processes` order) are ``flat[offsets[i]:offsets[i+1]]``,
-        each the index of the neighbor behind it.  A network built from an
-        edge sequence has them from its construction; one built from a
-        graph maps its tables on first use.  Either way they are cached,
-        and the columnar engine wraps them without copying.
+        each the index of the neighbor behind it.  Every network holds
+        them from its construction, and the columnar engine wraps them
+        without copying.
         """
-        if self._port_arrays is None:
-            index = self.process_index().__getitem__
-            self._port_arrays = _index_arrays(
-                [tuple(map(index, row)) for row in self._ports.values()]
-            )
         return self._port_arrays
 
     def port_ends(self, column: Sequence) -> Tuple[Iterable, Iterable]:
@@ -385,29 +359,23 @@ class Network:
         (indexed like :attr:`processes`) holds for the port's owner, and
         the value it holds for the neighbor behind the port.  Each edge
         appears twice, once from each end; no networkx graph is built."""
-        offsets, flat = self.port_arrays()
+        offsets, flat = self._port_arrays
         owners = chain.from_iterable(
             map(repeat, column, map(sub, offsets[1:], offsets)))
         return owners, map(column.__getitem__, flat)
 
     def with_ports(self, ports: Mapping[ProcessId, Sequence[ProcessId]]) -> "Network":
-        """A copy of this network with (some) port maps replaced."""
-        merged = {p: list(order) for p, order in self._ports.items()}
-        for p, order in ports.items():
-            merged[p] = list(order)
-        return Network(self._nx(), merged)
+        """A copy of this network with (some) port maps replaced, each
+        checked to list the neighbors it replaces."""
+        rows = self._rows()
+        index = self.process_index()
+        _reorder(rows, index, ports)
+        return self._from_index_rows(rows, self._pids, index, connected=True)
 
     # ------------------------------------------------------------------
-    # Safe mutation (functional: every mutator returns a new Network)
+    # Safe mutation (functional: every mutator returns a new Network,
+    # editing a copy of the port tables)
     # ------------------------------------------------------------------
-    def _mutated(self, mutate, ports: Dict[ProcessId, List[ProcessId]]) -> "Network":
-        """Build a mutated copy: apply ``mutate`` to a graph copy and
-        construct a new :class:`Network` with the given port lists (the
-        constructor re-validates connectivity, simplicity, non-emptiness)."""
-        graph = self._nx().copy()
-        mutate(graph)
-        return Network(graph, ports, copy=False)
-
     def with_edge_added(self, p: ProcessId, q: ProcessId) -> "Network":
         """A copy with edge ``{p, q}`` added.
 
@@ -421,10 +389,12 @@ class Network:
             raise TopologyError(f"{p!r} or {q!r} is not a process")
         if self.are_neighbors(p, q):
             raise TopologyError(f"{p!r} and {q!r} are already neighbors")
-        ports = {r: list(order) for r, order in self._ports.items()}
-        ports[p].append(q)
-        ports[q].append(p)
-        return self._mutated(lambda g: g.add_edge(p, q), ports)
+        index = self.process_index()
+        i, j = index[p], index[q]
+        rows = self._rows()
+        rows[i].append(j)
+        rows[j].append(i)
+        return self._from_index_rows(rows, self._pids, index, connected=True)
 
     def with_edge_removed(self, p: ProcessId, q: ProcessId) -> "Network":
         """A copy with edge ``{p, q}`` removed (ports compact upward).
@@ -435,10 +405,12 @@ class Network:
         """
         if not self.are_neighbors(p, q):
             raise TopologyError(f"{p!r} and {q!r} are not neighbors")
-        ports = {r: list(order) for r, order in self._ports.items()}
-        ports[p].remove(q)
-        ports[q].remove(p)
-        return self._mutated(lambda g: g.remove_edge(p, q), ports)
+        index = self.process_index()
+        i, j = index[p], index[q]
+        rows = self._rows()
+        rows[i].remove(j)
+        rows[j].remove(i)
+        return self._from_index_rows(rows, self._pids, index)
 
     def with_node_added(
         self, p: ProcessId, neighbors: Sequence[ProcessId]
@@ -458,13 +430,15 @@ class Network:
         for q in neighbors:
             if q not in self:
                 raise TopologyError(f"{q!r} is not a process")
-        ports = {r: list(order) for r, order in self._ports.items()}
-        for q in neighbors:
-            ports[q].append(p)
-        ports[p] = list(neighbors)
-        return self._mutated(
-            lambda g: g.add_edges_from((p, q) for q in neighbors), ports
-        )
+        index = self.process_index()
+        n = self.n
+        row = [index[q] for q in neighbors]
+        rows = self._rows()
+        for j in row:
+            rows[j].append(n)
+        rows.append(row)
+        return self._from_index_rows(rows, (*self._pids, p), {**index, p: n},
+                                     connected=True)
 
     def with_node_removed(self, p: ProcessId) -> "Network":
         """A copy with process ``p`` (and its edges) removed.
@@ -477,22 +451,29 @@ class Network:
             raise TopologyError(f"{p!r} is not a process")
         if self.n == 1:
             raise TopologyError("cannot remove the last process")
-        ports = {
-            r: [q for q in order if q != p]
-            for r, order in self._ports.items()
-            if r != p
-        }
-        return self._mutated(lambda g: g.remove_node(p), ports)
+        k = self.process_index()[p]
+        rows = self._rows()
+        del rows[k]
+        # every process after p moves up one place
+        rows = [[j - (j > k) for j in row if j != k] for row in rows]
+        procs = self.processes
+        return self._from_index_rows(rows, procs[:k] + procs[k + 1:])
 
     # ------------------------------------------------------------------
     # Structure helpers
     # ------------------------------------------------------------------
     def edges(self) -> List[Tuple[ProcessId, ProcessId]]:
-        """All edges as (p, q) tuples."""
-        return list(self._nx().edges)
+        """All edges as (p, q) tuples, each listed once: from its
+        endpoint that comes first in process order, in that endpoint's
+        port order — networkx's edge view of this network's graph."""
+        procs = self.processes
+        return [(procs[i], procs[j])
+                for i, j in zip(*self.port_ends(range(self.n))) if i < j]
 
     def are_neighbors(self, p: ProcessId, q: ProcessId) -> bool:
-        return self._nx().has_edge(p, q)
+        """Whether ``p`` and ``q`` are joined (False when ``p`` is no
+        process)."""
+        return q in self._port_table(p)
 
     @property
     def nx_graph(self) -> nx.Graph:
@@ -535,8 +516,8 @@ def relabel_ports_randomly(network: Network, rng) -> Network:
 def non_bridge_edges(network: Network) -> List[Tuple[ProcessId, ProcessId]]:
     """Edges whose removal keeps the network connected (non-bridges).
 
-    The safe candidate pool for edge-removal churn events, in the
-    deterministic edge-iteration order of the underlying graph.
+    The safe candidate pool for edge-removal churn events, in
+    :meth:`Network.edges` order.
     """
     bridges = set(nx.bridges(network.subgraph_view()))
     return [
@@ -576,13 +557,3 @@ def missing_edges(
                 if limit and len(out) >= limit:
                     return out
     return out
-
-
-def network_from_edges(
-    edges: Iterable[Tuple[ProcessId, ProcessId]],
-    ports: Optional[Mapping[ProcessId, Sequence[ProcessId]]] = None,
-) -> Network:
-    """Build a :class:`Network` from an edge list."""
-    g = nx.Graph()
-    g.add_edges_from(edges)
-    return Network(g, ports, copy=False)

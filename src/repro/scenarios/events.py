@@ -30,7 +30,6 @@ from typing import (
     Hashable,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -46,6 +45,16 @@ ProcessId = Hashable
 
 #: churn operations understood by :class:`Churn`
 CHURN_OPERATIONS = ("add-edge", "remove-edge", "add-node", "remove-node")
+
+
+def check_int(owner: str, name: str, value: Any,
+              optional: bool = False) -> None:
+    """Raise :class:`ValueError` naming ``owner.name`` unless ``value`` is
+    an int (not a bool), or None when ``optional``."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{owner}.{name} must be an int, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +130,9 @@ class AtStep(Trigger):
     kind = "at-step"
     one_shot = True
 
+    def __post_init__(self):
+        check_int("AtStep", "step", self.step)
+
     def initial_state(self):
         """State: has this one-shot fired yet."""
         return {"fired": False}
@@ -148,6 +160,9 @@ class AtRound(Trigger):
     round: int
     kind = "at-round"
     one_shot = True
+
+    def __post_init__(self):
+        check_int("AtRound", "round", self.round)
 
     def initial_state(self):
         """State: has this one-shot fired yet."""
@@ -181,6 +196,8 @@ class EveryRounds(Trigger):
     kind = "every-rounds"
 
     def __post_init__(self):
+        check_int("EveryRounds", "period", self.period)
+        check_int("EveryRounds", "start", self.start, optional=True)
         if self.period < 1:
             raise ValueError("period must be >= 1")
 
@@ -444,6 +461,8 @@ class Churn(Effect):
                 f"unknown churn operation {self.operation!r}; "
                 f"known: {CHURN_OPERATIONS}"
             )
+        check_int("Churn", "degree", self.degree)
+        check_int("Churn", "min_n", self.min_n)
 
     def apply(self, sim, rng):
         """Sample a safe mutation, rebind the simulator, log the fault."""

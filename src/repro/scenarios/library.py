@@ -36,6 +36,7 @@ from .events import (
     EveryRounds,
     AfterSilence,
     SwapScheduler,
+    check_int,
 )
 from .scenario import Scenario, ScenarioEvent
 
@@ -119,6 +120,8 @@ def _churn(
     corruption event every ``period_rounds`` as well.  Recovery cycles
     are timed; pass ``total_rounds`` for a fixed horizon (otherwise the
     run ends at the first silence once all pending events fired)."""
+    # True * 4 is the int 4: the triggers below cannot see a bool
+    check_int("churn", "period_rounds", period_rounds)
     operations = list(operations)
     if not operations:
         raise ValueError("churn needs at least one operation")

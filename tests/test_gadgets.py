@@ -14,7 +14,7 @@ from repro.graphs import (
     theorem2_gadget,
     theorem2_network,
 )
-from repro.graphs.topology import network_from_edges
+from repro.graphs.topology import Network
 from repro.predicates import is_maximal_matching
 
 
@@ -89,13 +89,13 @@ class TestTheorem2Gadgets:
         assert 5 in sinks and 6 in sinks
 
     def test_oriented_network_rejects_cycles(self):
-        net = network_from_edges([(0, 1), (1, 2), (2, 0)])
+        net = Network.from_edges(range(3), [(0, 1), (1, 2), (2, 0)])
         succ = {0: frozenset({1}), 1: frozenset({2}), 2: frozenset({0})}
         with pytest.raises(TopologyError):
             OrientedNetwork(net, succ, root=0)
 
     def test_oriented_network_rejects_non_edges(self):
-        net = network_from_edges([(0, 1), (1, 2)])
+        net = Network.from_edges(range(3), [(0, 1), (1, 2)])
         succ = {0: frozenset({2}), 1: frozenset(), 2: frozenset()}
         with pytest.raises(TopologyError):
             OrientedNetwork(net, succ, root=0)

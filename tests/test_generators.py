@@ -106,10 +106,66 @@ class TestRandomFamilies:
         assert random_tree(1).n == 1
 
 
+class TestParameterChecks:
+    """Every generator checks its parameters the way
+    ``sparse_edge_probability`` checks ``avg_degree``: one
+    :class:`TopologyError` naming the parameter, before networkx or a
+    sampler sees the value."""
+
+    @pytest.mark.parametrize("name,params,bad", [
+        # a bool is an int to Python: a 1×3 grid, a process named True
+        ("grid", {"rows": True, "cols": 3}, "rows"),
+        ("grid", {"rows": 3, "cols": 0}, "cols"),
+        ("caterpillar", {"spine": True, "legs_per_node": True}, "spine"),
+        ("caterpillar", {"spine": 3, "legs_per_node": True},
+         "legs_per_node"),
+        ("caterpillar", {"spine": 3, "legs_per_node": -1}, "legs_per_node"),
+        # floats failed inside networkx with a TypeError
+        ("ring", {"n": 12.0}, "n"),
+        ("hypercube", {"dim": 2.0}, "dim"),
+        ("chain", {"n": "5"}, "n"),
+        ("star", {"leaves": 0}, "leaves"),
+        ("clique", {"n": 1}, "n"),
+        ("torus", {"rows": 3, "cols": 2}, "cols"),
+        ("binary-tree", {"height": 1.0}, "height"),
+        ("gnp", {"n": 6.0, "p": 0.5}, "n"),
+        ("regular", {"n": 6, "d": 2.0}, "d"),
+        ("regular", {"n": 4, "d": 4}, "d"),
+        ("tree", {"n": True}, "n"),
+        # p outside [0, 1] came back a path or the complete graph
+        ("gnp", {"n": 6, "p": -0.5}, "p"),
+        ("gnp", {"n": 6, "p": float("nan")}, "p"),
+        ("gnp", {"n": 6, "p": 1.5}, "p"),
+        ("gnp", {"n": 6, "p": True}, "p"),
+        # seed=True built seed 1's network
+        ("gnp", {"n": 6, "p": 0.5, "seed": True}, "seed"),
+        ("regular", {"n": 6, "d": 2, "seed": True}, "seed"),
+        ("sparse", {"n": 20, "seed": True}, "seed"),
+        ("sparse", {"n": 20, "seed": 1.5}, "seed"),
+        ("tree", {"n": 6, "seed": True}, "seed"),
+        ("sparse", {"n": 20.0}, "n"),
+    ])
+    def test_bad_parameter_is_one_topology_error(self, name, params, bad):
+        from repro.api import topology_registry
+        from repro.api.registry import build_topology
+
+        with pytest.raises(TopologyError, match=f"^{bad} must"):
+            topology_registry.build(name, **params)
+        if name == "sparse":  # the NumPy sampler shares the checks
+            with pytest.raises(TopologyError, match=f"^{bad} must"):
+                build_topology(name, params, columnar=True)
+
+    def test_edge_values_still_build(self):
+        assert random_connected(6, 0, seed=1).m == 5  # stitched path
+        assert random_connected(6, 1).m == 15
+        assert random_regular(1, 0).n == binary_tree(0).n == 1
+        assert caterpillar(2, 0).m == 1 and grid(1, 1).n == 1
+
+
 def networkx_sparse_random(n, avg_degree, seed):
     """``sparse_random`` as it was built on networkx: one
     ``fast_gnp_random_graph`` sample, its ``connected_components``
-    stitched along a shuffled chain, wrapped as it stands."""
+    stitched along a shuffled chain; the network and the graph."""
     rng = random.Random(seed)
     p = min(1.0, avg_degree / max(n - 1, 1))
     g = nx.fast_gnp_random_graph(n, p, seed=rng.randrange(2**31))
@@ -117,7 +173,7 @@ def networkx_sparse_random(n, avg_degree, seed):
     rng.shuffle(comps)
     for a, b in zip(comps, comps[1:]):
         g.add_edge(rng.choice(a), rng.choice(b))
-    return Network(g, copy=False)
+    return Network(g), g
 
 
 #: the NumPy-free ``sparse`` generator (the oracle) and the NumPy one
@@ -137,9 +193,8 @@ class TestSparseRandomExact:
     @pytest.mark.parametrize("avg_degree", [0.5, 1, 3, 6])
     def test_equals_networkx_construction(self, n, avg_degree):
         for seed in range(5):
-            ref = networkx_sparse_random(n, avg_degree, seed)
+            ref, ref_graph = networkx_sparse_random(n, avg_degree, seed)
             procs = ref.processes
-            ref_graph = ref.subgraph_view()
             diameter = nx.diameter(ref_graph, usebounds=True) \
                 if n <= 1000 else None
             for sampler in SAMPLERS:

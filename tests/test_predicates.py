@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Configuration
-from repro.graphs import chain, clique, network_from_edges, ring, star
+from repro.graphs import chain, clique, ring, star
 from repro.predicates import (
     coloring_predicate,
     colors_used,

@@ -39,8 +39,10 @@ from repro.graphs import (
 from repro.protocols import ColoringProtocol
 from repro.scenarios import (
     AtRound,
+    AtStep,
     Churn,
     CorruptFraction,
+    EveryRounds,
     Scenario,
     ScenarioEvent,
     SwapScheduler,
@@ -48,8 +50,10 @@ from repro.scenarios import (
     at_step,
     after_silence,
     build_scenario,
+    effect_from_dict,
     every_rounds,
     scenario_registry,
+    trigger_from_dict,
     with_probability,
 )
 from repro.api import protocol_registry, scheduler_registry, topology_registry
@@ -187,6 +191,37 @@ class TestTriggers:
             with_probability(1.5)
         with pytest.raises(ValueError):
             with_probability(0.5, per="nope")
+
+    @pytest.mark.parametrize("make,field", [
+        # the first step compared an int with the str
+        (lambda: AtRound("3"), "AtRound.round"),
+        (lambda: AtStep(True), "AtStep.step"),
+        # fired at rounds 3 and 5
+        (lambda: EveryRounds(2.5), "EveryRounds.period"),
+        (lambda: EveryRounds(2, start=1.5), "EveryRounds.start"),
+        # failed only when the event fired
+        (lambda: Churn("add-node", degree=2.5), "Churn.degree"),
+        (lambda: Churn("remove-node", min_n=True), "Churn.min_n"),
+        (lambda: trigger_from_dict({"kind": "at-round", "round": "3"}),
+         "AtRound.round"),
+        (lambda: effect_from_dict({"kind": "churn", "operation": "add-node",
+                                   "degree": 2.5}), "Churn.degree"),
+        # True * 4 operations is the int 4: ran as period 1
+        (lambda: build_scenario("churn", {"period_rounds": True}),
+         "churn.period_rounds"),
+        (lambda: build_scenario("periodic-faults", {"period_rounds": True}),
+         "EveryRounds.period"),
+    ])
+    def test_integer_fields_are_checked_when_built(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            make()
+
+    def test_bad_scenario_value_fails_before_the_run(self):
+        spec = ExperimentSpec(protocol="coloring", topology="ring",
+                              topology_params={"n": 8}, scenario="churn",
+                              scenario_params={"period_rounds": True})
+        with pytest.raises(ValueError, match="period_rounds"):
+            spec.build_simulator()
 
     def test_scenario_round_trip(self):
         scenario = Scenario(

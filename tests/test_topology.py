@@ -15,7 +15,6 @@ from repro.graphs import (
     Network,
     chain,
     missing_edges,
-    network_from_edges,
     non_bridge_edges,
     relabel_ports_randomly,
     removable_nodes,
@@ -56,6 +55,12 @@ class TestConstruction:
         with pytest.raises(TopologyError):
             Network(g)
 
+    def test_rejects_directed_graph(self):
+        """An adjacency walk over a directed graph would take each arc
+        as a one-way port; the constructor refuses it instead."""
+        with pytest.raises(TopologyError, match="undirected"):
+            Network(nx.DiGraph([(0, 1), (1, 2)]))
+
     def test_single_node_allowed(self):
         g = nx.Graph()
         g.add_node(0)
@@ -63,7 +68,7 @@ class TestConstruction:
         assert net.n == 1 and net.m == 0 and net.diameter == 0
 
     def test_from_edges(self):
-        net = network_from_edges([(0, 1), (1, 2)])
+        net = Network.from_edges(range(3), [(0, 1), (1, 2)])
         assert net.n == 3 and net.m == 2
 
 
@@ -111,9 +116,9 @@ class TestPaperNotation:
     @pytest.mark.parametrize("name,params", GENERATOR_CASES,
                              ids=[name for name, _ in GENERATOR_CASES])
     def test_cached_counts_match_networkx(self, name, params):
-        """Δ and m come from the port tables and are cached on first
-        use; they must equal networkx's counts for every generator and
-        for every network a ``with_*`` mutator derives."""
+        """Δ and m come from the port tables; they must equal
+        networkx's counts for every generator and for every network a
+        ``with_*`` mutator derives."""
         net = topology_registry.build(name, **params)
         procs = net.processes
         p = procs[0]
@@ -139,13 +144,13 @@ class TestPaperNotation:
                 assert candidate.max_degree == expect_delta
 
     def test_neighbors_in_port_order(self):
-        net = network_from_edges([(0, 1), (0, 2)], ports={0: [2, 1]})
+        net = Network.from_edges(range(3), [(0, 2), (0, 1)])
         assert net.neighbors(0) == (2, 1)
 
 
 class TestPorts:
     def test_neighbor_at_is_one_based(self):
-        net = network_from_edges([(0, 1), (0, 2)], ports={0: [1, 2]})
+        net = Network.from_edges(range(3), [(0, 1), (0, 2)])
         assert net.neighbor_at(0, 1) == 1
         assert net.neighbor_at(0, 2) == 2
 
@@ -172,6 +177,13 @@ class TestPorts:
         net = chain(3)
         with pytest.raises(TopologyError):
             net.with_ports({1: [0, 0]})
+
+    def test_with_ports_rejects_unknown_process(self):
+        # a port list for no process was dropped without a word
+        with pytest.raises(TopologyError, match="not a process"):
+            chain(3).with_ports({9: [0]})
+        with pytest.raises(TopologyError, match="not a process"):
+            Network(nx.path_graph(3), ports={9: [0]})
 
     def test_with_ports_overrides(self):
         net = chain(3)
@@ -204,6 +216,150 @@ class TestQueries:
         g = net.nx_graph
         g.add_edge(0, 2)
         assert not net.are_neighbors(0, 2)
+
+
+def connected_atlas_graphs():
+    """networkx's bundled atlas: every connected graph on 2 to 7 nodes
+    (995 of them)."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [g for g in graph_atlas_g() if len(g) >= 2 and nx.is_connected(g)]
+
+
+class TestMutationOracle:
+    """The mutators and ``with_ports`` edit the port tables alone.  Each
+    result must be the network of a networkx graph mutated the same way
+    in place, beside port lists kept the way a port-numbered network
+    keeps them: a new neighbor behind each endpoint's highest port, a
+    removed one compacted out.  With a network's own ports, the edge
+    listing and the churn candidates must also be networkx's, mutation
+    after mutation."""
+
+    OPERATIONS = ("remove-edge", "add-edge", "add-node", "remove-node")
+
+    @staticmethod
+    def mutate(net, graph, ports, op, rng, label):
+        """Apply ``op`` to the network and, the same way, to ``graph``
+        and ``ports``; targets come from the graph alone."""
+        procs = list(graph)
+        if op == "remove-edge":
+            bridges = set(nx.bridges(graph))
+            pool = [e for e in graph.edges
+                    if e not in bridges and e[::-1] not in bridges]
+            if not pool:
+                return net
+            p, q = pool[rng.randrange(len(pool))]
+            graph.remove_edge(p, q)
+            ports[p].remove(q)
+            ports[q].remove(p)
+            return net.with_edge_removed(p, q)
+        if op == "add-edge":
+            pool = [(p, q) for i, p in enumerate(procs)
+                    for q in procs[i + 1:] if not graph.has_edge(p, q)]
+            if not pool:
+                return net
+            p, q = pool[rng.randrange(len(pool))]
+            graph.add_edge(p, q)
+            ports[p].append(q)
+            ports[q].append(p)
+            return net.with_edge_added(p, q)
+        if op == "add-node":
+            joined = rng.sample(procs, min(2, len(procs)))
+            graph.add_edges_from((label, q) for q in joined)
+            for q in joined:
+                ports[q].append(label)
+            ports[label] = joined
+            return net.with_node_added(label, joined)
+        cuts = set(nx.articulation_points(graph))
+        pool = [p for p in procs if p not in cuts] if len(procs) > 3 else []
+        if not pool:
+            return net
+        p = pool[rng.randrange(len(pool))]
+        graph.remove_node(p)
+        del ports[p]
+        for order in ports.values():
+            if p in order:
+                order.remove(p)
+        return net.with_node_removed(p)
+
+    @staticmethod
+    def check(net, graph, ports, own):
+        procs = tuple(graph)
+        assert net.processes == procs
+        assert [net.neighbors(p) for p in procs] == \
+            [tuple(ports[p]) for p in procs]
+        assert (net.m, net.max_degree) == \
+            (graph.number_of_edges(), max(d for _node, d in graph.degree))
+        if own:
+            edges = list(graph.edges)
+            bridges = set(nx.bridges(graph))
+            cuts = set(nx.articulation_points(graph))
+            assert net.edges() == edges
+            assert non_bridge_edges(net) == [
+                e for e in edges if e not in bridges and e[::-1] not in bridges]
+            assert removable_nodes(net) == (
+                [p for p in procs if p not in cuts] if len(procs) > 3 else [])
+
+    def test_atlas_and_generators_own_and_relabelled_ports(self):
+        nets = [Network(g) for g in connected_atlas_graphs()]
+        assert len(nets) == 995
+        nets += [topology_registry.build(name, **params)
+                 for name, params in GENERATOR_CASES]
+        for k, net in enumerate(nets):
+            rng = random.Random(k)
+            for own in (True, False):
+                ports = {p: list(net.neighbors(p)) for p in net.processes}
+                graph = nx.Graph()
+                graph.add_nodes_from(ports)
+                graph.add_edges_from((p, q) for p, row in ports.items()
+                                     for q in row)
+                start = net
+                if not own:
+                    for order in ports.values():
+                        rng.shuffle(order)
+                    start = net.with_ports(ports)
+                self.check(start, graph, ports, own)
+                current = start
+                for op in self.OPERATIONS:
+                    current = self.mutate(current, graph, ports, op, rng,
+                                          "joiner")
+                    self.check(current, graph, ports, own)
+                if not own:
+                    p = next(iter(ports))
+                    ports[p].reverse()
+                    current = current.with_ports({p: ports[p]})
+                    self.check(current, graph, ports, own)
+
+    def test_mutations_edges_and_adjacency_build_no_graph(self):
+        """The mutators, ``with_ports``, ``edges()`` and
+        ``are_neighbors()`` answer from the port tables: neither the
+        network nor its mutants build a networkx graph."""
+        for net in (ring(8), topology_registry.build(
+                "sparse", n=40, avg_degree=3, seed=1)):
+            p, q = net.edges()[0]
+            assert net.are_neighbors(p, q) and not net.are_neighbors(p, p)
+            grown = net.with_node_added("joiner", [p, q])  # a triangle
+            derived = [
+                net.with_ports({p: net.neighbors(p)[::-1]}),
+                net.with_edge_added(*missing_edges(net, limit=1)[0]),
+                grown,
+                grown.with_edge_removed(p, q),
+                grown.with_node_removed("joiner"),
+            ]
+            for candidate in (net, *derived):
+                candidate.edges()
+                candidate.are_neighbors(p, q)
+                assert candidate._graph is None
+
+    def test_relabelled_edges_follow_port_order(self):
+        """Edges list from their first endpoint in process order, in
+        that endpoint's port order, and the on-demand graph keeps port
+        order: a relabelled network is not its source graph's order."""
+        net = Network(nx.star_graph(3), ports={0: [3, 1, 2]})
+        assert net.edges() == [(0, 3), (0, 1), (0, 2)]
+        assert list(net.subgraph_view().adj[0]) == [3, 1, 2]
+        relabelled = net.with_ports({0: [2, 3, 1]})
+        assert relabelled.edges() == [(0, 2), (0, 3), (0, 1)]
 
 
 class TestFromEdges:
@@ -247,7 +403,7 @@ class TestFromEdges:
         g = nx.Graph()
         g.add_nodes_from("abcd")
         g.add_edges_from(edges)
-        ref = Network(g, copy=False)
+        ref = Network(g)
         assert net.processes == ref.processes
         assert [net.neighbors(p) for p in "abcd"] == \
             [ref.neighbors(p) for p in "abcd"]
@@ -426,7 +582,6 @@ class TestNetworkxOnDemand:
             "net = ExperimentSpec(protocol='coloring', topology='sparse',"
             f" topology_params={params!r},"
             " engine='batch-resident').build_network()\n"
-            "assert '_ports' in vars(net)  # the list sampler's tables\n"
             "assert 'repro.graphs.columnar' not in sys.modules\n"
             "print([list(a) for a in net.port_arrays()])\n"
         )
