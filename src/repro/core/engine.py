@@ -35,8 +35,11 @@ guard re-evaluation happens when :meth:`enabled_view` /
 enabled-status pays almost nothing.
 
 Every engine also executes the steps the simulator hands it
-(:meth:`EnabledSetEngine.execute_step`): the scalar loop here, or the
-columnar one of :mod:`repro.core.batchengine`.
+(:meth:`EnabledSetEngine.execute_step`): the scalar loop here — through
+pooled :class:`~repro.core.context.StepContext` objects, or, on
+``incremental`` and ``debug`` for a protocol with a guard form, through
+the cascade :mod:`repro.core.guards` compiles from it — or the columnar
+one of :mod:`repro.core.batchengine`.
 
 A run's engine is chosen once, at :meth:`EnabledSetEngine.bind`, which
 returns the engine that executes the run (a columnar engine that
@@ -49,6 +52,7 @@ and binds a fresh one.
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
 from time import perf_counter
 from typing import (AbstractSet, Dict, FrozenSet, Hashable, Iterable,
@@ -58,7 +62,9 @@ from ..obs.registry import TELEMETRY
 from .actions import first_enabled
 from .context import StepContextPool
 from .exceptions import ModelError
+from .guards import bind_cascade
 from .metrics import StepRecord
+from .silence import process_quiescence_witness
 
 ProcessId = Hashable
 
@@ -75,8 +81,9 @@ COLUMNAR_ENGINE_NAMES = ("batch-resident", "batch-debug")
 
 
 class ScalarOutcome:
-    """One scalar step's ``(pid, ctx, action)`` executions, in selection
-    order (``action`` is None for a selected-but-disabled process)."""
+    """One scalar step's ``(pid, ports, bits, rule)`` executions, in
+    selection order: the ports and bits the process read, and the name
+    of the rule it fired (None for a selected-but-disabled process)."""
 
     __slots__ = ("selected", "executions")
 
@@ -87,10 +94,10 @@ class ScalarOutcome:
     def record(self, index: int, closed: bool) -> StepRecord:
         """The step's full-tier :class:`~repro.core.metrics.StepRecord`."""
         executed, ports_read, bits_read = {}, {}, {}
-        for p, ctx, action in self.executions:
-            executed[p] = action.name if action else None
-            ports_read[p] = frozenset(ctx.ports_read)
-            bits_read[p] = ctx.bits_read
+        for p, ports, bits, rule in self.executions:
+            executed[p] = rule
+            ports_read[p] = frozenset(ports)
+            bits_read[p] = bits
         return StepRecord(index, frozenset(self.selected), executed,
                           ports_read, bits_read, closed)
 
@@ -128,6 +135,13 @@ class EnabledSetEngine(ABC):
     #: whether whole steps run over columns, which the simulator's fused
     #: loop requires (never, on the scalar engines)
     batch_active: bool = False
+
+    #: the engine's own per-process silence walk (``pid -> witness or
+    #: None``), which :meth:`Simulator.is_silent
+    #: <repro.core.simulator.Simulator.is_silent>` hands to
+    #: :func:`~repro.core.silence.is_silent`; None walks through the
+    #: execution pool's contexts
+    walk = None
 
     def bind(self, protocol, network, config, specs_of) -> "EnabledSetEngine":
         """Attach the engine to one run and return the engine that
@@ -181,6 +195,7 @@ class EnabledSetEngine(ABC):
         ``rng`` serves randomized actions.  Notes the step."""
         executions = []
         append = executions.append
+        used = []
         actions = self._actions
         # Inlined StepContextPool.acquire / StepContext.reset: two
         # function calls per activation are measurable at 10k
@@ -202,12 +217,12 @@ class EnabledSetEngine(ABC):
             action = first_enabled(actions, ctx)
             if action is not None:
                 action.effect(ctx)
-            append((p, ctx, action))
+            append((p, ctx.ports_read, ctx.bits_read,
+                    action.name if action is not None else None))
+            used.append(ctx)
         # Only processes whose communication variables took a new value
         # can flip a neighbor's enabled-status.
-        comm_changed = [
-            p for p, ctx, _action in executions if ctx.flush_writes()
-        ]
+        comm_changed = [ctx.pid for ctx in used if ctx.flush_writes()]
         self.note_step(selected, comm_changed)
         return ScalarOutcome(selected, executions)
 
@@ -356,6 +371,13 @@ class IncrementalEngine(EnabledSetEngine):
     the synchronous daemon, or after ``invalidate(None)``) the engine
     degrades gracefully to a single full scan at the next query and the
     per-step bookkeeping short-circuits to O(1).
+
+    When the protocol has a guard form (:mod:`repro.core.guards`) and
+    the run's rows share one layout, the engine binds the compiled
+    cascade: it executes the steps, re-checks the dirty processes and
+    walks silence, and no :class:`~repro.core.context.StepContext` is
+    built.  Otherwise it runs the protocol's actions through pooled
+    contexts.
     """
 
     name = "incremental"
@@ -367,7 +389,22 @@ class IncrementalEngine(EnabledSetEngine):
         self._stale_all = True
         self._enabled: Set[ProcessId] = set()
         self._list: Optional[Tuple[ProcessId, ...]] = None
+        #: the compiled cascade, or None (steps run through contexts)
+        self.cascade = bind_cascade(protocol, network, config, specs_of)
         return self
+
+    @property
+    def walk(self):
+        """The compiled cascade's silence walk, or None."""
+        return None if self.cascade is None else self.cascade.walk
+
+    def execute_step(self, selected, rng) -> ScalarOutcome:
+        cascade = self.cascade
+        if cascade is None:
+            return super().execute_step(selected, rng)
+        executions, pend = cascade.step(selected, rng)
+        self.note_step(selected, _land(pend))
+        return ScalarOutcome(selected, executions)
 
     # ------------------------------------------------------------------
     def note_step(self, activated, comm_changed) -> None:
@@ -394,8 +431,10 @@ class IncrementalEngine(EnabledSetEngine):
 
     # ------------------------------------------------------------------
     def _flush(self) -> None:
+        cascade = self.cascade
+        probe = self._is_enabled if cascade is None else cascade.probe
         if self._stale_all:
-            self._enabled = self._scan()
+            self._enabled = {p for p in self.network.processes if probe(p)}
             self._stale_all = False
             self._dirty.clear()
             self._list = None
@@ -414,7 +453,7 @@ class IncrementalEngine(EnabledSetEngine):
         enabled = self._enabled
         changed = False
         for p in self._dirty:
-            if self._is_enabled(p):
+            if probe(p):
                 if p not in enabled:
                     enabled.add(p)
                     changed = True
@@ -445,19 +484,93 @@ class IncrementalEngine(EnabledSetEngine):
 
 
 class CrossCheckEngine(IncrementalEngine):
-    """Incremental engine that audits itself against a full scan.
+    """Incremental engine that audits itself against the reference.
 
-    Every flush additionally rescans all guards and raises
+    Every flush additionally rescans all guards through pooled
+    :class:`~repro.core.context.StepContext` probes and raises
     :class:`~repro.core.exceptions.ModelError` if the incrementally
     maintained set disagrees — the debugging mode that catches a
-    configuration written behind the engine's back.
+    configuration written behind the engine's back.  With a compiled
+    cascade, each step's rule, ports, bits, written rows and protocol
+    draws are checked against the protocol's actions run through
+    contexts on a copy of the generator, and each process's silence
+    walk against :func:`~repro.core.silence.process_quiescence_witness`
+    — as ``batch-debug`` audits its kernels.
     """
 
     name = "debug"
 
+    @property
+    def walk(self):
+        """The compiled cascade's silence walk, audited, or None."""
+        return None if self.cascade is None else self._audited_walk
+
     def _flush(self) -> None:
         super()._flush()
         self._check_scan(self._enabled)
+
+    def execute_step(self, selected, rng) -> ScalarOutcome:
+        if self.cascade is None:
+            return super().execute_step(selected, rng)
+        twin = None
+        if rng is not None:
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+        expect = []
+        rows = []
+        pool = self._probe_pool
+        for p in selected:
+            ctx = pool.acquire(p, twin)
+            action = first_enabled(self._actions, ctx)
+            if action is not None:
+                action.effect(ctx)
+            row = list(self.config.row_of(p))
+            index = self.config.layout_of(p).index
+            for name, value in ctx.writes.items():
+                row[index[name]] = value
+            expect.append((p, frozenset(ctx.ports_read), ctx.bits_read,
+                           action.name if action is not None else None))
+            rows.append(row)
+        outcome = super().execute_step(selected, rng)
+        got = [(p, frozenset(ports), bits, rule)
+               for p, ports, bits, rule in outcome.executions]
+        for mine, theirs, row in zip(got, expect, rows):
+            p = mine[0]
+            if mine != theirs or self.config.row_of(p) != row:
+                raise ModelError(
+                    f"compiled cascade diverged from the protocol's actions "
+                    f"at {p!r}: (pid, ports, bits, rule) {mine!r} vs "
+                    f"{theirs!r}, row {self.config.row_of(p)!r} vs {row!r}"
+                )
+        if twin is not None and twin.getstate() != rng.getstate():
+            raise ModelError("compiled cascade drew differently from the "
+                             "protocol's actions")
+        return outcome
+
+    def _audited_walk(self, p):
+        got = self.cascade.walk(p)
+        expect = process_quiescence_witness(
+            self.protocol, self.network, self.config, p, self.specs_of,
+            pool=self._probe_pool, actions=self._actions)
+        if got != expect:
+            raise ModelError(
+                f"compiled silence walk diverged at {p!r}: {got!r} vs "
+                f"{expect!r}"
+            )
+        return got
+
+
+def _land(pend) -> list:
+    """Apply a compiled step's planned ``(row, slot, value, owner)``
+    writes, all after the whole selection computed; returns the owners
+    of the communication variables that took a new value."""
+    changed = []
+    for row, slot, value, owner in pend:
+        if row[slot] != value:
+            row[slot] = value
+            if owner is not None:
+                changed.append(owner)
+    return changed
 
 
 _ENGINES = {

@@ -17,8 +17,8 @@ The *metrics tier* (:data:`METRICS_TIERS`, the ``metrics=`` knob on
 the measures fold, and what ``Simulator.step`` returns.
 
 * ``"full"`` and ``"aggregate"`` fold every step the same way, straight
-  off the step's pooled contexts (:meth:`MetricsCollector.record_lean`)
-  or columns, so every measure reported by
+  off the step's executions (:meth:`MetricsCollector.record_lean`) or
+  columns, so every measure reported by
   :meth:`MetricsCollector.summary` and the suffix machinery is the same
   on both.  ``step()`` returns a :class:`StepRecord` under ``"full"``
   (traces need it) and a :class:`LeanStepRecord` under ``"aggregate"``.
@@ -173,15 +173,15 @@ class MetricsCollector:
             self.total_bits += bits
 
     def record_lean(self, executions, closed_round: bool) -> None:
-        """Fold one scalar step straight off its step contexts.
+        """Fold one scalar step straight off its executions.
 
-        ``executions`` is the engine's ``(pid, ctx, action)`` list for
-        the step, one entry per selected process (a selection is a
-        set); the fold reads each context's ``ports_read`` /
-        ``bits_read`` in place and produces aggregates identical to
-        feeding :meth:`record` the equivalent :class:`StepRecord` —
-        the metrics-tier property tests pin that equivalence — without
-        ever building the record's frozensets and dicts.
+        ``executions`` is the engine's ``(pid, ports, bits, rule)`` list
+        for the step, one entry per selected process (a selection is a
+        set); the fold reads each entry's ports and bits in place and
+        produces aggregates identical to feeding :meth:`record` the
+        equivalent :class:`StepRecord` — the metrics-tier property tests
+        pin that equivalence — without ever building the record's
+        frozensets and dicts.
         """
         self.steps += 1
         if closed_round:
@@ -192,9 +192,8 @@ class MetricsCollector:
         max_bits = self.max_bits_in_step
         total_reads = self.total_reads
         total_bits = self.total_bits
-        for p, ctx, _action in executions:
+        for p, ports, bits, _rule in executions:
             activations[p] += 1
-            ports = ctx.ports_read
             count = len(ports)
             if count:
                 if count > max_reads:
@@ -203,7 +202,6 @@ class MetricsCollector:
                 read_sets[p].update(ports)
                 if suffix is not None:
                     suffix[p].update(ports)
-            bits = ctx.bits_read
             if bits > max_bits:
                 max_bits = bits
             total_bits += bits

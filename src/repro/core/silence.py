@@ -42,6 +42,10 @@ Cost and side effects:
   fresh pool per check.  Pooled contexts read raw rows, so a caller
   passing a pool over column-resident state decodes pending column
   writes first.
+* **Compiled walks.**  A simulator whose engine bound a compiled guard
+  cascade (:mod:`repro.core.guards`) passes that cascade's ``walk``,
+  the same walk straight over the rows, and the check asks it for
+  every process instead.
 * **One probe generator per check.**  Guards never draw (the engines
   evaluate them without an rng), and a walk whose effect draws always
   returns a witness, which ends the check.  So a walk that draws
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 from .actions import first_enabled
 from .context import StepContextPool
@@ -149,13 +153,23 @@ def silence_witness(
     *,
     specs_of=None,
     pool: Optional[StepContextPool] = None,
+    walk: Optional[Callable] = None,
 ) -> Optional[QuiescenceWitness]:
     """First witness that ``config`` is not silent, or None if it is.
 
     A run that holds its spec map and a context pool over ``config``
     passes them (after decoding any pending column writes into the
-    rows); otherwise one of each is built for this check.
+    rows); otherwise one of each is built for this check.  A run whose
+    engine bound a compiled cascade (:mod:`repro.core.guards`) passes
+    its ``walk`` instead, the same walk over the same rows, which then
+    answers for every process.
     """
+    if walk is not None:
+        for p in network.processes:
+            witness = walk(p)
+            if witness is not None:
+                return witness
+        return None
     if specs_of is None:
         specs_of = protocol.specs_of(network)
     if pool is None:
@@ -179,8 +193,9 @@ def is_silent(
     *,
     specs_of=None,
     pool: Optional[StepContextPool] = None,
+    walk: Optional[Callable] = None,
 ) -> bool:
     """True iff the communication variables of ``config`` are fixed forever."""
     return silence_witness(
-        protocol, network, config, specs_of=specs_of, pool=pool
+        protocol, network, config, specs_of=specs_of, pool=pool, walk=walk
     ) is None

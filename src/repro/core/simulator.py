@@ -20,12 +20,13 @@ Implements the computation model of paper §2 faithfully:
 
 The simulator schedules and accounts; the engine executes.  The scalar
 engines run a loop over one pooled
-:class:`~repro.core.context.StepContext` per process, and an active
-columnar engine runs whole steps over columns; both produce the same
-``γi+1`` bit for bit.  Every measured tier folds the step's outcome
-into the collector the same way; the metrics tier decides only whether
-measures fold and what :meth:`Simulator.step` returns, never which path
-a run takes.
+:class:`~repro.core.context.StepContext` per process, or over the
+cascade compiled from the protocol's guard form
+(:mod:`repro.core.guards`), and an active columnar engine runs whole
+steps over columns; all produce the same ``γi+1`` bit for bit.  Every
+measured tier folds the step's outcome into the collector the same
+way; the metrics tier decides only whether measures fold and what
+:meth:`Simulator.step` returns, never which path a run takes.
 """
 
 from __future__ import annotations
@@ -518,15 +519,18 @@ class Simulator:
                                **self._walk_args())
 
     def _walk_args(self) -> dict:
-        """The run's spec map and the engine's execution pool for a
-        silence walk.
+        """The run's spec map, the engine's execution pool and its own
+        per-process walk (a compiled cascade's, or None) for a silence
+        check.
 
         Pooled contexts read raw rows, so pending column writes are
         decoded first.  The walk only overlays buffered writes, which
         the next step's context reset clears.
         """
-        self.engine.materialize_rows()
-        return {"specs_of": self.specs_of, "pool": self.engine.exec_pool}
+        engine = self.engine
+        engine.materialize_rows()
+        return {"specs_of": self.specs_of, "pool": engine.exec_pool,
+                "walk": engine.walk}
 
     def enabled_processes(self) -> List[ProcessId]:
         """Processes with at least one enabled action in the current γ.

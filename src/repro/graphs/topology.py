@@ -92,8 +92,9 @@ class Network:
     Parameters
     ----------
     graph:
-        Undirected :class:`networkx.Graph`.  Must be connected, simple,
-        with at least one node and no self-loops.  It is read, not kept.
+        Undirected :class:`networkx.Graph`.  Must be connected, simple
+        (a multigraph is refused), with at least one node and no
+        self-loops.  It is read, not kept.
     ports:
         Optional mapping ``p -> [q1, q2, ...]`` listing p's neighbors in
         local-index order (index ``i`` of the list is port ``i+1``).
@@ -110,6 +111,9 @@ class Network:
     ):
         if graph.is_directed():  # its adjacency holds one-way arcs
             raise TopologyError("network must be undirected")
+        if graph.is_multigraph():  # its adjacency hides parallel edges
+            raise TopologyError("network must be a simple graph, not a "
+                                "multigraph")
         procs = tuple(graph)
         index = dict(zip(procs, range(len(procs))))
         rows = [list(map(index.__getitem__, graph._adj[p])) for p in procs]

@@ -19,6 +19,8 @@ from __future__ import annotations
 from typing import Hashable, Tuple
 
 from ..core.actions import GuardedAction
+from ..core.guards import (Draw, Eq, GuardForm, Ne, Nbr, Own, Rotate, Rule,
+                           register_guard_form)
 from ..core.state import Configuration
 from ..core.variables import IntRange, VariableSpec, comm, internal
 from ..graphs.coloring import DegreeSpecs
@@ -85,6 +87,13 @@ class ColoringProtocol(DegreeSpecs):
     def color_of(self, config: Configuration, p: ProcessId) -> int:
         """The paper's output function ``color.p`` — the value of C.p."""
         return config.get(p, "C")
+
+
+#: ``actions()`` as a guard form, compiled for the scalar engines
+register_guard_form(ColoringProtocol, GuardForm("cur", (
+    Rule("recolor", Eq(Own("C"), Nbr("C")), (Draw("C", "palette"), Rotate())),
+    Rule("advance", Ne(Own("C"), Nbr("C")), (Rotate(),)),
+)))
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,9 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from ..core.actions import GuardedAction
+from ..core.guards import (And, Assign, Eq, GuardForm, Lit, Lt, Nbr, Ne, Not,
+                           Or, Own, PointsBack, Rotate, Rule,
+                           register_guard_form)
 from ..core.state import Configuration
 from ..core.variables import BOOL, IntRange, VariableSpec, const, comm, internal
 from ..graphs.coloring import (
@@ -178,6 +181,31 @@ class MatchingProtocol(ColorConstant, DegreeSpecs):
 
     def matching(self, network: Network, config: Configuration) -> List[Tuple]:
         return matched_edges(network, config)
+
+
+#: PRmarried(p) ≡ PR.p = cur.p ∧ PR.(cur.p) = p
+_MARRIED = And(Eq(Own("PR"), Own("cur")), PointsBack("PR"))
+
+#: ``actions()`` as a guard form, compiled for the scalar engines
+register_guard_form(MatchingProtocol, GuardForm("cur", (
+    Rule("realign", Not(Or(Eq(Own("PR"), Lit(0)), Eq(Own("PR"), Own("cur")))),
+         (Assign("PR", Own("cur")),)),
+    Rule("publish", Ne(Own("M"), _MARRIED), (Assign("M", _MARRIED),)),
+    Rule("accept", And(Eq(Own("PR"), Lit(0)), PointsBack("PR")),
+         (Assign("PR", Own("cur")),)),
+    Rule("abandon",
+         And(Eq(Own("PR"), Own("cur")), Not(PointsBack("PR")),
+             Or(Nbr("M"), Lt(Nbr("C"), Own("C")))),
+         (Assign("PR", Lit(0)),)),
+    Rule("propose",
+         And(Eq(Own("PR"), Lit(0)), Eq(Nbr("PR"), Lit(0)),
+             Lt(Own("C"), Nbr("C")), Not(Nbr("M"))),
+         (Assign("PR", Own("cur")),)),
+    Rule("seek",
+         And(Eq(Own("PR"), Lit(0)),
+             Or(Ne(Nbr("PR"), Lit(0)), Lt(Nbr("C"), Own("C")), Nbr("M"))),
+         (Rotate(),)),
+)))
 
 
 # ----------------------------------------------------------------------

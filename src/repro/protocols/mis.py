@@ -26,6 +26,8 @@ from __future__ import annotations
 from typing import Dict, Hashable, Set, Tuple
 
 from ..core.actions import GuardedAction
+from ..core.guards import (And, Assign, Eq, GuardForm, Lit, Lt, Nbr, Or, Own,
+                           Rotate, Rule, register_guard_form)
 from ..core.state import Configuration
 from ..core.variables import FiniteSet, IntRange, VariableSpec, const, comm, internal
 from ..graphs.coloring import (
@@ -113,6 +115,20 @@ class MISProtocol(ColorConstant, DegreeSpecs):
 
     def independent_set(self, network: Network, config: Configuration) -> Set[ProcessId]:
         return {p for p in network.processes if self.in_mis(config, p)}
+
+
+#: ``actions()`` as a guard form, compiled for the scalar engines
+register_guard_form(MISProtocol, GuardForm("cur", (
+    Rule("yield",
+         And(Eq(Own("S"), Lit(DOMINATOR)), Eq(Nbr("S"), Lit(DOMINATOR)),
+             Lt(Nbr("C"), Own("C"))),
+         (Assign("S", Lit(DOMINATED)),)),
+    Rule("claim",
+         And(Eq(Own("S"), Lit(DOMINATED)),
+             Or(Eq(Nbr("S"), Lit(DOMINATED)), Lt(Own("C"), Nbr("C")))),
+         (Assign("S", Lit(DOMINATOR)), Rotate())),
+    Rule("patrol", Eq(Own("S"), Lit(DOMINATOR)), (Rotate(),)),
+)))
 
 
 # ----------------------------------------------------------------------

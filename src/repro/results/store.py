@@ -36,6 +36,7 @@ import json
 import os
 import sqlite3
 import subprocess
+import sys
 import time
 import uuid
 from dataclasses import dataclass
@@ -501,6 +502,9 @@ class ResultStore:
         Insertion order, one row at a time — the exact record shape
         :meth:`write_many` consumes, so store-to-store merges
         (:meth:`ingest_store`) round-trip without re-deriving anything.
+        The result dicts share their field names (interned), so a
+        caller that keeps many rows holds each name once, not once per
+        row.
         """
         run_id = self._resolve_run(run_id)
         cursor = self._conn.execute(
@@ -508,7 +512,9 @@ class ResultStore:
             "ORDER BY rowid", (run_id,),
         )
         for key, spec_blob, result_blob in cursor:
-            yield key, json.loads(spec_blob), json.loads(result_blob)
+            result = json.loads(result_blob)
+            yield (key, json.loads(spec_blob),
+                   dict(zip(map(sys.intern, result), result.values())))
 
     def iter_results(self, run_id: Optional[str] = None) -> Iterator[Tuple]:
         """Stream a run back as ``(ExperimentSpec, TrialResult)`` pairs.

@@ -23,6 +23,7 @@ backend, or executor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import (
     Any,
     Callable,
@@ -367,6 +368,13 @@ class CorruptFraction(Effect):
     fraction: float
     kinds: Tuple[str, ...] = ("comm", "internal")
     kind = "corrupt-fraction"
+
+    def __post_init__(self):
+        fraction = self.fraction
+        if (isinstance(fraction, bool) or not isinstance(fraction, Real)
+                or not 0 <= fraction <= 1):  # NaN fails both comparisons
+            raise ValueError("CorruptFraction.fraction must be a real "
+                             f"number in [0, 1], got {fraction!r}")
 
     def apply(self, sim, rng):
         """Inject via :func:`repro.faults.corrupt_fraction`."""

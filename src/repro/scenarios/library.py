@@ -133,10 +133,9 @@ def _churn(
         )
         for i, op in enumerate(operations)
     ]
+    corrupt = CorruptFraction(fraction)  # checks the fraction
     if fraction > 0:
-        events.append(ScenarioEvent(
-            EveryRounds(period_rounds), CorruptFraction(fraction)
-        ))
+        events.append(ScenarioEvent(EveryRounds(period_rounds), corrupt))
     return Scenario(
         "churn",
         events=tuple(events),

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .events import Effect, Trigger, TriggerContext, effect_from_dict, trigger_from_dict
+from .events import (Effect, Trigger, TriggerContext, check_int,
+                     effect_from_dict, trigger_from_dict)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,11 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        check_int("Scenario", "horizon_rounds", self.horizon_rounds,
+                  optional=True)
+        if self.horizon_rounds is not None and self.horizon_rounds < 0:
+            raise ValueError("Scenario.horizon_rounds must not be "
+                             f"negative, got {self.horizon_rounds!r}")
 
     # ------------------------------------------------------------------
     def bind(self, sim) -> "ScenarioRuntime":

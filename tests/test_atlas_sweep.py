@@ -17,7 +17,13 @@ each process set to one other value):
   index array;
 * ``legitimate_cols`` equals ``Protocol.is_legitimate``;
 * ``silent_cols``, where a kernel has one (COLORING), equals
-  :func:`repro.core.silence.is_silent`.
+  :func:`repro.core.silence.is_silent`;
+* the compiled guard cascade (:mod:`repro.core.guards`) gives each
+  process the rule, ports, bits and planned writes of the scalar
+  cascade through a :class:`~repro.core.context.StepContext` (draws from
+  equal generators), its probe says whether a rule fires, and its walk
+  gives each process's quiescence witness, so the compiled silence
+  verdict equals :func:`repro.core.silence.is_silent`.
 """
 
 import random
@@ -31,7 +37,9 @@ from repro.core.actions import first_enabled
 from repro.core.batchengine import BATCH_KERNELS
 from repro.core.columns import ColumnStore
 from repro.core.context import StepContext
-from repro.core.silence import is_silent
+from repro.core.guards import bind_cascade
+from repro.core.silence import (is_silent, process_quiescence_witness,
+                                silence_witness)
 from repro.graphs.topology import Network
 
 ATLAS = [graph for graph in nx.graph_atlas_g()
@@ -86,6 +94,38 @@ def check(proto, net, specs_of, config, label):
     if silent_cols is not None:
         assert silent_cols() is is_silent(proto, net, config,
                                           specs_of=specs_of), label
+    check_compiled(proto, net, specs_of, config, label)
+
+
+def check_compiled(proto, net, specs_of, config, label):
+    """The compiled cascade against the StepContext cascade, process by
+    process: rule, ports, bits, planned writes, probe and walk."""
+    cascade = bind_cascade(proto, net, config, specs_of)
+    assert cascade is not None, label
+    names = cascade.names
+    actions = proto.actions()
+    for k, p in enumerate(net.processes):
+        (got,), pend = cascade.step([p], random.Random(k))
+        ctx = StepContext(p, net, config, specs_of, rng=random.Random(k))
+        action = first_enabled(actions, ctx)
+        assert cascade.probe(p) is (action is not None), f"{label}: {p!r}"
+        if action is not None:
+            action.effect(ctx)
+        comm = {s.name for s in specs_of[p] if s.kind == "comm"}
+        expect = (p, set(ctx.ports_read), ctx.bits_read,
+                  action.name if action is not None else None,
+                  {name: (value, p if name in comm else None)
+                   for name, value in ctx.writes.items()})
+        writes = {names[slot]: (value, owner)
+                  for row, slot, value, owner in pend
+                  if row is config.row_of(p)}
+        assert len(writes) == len(pend), f"{label}: {p!r}"
+        assert (got[0], set(got[1]), got[2], got[3], writes) == expect, \
+            f"{label}: process {p!r}"
+        assert cascade.walk(p) == process_quiescence_witness(
+            proto, net, config, p, specs_of), f"{label}: walk {p!r}"
+    assert silence_witness(proto, net, config, walk=cascade.walk) \
+        == silence_witness(proto, net, config, specs_of=specs_of), label
 
 
 def corruptions(config, specs_of, rng):

@@ -216,6 +216,58 @@ class TestTriggers:
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             make()
 
+    @pytest.mark.parametrize("make,message", [
+        # raised a TypeError inside drive_simulator
+        (lambda: build_scenario("churn", {"total_rounds": "3"}),
+         "Scenario.horizon_rounds must be an int, got '3'"),
+        # built, and ran to the 2.5-round horizon
+        (lambda: build_scenario("churn", {"total_rounds": 2.5}),
+         "Scenario.horizon_rounds must be an int, got 2.5"),
+        (lambda: build_scenario("periodic-faults", {"total_rounds": True}),
+         "Scenario.horizon_rounds must be an int, got True"),
+        (lambda: build_scenario("script", {"events": [],
+                                           "horizon_rounds": -1}),
+         "Scenario.horizon_rounds must not be negative, got -1"),
+        # ran as fraction 1.0
+        (lambda: build_scenario("periodic-faults", {"fraction": True}),
+         r"CorruptFraction.fraction must be a real number in \[0, 1\], "
+         "got True"),
+        # failed only when the first event fired
+        (lambda: build_scenario("periodic-faults", {"fraction": 1.5}),
+         r"CorruptFraction.fraction .* got 1.5"),
+        # compared with 0 before anything checked it
+        (lambda: build_scenario("churn", {"fraction": "x"}),
+         r"CorruptFraction.fraction .* got 'x'"),
+        (lambda: CorruptFraction(float("nan")),
+         r"CorruptFraction.fraction .* got nan"),
+        (lambda: CorruptFraction("0.5"),
+         r"CorruptFraction.fraction .* got '0.5'"),
+        (lambda: effect_from_dict({"kind": "corrupt-fraction",
+                                   "fraction": -0.1}),
+         r"CorruptFraction.fraction .* got -0.1"),
+    ])
+    def test_horizon_and_fraction_are_checked_when_built(self, make,
+                                                         message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_fraction_and_horizon_bounds_are_inclusive(self):
+        assert CorruptFraction(0).fraction == 0
+        assert CorruptFraction(1.0).fraction == 1.0
+        assert Scenario("none", horizon_rounds=0).horizon_rounds == 0
+
+    @pytest.mark.parametrize("scenario,params", [
+        ("churn", {"total_rounds": "3"}),
+        ("periodic-faults", {"fraction": 1.5}),
+    ])
+    def test_bad_horizon_or_fraction_fails_before_the_run(self, scenario,
+                                                          params):
+        spec = ExperimentSpec(protocol="coloring", topology="ring",
+                              topology_params={"n": 8}, scenario=scenario,
+                              scenario_params=params)
+        with pytest.raises(ValueError, match=r"^(Scenario|CorruptFraction)"):
+            spec.build_simulator()
+
     def test_bad_scenario_value_fails_before_the_run(self):
         spec = ExperimentSpec(protocol="coloring", topology="ring",
                               topology_params={"n": 8}, scenario="churn",

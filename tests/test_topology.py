@@ -61,6 +61,17 @@ class TestConstruction:
         with pytest.raises(TopologyError, match="undirected"):
             Network(nx.DiGraph([(0, 1), (1, 2)]))
 
+    def test_rejects_multigraph(self):
+        """A multigraph's adjacency keys hide a pair joined twice, which
+        ``from_edges`` refuses; the constructor refuses the type."""
+        edges = [(0, 1), (0, 1), (1, 2)]
+        with pytest.raises(TopologyError, match="joined twice"):
+            Network.from_edges(range(3), edges)
+        with pytest.raises(TopologyError, match="multigraph"):
+            Network(nx.MultiGraph(edges))
+        with pytest.raises(TopologyError, match="undirected"):
+            Network(nx.MultiDiGraph(edges))
+
     def test_single_node_allowed(self):
         g = nx.Graph()
         g.add_node(0)
